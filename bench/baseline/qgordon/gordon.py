@@ -1,0 +1,409 @@
+"""Sign-reversing involution on pairs (A|B) of a signed distinct-part
+partition A and a window-conditioned partition B.
+
+The state space P_{k,a} consists of pairs (A|B) where A is strictly
+decreasing (carrying sign (-1)^len(A)) and B lies in family B_{k,a}.
+The involution pairs off almost all of P_{k,a} in a weight-preserving,
+sign-reversing fashion; what survives is one configuration per term of
+the theta series with alpha = 2k+1, beta = 2(k-a)+1.
+
+The classification below works with four parameters measured on a pair:
+
+* p: smallest part of A,
+* q: length of the maximal unit-staircase prefix of A,
+* r: length of the maximal difference-two chain along B at positions
+  k-1, 2(k-1), 3(k-1), ...,
+* s: the same kind of chain anchored at position i-1 (only defined for
+  witness 2 <= i <= k-1),
+
+with n the minimum of those defined.  A chain link only counts when both
+anchor positions exist; a missing part ends the chain, and a missing
+largest part compares as 0.  The "move a_1 into B would leave the
+family" test is evaluated semantically (membership of the extended B),
+which pins down every boundary case of the blocking condition.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .partitions import ParameterError, _gordon_ok, check_params
+from .series import TruncatedSeries
+
+
+class ConsistencyError(RuntimeError):
+    """A map produced an invalid configuration on a pair that matches no
+    fixed-point template; indicates a genuine rule inconsistency."""
+
+
+@dataclass(frozen=True)
+class Move:
+    """Step-1 outcome: the top part crosses between A and B."""
+    direction: str  # "b_to_a" or "a_to_b"
+
+
+@dataclass(frozen=True)
+class ClassParams:
+    p: int
+    q: int
+    r: int
+    s: int | None
+    n: int
+
+
+@dataclass(frozen=True)
+class UClass:
+    """Blocked pair: witness position i (1..k) and class 1..4."""
+    i: int
+    cls: int
+    params: ClassParams
+
+
+@dataclass(frozen=True)
+class FixedPoint:
+    """Fixed configuration: template family 1 or 2 with index n >= 1,
+    or the empty pair (family 0, n = 0)."""
+    family: int
+    n: int
+
+
+def _check_pair(pair, k, a):
+    A, B = pair
+    for i in range(len(A) - 1):
+        if A[i] <= A[i + 1]:
+            raise ParameterError("A must be strictly decreasing: %r" % (A,))
+    if A and A[-1] < 1:
+        raise ParameterError("A must have positive parts: %r" % (A,))
+    if not _gordon_ok(B, k, a):
+        raise ParameterError("B fails the family conditions: %r" % (B,))
+
+
+def _pair_ok(A, B, k, a):
+    for i in range(len(A) - 1):
+        if A[i] <= A[i + 1]:
+            return False
+    if A and A[-1] < 1:
+        return False
+    return _gordon_ok(B, k, a)
+
+
+def _blocked(a1, B, k, a):
+    # moving a1 on top of B would leave the family
+    return not _gordon_ok((a1,) + tuple(B), k, a)
+
+
+def _witness(a1, B, k):
+    count = 0
+    for j in range(min(len(B), k - 1)):
+        if B[j] == a1:
+            count += 1
+        else:
+            break
+    return count + 1
+
+
+def _chain(B, start, step):
+    """Maximal t >= 1 such that parts at 1-based positions
+    start, start+step, ..., start+(t-1)*step exist pairwise-consecutively
+    and each link drops by exactly 2.  A link needs both ends present."""
+    m = len(B)
+    t = 1
+    pos = start
+    while pos + step <= m and pos <= m and B[pos - 1] - B[pos + step - 1] == 2:
+        t += 1
+        pos += step
+    return t
+
+
+def compute_params(pair, k, a):
+    """Class parameters (p, q, r, s, n) of a blocked pair."""
+    check_params(k, a)
+    _check_pair(pair, k, a)
+    A, B = pair
+    if not A or (B and B[0] > A[0]) or not _blocked(A[0], B, k, a):
+        raise ParameterError("pair is not blocked; parameters undefined")
+    i = _witness(A[0], B, k)
+    p = A[-1]
+    q = 1
+    while q < len(A) and A[q - 1] - A[q] == 1:
+        q += 1
+    r = _chain(B, k - 1, k - 1)
+    s = _chain(B, i - 1, k - 1) if 2 <= i <= k - 1 else None
+    values = [p, q, r] + ([s] if s is not None else [])
+    return ClassParams(p, q, r, s, min(values))
+
+
+def classify(pair, k, a):
+    """Route a pair: Move for the step-1 cases, UClass when the top
+    parts tie up in a blocked configuration, FixedPoint for the empty
+    pair."""
+    check_params(k, a)
+    _check_pair(pair, k, a)
+    A, B = pair
+    if not A and not B:
+        return FixedPoint(0, 0)
+    a1 = A[0] if A else 0
+    b1 = B[0] if B else 0
+    if b1 > a1:
+        return Move("b_to_a")
+    if not _blocked(a1, B, k, a):
+        return Move("a_to_b")
+    params = compute_params(pair, k, a)
+    i, n = _witness(a1, B, k), params.n
+    if i == 1:
+        cls = 1 if params.p == n else (2 if params.q == n else 3)
+    elif i == k:
+        cls = 1 if params.p == n else (2 if params.r == n else 4)
+    else:
+        if params.p == n:
+            cls = 1
+        elif params.s == n:
+            cls = 2
+        elif params.q == n:
+            cls = 4
+        else:
+            cls = 3
+    return UClass(i, cls, params)
+
+
+def step1_move(pair, k, a):
+    """Carry out the step-1 exchange of the top part."""
+    label = classify(pair, k, a)
+    if not isinstance(label, Move):
+        raise ParameterError("pair is not in a move state")
+    A, B = pair
+    if label.direction == "b_to_a":
+        return ((B[0],) + A, B[1:])
+    return (A[1:], (A[0],) + B)
+
+
+def _bumped(B, positions):
+    """Add 1 to the parts at the given 1-based positions, smallest
+    position first; a position one past the current end appends a new
+    part 1; anything further is a structural failure (None)."""
+    out = list(B)
+    for pos in sorted(positions):
+        if pos <= len(out):
+            out[pos - 1] += 1
+        elif pos == len(out) + 1:
+            out.append(1)
+        else:
+            return None
+    return tuple(out)
+
+
+def _dropped(B, positions):
+    """Subtract 1 at the given 1-based positions; returns None if a
+    position is absent.  Trailing zeros are stripped; interior zeros are
+    left for the validity check to reject."""
+    out = list(B)
+    for pos in positions:
+        if pos > len(out):
+            return None
+        out[pos - 1] -= 1
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _map_alpha(A, B, n, k):
+    # decrement the first n parts of A and append a new part n
+    newA = [x - 1 for x in A[:n]] + list(A[n:]) + [n]
+    return (tuple(newA), B)
+
+
+def _map_alpha_inv(A, B, n, k):
+    # increment the first n parts of A and drop the last part (= n)
+    if len(A) <= n:
+        return None
+    return (tuple(x + 1 for x in A[:n]) + A[n:-1], B)
+
+
+def _map_beta(A, B, n, k, i):
+    # drop the smallest part of A (= n); bump B at i, i+(k-1), ...
+    newB = _bumped(B, [i + j * (k - 1) for j in range(n)])
+    if newB is None:
+        return None
+    return (A[:-1], newB)
+
+
+def _map_beta_inv(A, B, n, k, i):
+    # append n to A; un-bump B at i-1, i-1+(k-1), ...
+    newB = _dropped(B, [i - 1 + j * (k - 1) for j in range(n)])
+    if newB is None:
+        return None
+    return (A + (n,), newB)
+
+
+def _map_gamma(A, B, n, k):
+    # move b_1 unchanged on top of A, decrementing the first n parts of
+    # the old A; bump the shortened B along the k-1 grid
+    if not B or len(A) < n:
+        return None
+    newA = (B[0],) + tuple(x - 1 for x in A[:n]) + A[n:]
+    newB = _bumped(B[1:], [(j + 1) * (k - 1) for j in range(n)])
+    if newB is None:
+        return None
+    return (newA, newB)
+
+
+def _map_gamma_inv(A, B, n, k):
+    # inverse: remove a_1, increment the next n parts of A; un-bump B
+    # along the k-1 grid and put a_1 back on top of B
+    if len(A) < n + 1:
+        return None
+    newA = tuple(x + 1 for x in A[1:n + 1]) + A[n + 1:]
+    newB = _dropped(B, [j * (k - 1) for j in range(1, n + 1)])
+    if newB is None:
+        return None
+    return (newA, (A[0],) + newB)
+
+
+def _template_weight(family, n, k, a):
+    lin = 2 * (k - a) + 1
+    quad = 2 * k + 1
+    if family == 1:
+        return (quad * n * n + lin * n) // 2
+    return (quad * n * n - lin * n) // 2
+
+
+def gordon_fixed_point(family, n, k, a):
+    """The weight-((k+1/2)n^2 +- (k-a+1/2)n) template pair.
+
+    Family 1: A = (2n, ..., n+1) with B running down from part 2n in
+    alternating multiplicity blocks k-a (even parts) and a-1 (odd
+    parts); family 2: A = (2n-1, ..., n) with B from 2n-1 in blocks a-1
+    (odd) and k-a (even).  n = 0 gives the empty pair for both."""
+    check_params(k, a)
+    if n < 0:
+        raise ParameterError("n must be >= 0, got %r" % (n,))
+    if family not in (1, 2):
+        raise ParameterError("family must be 1 or 2, got %r" % (family,))
+    if n == 0:
+        return ((), ())
+    if family == 1:
+        A = tuple(range(2 * n, n, -1))
+        top = 2 * n
+    else:
+        A = tuple(range(2 * n - 1, n - 1, -1))
+        top = 2 * n - 1
+    B = []
+    for v in range(top, 0, -1):
+        mult = (k - a) if v % 2 == 0 else (a - 1)
+        B.extend([v] * mult)
+    return (A, tuple(B))
+
+
+def _match_template(pair, k, a):
+    """FixedPoint when the pair equals a template of its weight."""
+    w = sum(pair[0]) + sum(pair[1])
+    if w == 0:
+        return FixedPoint(0, 0)
+    for family in (1, 2):
+        n = 1
+        while _template_weight(family, n, k, a) <= w:
+            if _template_weight(family, n, k, a) == w and \
+                    gordon_fixed_point(family, n, k, a) == pair:
+                return FixedPoint(family, n)
+            n += 1
+    return None
+
+
+def apply_map(pair, k, a):
+    """Act on a blocked pair: produce its partner, or a FixedPoint when
+    the dispatched map breaks out of the state space and the pair sits
+    on a template."""
+    label = classify(pair, k, a)
+    if not isinstance(label, UClass):
+        raise ParameterError("apply_map needs a blocked pair")
+    A, B = pair
+    i, cls, n = label.i, label.cls, label.params.n
+    if cls == 1:
+        out = _map_alpha_inv(A, B, n, k) if i == k else _map_beta(A, B, n, k, i)
+    elif cls == 2:
+        out = _map_alpha(A, B, n, k) if i == 1 else _map_beta_inv(A, B, n, k, i)
+    elif cls == 3:
+        out = _map_gamma_inv(A, B, n, k)
+    else:
+        out = _map_gamma(A, B, n, k)
+    if out is not None and _pair_ok(out[0], out[1], k, a):
+        return out
+    fixed = _match_template(pair, k, a)
+    if fixed is None:
+        raise ConsistencyError(
+            "map output invalid and pair matches no template: %r (k=%d a=%d)"
+            % (pair, k, a))
+    return fixed
+
+
+def involute_gordon(pair, k, a):
+    """Total involution on P_{k,a}: partner pair, or FixedPoint."""
+    label = classify(pair, k, a)
+    if isinstance(label, FixedPoint):
+        return label
+    if isinstance(label, Move):
+        return step1_move(pair, k, a)
+    return apply_map(pair, k, a)
+
+
+def gordon_fixed_gf(k, a, N):
+    """Signed generating function of the fixed configurations: the
+    empty pair plus both template families, sign (-1)^len(A)."""
+    check_params(k, a)
+    coeffs = [0] * (N + 1)
+    coeffs[0] = 1
+    for family in (1, 2):
+        n = 1
+        while True:
+            w = _template_weight(family, n, k, a)
+            if w > N:
+                break
+            coeffs[w] += -1 if n % 2 else 1
+            n += 1
+    return TruncatedSeries(coeffs)
+
+
+# --- degenerate single-column case (k = 1), used by the parity
+# --- pipelines after their halving step; B must be empty there
+
+def _staircase_prefix(A):
+    q = 1
+    while q < len(A) and A[q - 1] - A[q] == 1:
+        q += 1
+    return q
+
+
+def _involute_k1(pair):
+    """Involution on pairs (A | empty): the classic pentagonal-number
+    pairing.  Compare the smallest part p with the staircase prefix q;
+    the smaller one is peeled off or spread back."""
+    A, B = pair
+    if B != ():
+        raise ParameterError("single-column case needs an empty B")
+    for i in range(len(A) - 1):
+        if A[i] <= A[i + 1]:
+            raise ParameterError("A must be strictly decreasing: %r" % (A,))
+    if not A:
+        return FixedPoint(0, 0)
+    if A[-1] < 1:
+        raise ParameterError("A must have positive parts: %r" % (A,))
+    p = A[-1]
+    q = _staircase_prefix(A)
+    n = min(p, q)
+    if p == n:
+        out = _map_alpha_inv(A, B, n, 1)
+    else:
+        out = _map_alpha(A, B, n, 1)
+    if out is not None and _pair_ok(out[0], out[1], 1, 1):
+        return out
+    w = sum(A)
+    for family in (1, 2):
+        t = 1
+        while _template_weight(family, t, 1, 1) <= w:
+            if _template_weight(family, t, 1, 1) == w:
+                tmpl = tuple(range(2 * t, t, -1)) if family == 1 else \
+                    tuple(range(2 * t - 1, t - 1, -1))
+                if tmpl == A:
+                    return FixedPoint(family, t)
+            t += 1
+    raise ConsistencyError("invalid single-column state: %r" % (A,))

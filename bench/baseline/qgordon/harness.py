@@ -1,0 +1,295 @@
+"""Verification harness: exact identity checks, exhaustive involution-law
+sweeps, and orbit tracing, each returning a structured report.
+
+Identity checks compare two truncated series built independently from
+the partition counters and the product/theta primitives.  Identities
+with infinite-product denominators are verified in cross-multiplied
+form by default; a secondary mode confirms the same equality through
+power-series inversion of the unit-constant factor.  Law sweeps
+enumerate a ground set exhaustively up to a weight bound and assert the
+involution laws configuration by configuration, then match the signed
+count of what stayed fixed against the template generating function and
+its theta form.
+"""
+
+from __future__ import annotations
+
+import os
+import time
+from dataclasses import dataclass
+
+from . import partitions, pipelines, series
+from .gordon import (ConsistencyError, FixedPoint, Move, UClass, classify,
+                     gordon_fixed_gf, involute_gordon)
+from .partitions import ParameterError
+from .series import TruncatedSeries
+
+IDENTITIES = (
+    "rrg_counts",     # window counts equal residue-class counts
+    "ebf",            # signed pair sum collapses to a theta series
+    "thm13",          # W family, k and a even
+    "thm14",          # W family, k and a odd
+    "thm15",          # Wbar family, k odd and a even
+    "multisum",       # nested-sum form of the residue-class product
+    "jtp_instance",   # theta series as a triple product
+    "prelude_ee",     # product rearrangement feeding the EE pipeline
+    "prelude_oo",     # the same rearrangement, as used by the OO pipeline
+    "prelude_oe",     # product rearrangement feeding the OE pipeline
+)
+
+SCOPES = ("gordon", "EE", "OO", "OE")
+
+# identities whose (k, a) parameters are ignored
+_PARAMETERLESS = ("prelude_ee", "prelude_oo", "prelude_oe")
+
+
+def sweep_cap() -> int:
+    """Weight cap for exhaustive sweeps (RRG_MAX_SWEEP, default 30)."""
+    try:
+        return int(os.environ.get("RRG_MAX_SWEEP", "30"))
+    except ValueError:
+        return 30
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    identity: str
+    params: tuple
+    truncation: int
+    status: str                      # "pass" or "fail"
+    first_discrepancy: tuple | None = None   # (exponent, lhs, rhs)
+    counterexample: tuple | None = None      # (law, configuration, image)
+    elapsed: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
+
+
+@dataclass(frozen=True)
+class OrbitTrace:
+    start: tuple
+    steps: tuple                     # ((label, configuration), ...)
+    terminal: str                    # "partner" or "fixed"
+    fixed: FixedPoint | None = None
+
+
+def _prod3(k, a, N):
+    m = 2 * k + 2
+    return series.mul(
+        series.mul(series.poch_inf(a, m, N), series.poch_inf(m - a, m, N)),
+        series.poch_inf(m, m, N))
+
+
+def _identity_sides(identity, k, a, N, mode):
+    """The two series an identity equates, arranged without division in
+    the default mode and with invert_unit in the secondary one."""
+    p = series.poch_inf
+    if identity == "rrg_counts":
+        lhs = TruncatedSeries([partitions.count_family("A", k, a, n)
+                               for n in range(N + 1)])
+        rhs = TruncatedSeries([partitions.count_family("B", k, a, n)
+                               for n in range(N + 1)])
+        return lhs, rhs
+    if identity == "ebf":
+        theta = series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N)
+        if mode == "invert":
+            return (series.family_gf("B", k, a, N),
+                    series.mul(theta, p(1, 1, N).invert_unit()))
+        return series.mul(p(1, 1, N), series.family_gf("B", k, a, N)), theta
+    if identity == "thm13":
+        rhs = series.mul(p(1, 2, N, sign=-1), _prod3(k, a, N))
+        if mode == "invert":
+            return (series.family_gf("W", k, a, N),
+                    series.mul(rhs, p(2, 2, N).invert_unit()))
+        return series.mul(series.family_gf("W", k, a, N), p(2, 2, N)), rhs
+    if identity == "thm14":
+        rhs = series.mul(p(2, 4, N), _prod3(k, a, N))
+        if mode == "invert":
+            return (series.family_gf("W", k, a, N),
+                    series.mul(rhs, p(1, 1, N).invert_unit()))
+        return series.mul(series.family_gf("W", k, a, N), p(1, 1, N)), rhs
+    if identity == "thm15":
+        rhs = _prod3(k, a, N)
+        den = series.mul(p(1, 2, N, sign=-1), p(1, 1, N))
+        if mode == "invert":
+            return (series.family_gf("Wbar", k, a, N),
+                    series.mul(rhs, den.invert_unit()))
+        return series.mul(series.family_gf("Wbar", k, a, N), den), rhs
+    if identity == "multisum":
+        return series.multisum_rrg(k, a, N), series.family_gf("A", k, a, N)
+    if identity == "jtp_instance":
+        m = 2 * k + 1
+        prod = series.mul(
+            series.mul(p(a, m, N), p(m - a, m, N)), p(m, m, N))
+        return series.theta_sum(m, 2 * (k - a) + 1, N), prod
+    if identity in ("prelude_ee", "prelude_oo"):
+        return (series.mul(p(1, 2, N, sign=-1), p(1, 1, N)),
+                series.mul(p(2, 4, N), p(2, 2, N)))
+    if identity == "prelude_oe":
+        rhs = series.mul(
+            series.mul(p(2, 2, N, sign=-1), p(1, 2, N, sign=-1)), p(1, 1, N))
+        return p(2, 2, N), rhs
+    raise ParameterError("identity must be one of %r, got %r"
+                         % (IDENTITIES, identity))
+
+
+def _check_identity_params(identity, k, a):
+    if identity in _PARAMETERLESS:
+        return
+    if identity == "thm13":
+        pipelines.check_pipeline("EE", k, a)
+    elif identity == "thm14":
+        pipelines.check_pipeline("OO", k, a)
+    elif identity == "thm15":
+        pipelines.check_pipeline("OE", k, a)
+    else:
+        partitions.check_params(k, a)
+
+
+def check_identity(identity: str, k: int, a: int, N: int,
+                   mode: str = "cross") -> VerificationReport:
+    """Compare the two sides of an identity exactly on coefficients
+    0..N.  mode "cross" arranges denominators by cross-multiplication;
+    mode "invert" uses invert_unit on the denominator instead."""
+    t0 = time.monotonic()
+    if identity not in IDENTITIES:
+        raise ParameterError("identity must be one of %r, got %r"
+                             % (IDENTITIES, identity))
+    if mode not in ("cross", "invert"):
+        raise ParameterError("mode must be cross or invert, got %r" % (mode,))
+    _check_identity_params(identity, k, a)
+    if N < 0:
+        raise ParameterError("N must be >= 0, got %r" % (N,))
+    lhs, rhs = _identity_sides(identity, k, a, N, mode)
+    n = series.first_discrepancy(lhs, rhs)
+    disc = None if n is None else (n, lhs.coefficient(n), rhs.coefficient(n))
+    return VerificationReport(
+        identity=identity, params=(k, a), truncation=N,
+        status="pass" if n is None else "fail",
+        first_discrepancy=disc, elapsed=time.monotonic() - t0)
+
+
+def _scope_ground(scope, k, a, w):
+    if scope == "gordon":
+        out = []
+        for wa in range(w, -1, -1):
+            As = partitions.enumerate_distinct(wa)
+            if not As:
+                continue
+            Bs = partitions.enumerate_family("B", k, a, w - wa)
+            for A in As:
+                for B in Bs:
+                    out.append((A, B))
+        return out
+    return pipelines.enumerate_ground(scope, k, a, w)
+
+
+def _scope_involute(scope, pair, k, a):
+    if scope == "gordon":
+        return involute_gordon(pair, k, a)
+    return pipelines.involute_pipeline(pair, scope, k, a)
+
+
+def _scope_fixed_series(scope, k, a, N):
+    """(template series, theta-side series) the swept fixed counts must
+    both equal."""
+    if scope == "gordon":
+        return (gordon_fixed_gf(k, a, N),
+                series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N))
+    theta = series.theta_sum(2 * (k + 1), 2 * (k + 1 - a), N)
+    return (pipelines.pipeline_fixed_gf(scope, k, a, N),
+            series.mul(pipelines.pipeline_e_factor(scope, N), theta))
+
+
+def check_involution_laws(scope: str, k: int, a: int,
+                          N: int) -> VerificationReport:
+    """Exhaustive sweep of the scope's ground set up to weight N: the
+    map must be a sign-reversing weight-preserving involution off its
+    fixed configurations, and the signed fixed count must equal the
+    template generating function and its theta form.  The report carries
+    the first violating configuration, or the first differing
+    coefficient when only the series comparison fails."""
+    t0 = time.monotonic()
+    if scope not in SCOPES:
+        raise ParameterError("scope must be one of %r, got %r"
+                             % (SCOPES, scope))
+    if scope == "gordon":
+        partitions.check_params(k, a)
+    else:
+        pipelines.check_pipeline(scope, k, a)
+    if N < 0:
+        raise ParameterError("N must be >= 0, got %r" % (N,))
+    if N > sweep_cap():
+        raise ParameterError(
+            "sweep to weight %d exceeds the cap %d; set RRG_MAX_SWEEP "
+            "to raise it" % (N, sweep_cap()))
+    ident = "laws_" + scope
+    swept = [0] * (N + 1)
+    for w in range(N + 1):
+        for cfg in _scope_ground(scope, k, a, w):
+            out = _scope_involute(scope, cfg, k, a)
+            if isinstance(out, FixedPoint):
+                swept[w] += -1 if len(cfg[0]) % 2 else 1
+                continue
+            if sum(out[0]) + sum(out[1]) != w:
+                return VerificationReport(
+                    ident, (k, a), N, "fail",
+                    counterexample=("weight", cfg, out),
+                    elapsed=time.monotonic() - t0)
+            if (len(cfg[0]) + len(out[0])) % 2 == 0:
+                return VerificationReport(
+                    ident, (k, a), N, "fail",
+                    counterexample=("sign", cfg, out),
+                    elapsed=time.monotonic() - t0)
+            back = _scope_involute(scope, out, k, a)
+            if back != cfg:
+                return VerificationReport(
+                    ident, (k, a), N, "fail",
+                    counterexample=("involution", cfg, out),
+                    elapsed=time.monotonic() - t0)
+    got = TruncatedSeries(swept)
+    for want in _scope_fixed_series(scope, k, a, N):
+        n = series.first_discrepancy(got, want)
+        if n is not None:
+            return VerificationReport(
+                ident, (k, a), N, "fail",
+                first_discrepancy=(n, got.coefficient(n), want.coefficient(n)),
+                elapsed=time.monotonic() - t0)
+    return VerificationReport(ident, (k, a), N, "pass",
+                              elapsed=time.monotonic() - t0)
+
+
+def _gordon_label(pair, k, a):
+    lab = classify(pair, k, a)
+    if isinstance(lab, Move):
+        return "move(%s)" % lab.direction
+    if isinstance(lab, UClass):
+        return "U(%d,%d)" % (lab.i, lab.cls)
+    return "fixed(%d,%d)" % (lab.family, lab.n)
+
+
+def trace_orbit(config, scope: str, k: int, a: int) -> OrbitTrace:
+    """Follow a configuration through the involution: one step to its
+    partner and one step back (asserted), or none if it is fixed."""
+    if scope not in SCOPES:
+        raise ParameterError("scope must be one of %r, got %r"
+                             % (SCOPES, scope))
+    pair = (tuple(config[0]), tuple(config[1]))
+    out = _scope_involute(scope, pair, k, a)
+    if isinstance(out, FixedPoint):
+        return OrbitTrace(start=pair, steps=(), terminal="fixed", fixed=out)
+    w = sum(pair[0]) + sum(pair[1])
+    if sum(out[0]) + sum(out[1]) != w:
+        raise ConsistencyError("weight changed along the orbit of %r"
+                               % (pair,))
+    back = _scope_involute(scope, out, k, a)
+    if back != pair:
+        raise ConsistencyError("orbit of %r fails to return: %r -> %r"
+                               % (pair, out, back))
+    if scope == "gordon":
+        steps = ((_gordon_label(pair, k, a), out),
+                 (_gordon_label(out, k, a), pair))
+    else:
+        steps = ((scope, out), (scope, pair))
+    return OrbitTrace(start=pair, steps=steps, terminal="partner")

@@ -1,0 +1,234 @@
+"""Partition families with difference-two window conditions and parity filters.
+
+All families are parametrized by integers k >= 2 and 1 <= a <= k.
+
+* ``A``: partitions whose parts avoid the residues 0, a and -a mod 2k+1.
+* ``B``: partitions b_1 >= b_2 >= ... with b_i - b_{i+k-1} >= 2 whenever
+  both parts exist, and at most a-1 parts equal to 1.
+* ``W``: members of ``B`` in which every even part has even multiplicity.
+* ``Wbar``: members of ``B`` in which every odd part has even multiplicity.
+
+A partition is a tuple of positive ints in weakly decreasing order; the
+empty tuple is the unique partition of 0.  The window condition is
+equivalent to the local rule f_j + f_{j+1} <= k-1 on multiplicities of
+adjacent part sizes, which is what the counting DP below uses.
+"""
+
+from __future__ import annotations
+
+FAMILIES = ("A", "B", "W", "Wbar")
+
+# which part sizes are forced to even multiplicity, per family
+_PARITY_MODE = {"B": "none", "W": "even", "Wbar": "odd"}
+
+
+class ParameterError(ValueError):
+    """Raised for out-of-range family parameters."""
+
+
+def check_params(k: int, a: int) -> None:
+    """Validate k >= 2 and 1 <= a <= k."""
+    if k < 2:
+        raise ParameterError("k must be >= 2, got %r" % (k,))
+    if not 1 <= a <= k:
+        raise ParameterError("need 1 <= a <= k, got a=%r k=%r" % (a, k))
+
+
+def weight(parts) -> int:
+    return sum(parts)
+
+
+def is_gordon(parts, k: int, a: int) -> bool:
+    """True iff ``parts`` is a weakly decreasing tuple of positive ints
+    with every window of k consecutive parts spanning at least 2
+    (parts[i] - parts[i+k-1] >= 2) and at most a-1 parts equal to 1."""
+    check_params(k, a)
+    return _gordon_ok(parts, k, a)
+
+
+def _gordon_ok(parts, k, a):
+    # no parameter validation; also used internally with k=1 where the
+    # window rule kills every nonempty partition
+    m = len(parts)
+    if m and parts[-1] < 1:
+        return False
+    for i in range(m - 1):
+        if parts[i] < parts[i + 1]:
+            return False
+    for i in range(m - k + 1):
+        if parts[i] - parts[i + k - 1] < 2:
+            return False
+    return sum(1 for p in parts if p == 1) <= a - 1
+
+
+def satisfies_parity(parts, mode: str) -> bool:
+    """Parity filter on multiplicities.
+
+    mode "even": every even part value occurs an even number of times.
+    mode "odd":  every odd part value occurs an even number of times.
+    mode "none": always true.
+    """
+    if mode == "none":
+        return True
+    if mode not in ("even", "odd"):
+        raise ParameterError("unknown parity mode %r" % (mode,))
+    want = 0 if mode == "even" else 1
+    counts = {}
+    for p in parts:
+        counts[p] = counts.get(p, 0) + 1
+    return all(c % 2 == 0 for v, c in counts.items() if v % 2 == want)
+
+
+def _needs_even(size, mode):
+    return (mode == "even" and size % 2 == 0) or (mode == "odd" and size % 2 == 1)
+
+
+def _tail_bound(size, k):
+    # upper bound on the weight of a valid suffix using part sizes <= size:
+    # pair sizes (s, s-1) jointly carry at most k-1 parts, each <= s
+    total = 0
+    s = size
+    while s >= 1:
+        total += (k - 1) * s
+        s -= 2
+    return total
+
+
+def enumerate_family(family: str, k: int, a: int, n: int):
+    """All partitions of n in the family, as a list of tuples in
+    largest-part-first lexicographic (descending) order.
+
+    family is one of "B", "W", "Wbar"; the residue-avoiding family "A"
+    has no enumerator here, only counts.
+    """
+    check_params(k, a)
+    if family not in _PARITY_MODE:
+        raise ParameterError("family must be B, W or Wbar, got %r" % (family,))
+    if n < 0:
+        raise ParameterError("n must be >= 0, got %r" % (n,))
+    mode = _PARITY_MODE[family]
+    out = []
+    prefix = []
+
+    def rec(size, above, remaining):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        if size <= 0 or remaining > _tail_bound(size, k):
+            return
+        cap = min(k - 1 - above, remaining // size)
+        if size == 1:
+            cap = min(cap, a - 1)
+        for mult in range(cap, -1, -1):
+            if mult % 2 == 1 and _needs_even(size, mode):
+                continue
+            prefix.extend([size] * mult)
+            rec(size - 1, mult, remaining - mult * size)
+            del prefix[len(prefix) - mult:]
+
+    rec(n, 0, n)
+    return out
+
+
+def enumerate_distinct(n: int, part_parity: str | None = None):
+    """Strictly decreasing partitions of n, largest-part-first descending
+    lexicographic order.  part_parity "even"/"odd" restricts every part
+    to that parity; None allows all parts."""
+    if n < 0:
+        raise ParameterError("n must be >= 0, got %r" % (n,))
+    out = []
+    prefix = []
+
+    def ok(size):
+        if part_parity == "even":
+            return size % 2 == 0
+        if part_parity == "odd":
+            return size % 2 == 1
+        return True
+
+    def rec(size, remaining):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        # distinct parts <= size sum to at most size+(size-1)+...+1
+        if size <= 0 or remaining > size * (size + 1) // 2:
+            return
+        for s in range(min(size, remaining), 0, -1):
+            if not ok(s):
+                continue
+            prefix.append(s)
+            rec(s - 1, remaining - s)
+            prefix.pop()
+
+    rec(n, n)
+    return out
+
+
+def family_counts(family: str, k: int, a: int, limit: int):
+    """Counts of family members at every weight 0..limit, one DP pass.
+
+    For "A" this is the classic restricted-parts DP.  For the other
+    families it runs over part sizes from high to low, carrying the
+    multiplicity of the previous size, since the window condition only
+    couples adjacent sizes (f_j + f_{j+1} <= k-1) and the parity filter
+    is per size.
+    """
+    check_params(k, a)
+    if limit < 0:
+        raise ParameterError("limit must be >= 0, got %r" % (limit,))
+    if family == "A":
+        modulus = 2 * k + 1
+        forbidden = {0, a % modulus, (modulus - a) % modulus}
+        dp = [0] * (limit + 1)
+        dp[0] = 1
+        for s in range(1, limit + 1):
+            if s % modulus in forbidden:
+                continue
+            for w in range(s, limit + 1):
+                dp[w] += dp[w - s]
+        return dp
+    if family not in _PARITY_MODE:
+        raise ParameterError("unknown family %r" % (family,))
+    mode = _PARITY_MODE[family]
+    # cur[c][w]: assignments of multiplicities to sizes > s with the size
+    # s+1 multiplicity equal to c and weight w so far
+    cur = [[0] * (limit + 1) for _ in range(k)]
+    cur[0][0] = 1
+    for s in range(limit, 0, -1):
+        nxt = [[0] * (limit + 1) for _ in range(k)]
+        for c in range(k):
+            row = cur[c]
+            for w in range(limit + 1):
+                ways = row[w]
+                if not ways:
+                    continue
+                top = k - 1 - c
+                if s == 1:
+                    top = min(top, a - 1)
+                for f in range(top + 1):
+                    if f % 2 == 1 and _needs_even(s, mode):
+                        continue
+                    w2 = w + f * s
+                    if w2 > limit:
+                        break
+                    nxt[f][w2] += ways
+        cur = nxt
+    counts = [0] * (limit + 1)
+    for c in range(k):
+        for w in range(limit + 1):
+            counts[w] += cur[c][w]
+    return counts
+
+
+def count_family(family: str, k: int, a: int, n: int) -> int:
+    """Number of weight-n members of the family.
+
+    Family "A" is counted by dynamic programming over allowed part
+    sizes; the others by enumeration (the DP in family_counts agrees and
+    is what the series layer uses)."""
+    check_params(k, a)
+    if n < 0:
+        raise ParameterError("n must be >= 0, got %r" % (n,))
+    if family == "A":
+        return family_counts("A", k, a, n)[n]
+    return len(enumerate_family(family, k, a, n))

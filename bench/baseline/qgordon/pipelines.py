@@ -1,0 +1,831 @@
+"""Companion involutions for the parity-restricted pair families.
+
+Three pipelines, named by the parities of (k, a), act on pairs (A | B)
+where A is strictly decreasing and signed and B satisfies the window
+conditions plus a multiplicity-parity restriction:
+
+* EE (k, a even):   A has arbitrary distinct parts, B in W_{k,a}
+  (every even part of B occurs an even number of times),
+* OO (k, a odd):    A has distinct even parts, B in W_{k,a},
+* OE (k odd, a even): A has distinct even parts, B in Wbar_{k,a}
+  (every odd part occurs an even number of times).
+
+Each pipeline encodes a pair as a triple: equal parts of B merge in
+pairs into doubled parts (the middle), unpaired parts remain single (D);
+the EE pipeline first strips odd parts shared between A and B into a
+sign-carrying partition E of parts 2 mod 4.  On triples, a ladder of
+moves applies: the largest middle part crosses to A when it dominates,
+otherwise A's largest part crosses into the middle, except in a blocked
+configuration detected by a chain condition, where either an odd-part
+exchange (EE) or the base involution on halved middle values at reduced
+parameters takes over.  A move is kept only when the routed image routes
+straight back; the remaining handful of configurations per weight class
+is paired off by a deterministic matching over a small library of
+weight-preserving carry moves, each flipping the A-length parity.
+
+What survives is (apart from the OO a = 1 sector, where the templates
+degenerate) a two-family sequence of template triples indexed by n, of
+weights (k+1)n^2 +- (k+1-a)n, each carrying a free partition E, so the
+signed generating function of the fixed configurations is a theta
+series times a fixed product factor.
+"""
+
+from __future__ import annotations
+
+import os
+from collections import Counter
+from typing import NamedTuple
+
+from . import partitions, series
+from .gordon import (ConsistencyError, FixedPoint, _involute_k1,
+                     gordon_fixed_point, involute_gordon)
+from .partitions import ParameterError
+from .series import TruncatedSeries
+
+PIPELINES = ("EE", "OO", "OE")
+
+_B_FAMILY = {"EE": "W", "OO": "W", "OE": "Wbar"}
+_A_PARITY = {"EE": None, "OO": "even", "OE": "even"}
+# parity of the unpaired single parts left by the merge step
+_LEFTOVER_PARITY = {"EE": 1, "OO": 1, "OE": 0}
+# middle parts of this residue mod 4 may split into two equal halves
+_SPLIT_RESIDUE = {"OO": 2, "OE": 0}
+
+
+def check_pipeline(pipeline: str, k: int, a: int) -> None:
+    """Validate the pipeline id and its parity preconditions on (k, a)."""
+    if pipeline not in PIPELINES:
+        raise ParameterError("pipeline must be one of %r, got %r"
+                             % (PIPELINES, pipeline))
+    partitions.check_params(k, a)
+    if pipeline == "EE" and (k % 2 or a % 2):
+        raise ParameterError("EE needs k and a even, got (%d, %d)" % (k, a))
+    if pipeline == "OO" and (k % 2 == 0 or a % 2 == 0):
+        raise ParameterError("OO needs k and a odd, got (%d, %d)" % (k, a))
+    if pipeline == "OE" and (k % 2 == 0 or a % 2):
+        raise ParameterError("OE needs k odd and a even, got (%d, %d)"
+                             % (k, a))
+
+
+def inner_params(pipeline: str, k: int, a: int) -> tuple:
+    """(k, a) for the reduced involution on halved middle parts."""
+    if pipeline == "EE":
+        return k // 2, a // 2
+    if pipeline == "OO":
+        return (k - 1) // 2, (a - 1) // 2
+    return (k - 1) // 2, a // 2
+
+
+class PartitionTriple(NamedTuple):
+    """Triple encoding of a pair.
+
+    B is the merged middle (doubled parts, plus the unpaired odd parts
+    for EE), D holds the unpaired single parts for OO/OE (empty for EE),
+    and E the extracted free parts (EE: parts 2 mod 4, sign-carrying;
+    empty for OO/OE until a fixed configuration is canonicalized)."""
+    A: tuple
+    B: tuple
+    D: tuple
+    E: tuple
+
+
+def triple_weight(triple) -> int:
+    A, B, D, E = triple
+    return sum(A) + sum(B) + sum(D) + sum(E)
+
+
+def triple_sign(triple, pipeline: str) -> int:
+    """EE configurations count E parts in the sign; OO/OE do not."""
+    A, B, D, E = triple
+    n = len(A) + (len(E) if pipeline == "EE" else 0)
+    return -1 if n % 2 else 1
+
+
+# --------------------------------------------------------------- ground set
+
+def in_ground(pair, pipeline: str, k: int, a: int) -> bool:
+    """Membership test for the pipeline's ground set."""
+    check_pipeline(pipeline, k, a)
+    return _ground_valid(pair, pipeline, k, a)
+
+
+def _ground_valid(pair, pipeline, k, a):
+    A, B = pair
+    even_only = _A_PARITY[pipeline] == "even"
+    prev = None
+    for x in A:
+        if x <= 0 or (prev is not None and x >= prev):
+            return False
+        if even_only and x % 2:
+            return False
+        prev = x
+    if not partitions.is_gordon(B, k, a):
+        return False
+    return partitions.satisfies_parity(B, partitions._PARITY_MODE[_B_FAMILY[pipeline]])
+
+
+def _require_ground(pair, pipeline, k, a):
+    if not _ground_valid(pair, pipeline, k, a):
+        raise ParameterError("pair outside the %s ground set for (k=%d, a=%d): %r"
+                             % (pipeline, k, a, pair))
+
+
+def enumerate_ground(pipeline: str, k: int, a: int, n: int):
+    """All ground-set pairs of weight exactly n, A-weight descending."""
+    check_pipeline(pipeline, k, a)
+    if n < 0:
+        raise ParameterError("n must be >= 0, got %r" % (n,))
+    fam = _B_FAMILY[pipeline]
+    par = _A_PARITY[pipeline]
+    out = []
+    for wa in range(n, -1, -1):
+        As = partitions.enumerate_distinct(wa, par)
+        if not As:
+            continue
+        Bs = partitions.enumerate_family(fam, k, a, n - wa)
+        for A in As:
+            for B in Bs:
+                out.append((A, B))
+    return out
+
+
+# ------------------------------------------------------------ triple coding
+
+def _merge_pairs(parts):
+    """Pair equal parts once: (doubled parts, unpaired leftovers)."""
+    cnt = Counter(parts)
+    merged, left = [], []
+    for v, m in cnt.items():
+        merged.extend([2 * v] * (m // 2))
+        left.extend([v] * (m % 2))
+    return tuple(sorted(merged, reverse=True)), tuple(sorted(left, reverse=True))
+
+
+def _encode(pair, pipeline):
+    """Merge-level triple of a ground pair (no redistribution)."""
+    A, B = pair
+    if pipeline == "EE":
+        bcnt = Counter(B)
+        kept, E = [], []
+        for x in A:
+            if x % 2 and bcnt[x] > 0:
+                bcnt[x] -= 1
+                E.append(2 * x)
+            else:
+                kept.append(x)
+        rest = []
+        for v, m in bcnt.items():
+            rest.extend([v] * m)
+        merged, left = _merge_pairs(rest)
+        mid = tuple(sorted(merged + left, reverse=True))
+        return (tuple(kept), mid, (), tuple(sorted(E, reverse=True)))
+    C, D = _merge_pairs(B)
+    return (tuple(A), C, D, ())
+
+
+def _rho(C, D, pipeline):
+    """Split one middle part per value (residue _SPLIT_RESIDUE mod 4)
+    whose half is absent from D; the two halves join D."""
+    res = _SPLIT_RESIDUE[pipeline]
+    dset = set(D)
+    keep, moved, seen = [], [], set()
+    for c in C:
+        if c % 4 == res and c // 2 not in dset and c not in seen:
+            seen.add(c)
+            moved.extend([c // 2, c // 2])
+        else:
+            keep.append(c)
+    if not moved:
+        return C, D
+    return tuple(keep), tuple(sorted(D + tuple(moved), reverse=True))
+
+
+def _normalize(t, pipeline):
+    """Redistributed form of a triple (identity for EE)."""
+    A, mid, D, E = t
+    if pipeline == "EE":
+        return t
+    C, D = _rho(mid, D, pipeline)
+    return (A, C, D, E)
+
+
+def to_triple(pair, pipeline: str, k: int, a: int) -> PartitionTriple:
+    """Encode a ground pair: shared odd parts of A and B leave pairwise
+    into E (EE only), then equal parts of B merge pairwise into doubled
+    middle parts, unpaired parts staying single."""
+    check_pipeline(pipeline, k, a)
+    _require_ground(pair, pipeline, k, a)
+    return PartitionTriple(*_encode(pair, pipeline))
+
+
+def un_transform(triple, pipeline: str) -> tuple:
+    """Invert the triple encoding back to a pair (A, B).  Accepts both
+    the merge-level form and the redistributed form."""
+    if pipeline not in PIPELINES:
+        raise ParameterError("pipeline must be one of %r, got %r"
+                             % (PIPELINES, pipeline))
+    A, mid, D, E = triple
+    if pipeline == "EE":
+        if D:
+            raise ConsistencyError("EE triples carry no D component: %r"
+                                   % (triple,))
+        B = []
+        for v in mid:
+            if v % 2 == 0:
+                B.extend([v // 2, v // 2])
+            else:
+                B.append(v)
+        back = list(A)
+        for e in E:
+            if e % 4 != 2:
+                raise ConsistencyError("EE free parts must be 2 mod 4: %r"
+                                       % (triple,))
+            back.append(e // 2)
+            B.append(e // 2)
+        return (tuple(sorted(back, reverse=True)),
+                tuple(sorted(B, reverse=True)))
+    if E:
+        raise ConsistencyError("%s triples carry no E component before "
+                               "canonicalization: %r" % (pipeline, triple))
+    B = list(D)
+    for c in mid:
+        if c % 2:
+            raise ConsistencyError("middle parts must be even: %r" % (triple,))
+        B.extend([c // 2, c // 2])
+    return (tuple(A), tuple(sorted(B, reverse=True)))
+
+
+def redistribute(triple, pipeline: str) -> PartitionTriple:
+    """Split middle parts whose halves are absent from D (one per value,
+    which already reaches the stable form), halves joining D.  Only the
+    OO/OE pipelines have this step."""
+    if pipeline == "EE":
+        raise ParameterError("the EE pipeline has no redistribution step")
+    if pipeline not in PIPELINES:
+        raise ParameterError("pipeline must be one of %r, got %r"
+                             % (PIPELINES, pipeline))
+    A, mid, D, E = triple
+    C, D2 = _rho(mid, D, pipeline)
+    return PartitionTriple(tuple(A), C, D2, tuple(E))
+
+
+def _mid_split(t, pipeline):
+    """(chain parts, witness parts) seen by the blocked-configuration
+    test: doubled vs unpaired for OO/OE, even vs odd middle for EE."""
+    A, mid, D, E = t
+    if pipeline == "EE":
+        return (tuple(v for v in mid if v % 2 == 0),
+                tuple(v for v in mid if v % 2 == 1))
+    return mid, D
+
+
+def _exceptional(t, pipeline, k, a):
+    """Chain condition blocking the top-level move of A's largest part.
+    False whenever that move is not the one in play (A empty, or the
+    middle part dominates and crosses to A instead)."""
+    A, mid, D, E = t
+    if not A:
+        return False
+    a1 = A[0]
+    if mid and mid[0] > a1:
+        return False
+    merged, left = _mid_split(t, pipeline)
+    lim1 = (k - 1) // 2
+    lim2 = (k - 3) // 2
+
+    def chain(limit, i):
+        if limit < i - 1 or len(merged) < limit:
+            return False
+        return (all(merged[j - 1] == a1 for j in range(1, i))
+                and all(merged[j - 1] == a1 - 2 for j in range(i, limit + 1)))
+
+    if any(chain(lim1, i) for i in range(1, lim1 + 1)):
+        return True
+    lp = _LEFTOVER_PARITY[pipeline]
+    lset = set(left)
+    witness = any(w % 2 == lp and w in lset
+                  for w in (a1 // 2, a1 // 2 - 1))
+    return (witness and lim2 >= 0
+            and any(chain(lim2, i) for i in range(1, lim1 + 1)))
+
+
+def exceptional_condition(triple, pipeline: str, k: int, a: int) -> bool:
+    """True when the configuration is blocked: moving A's largest part
+    into the middle would not produce a valid partner.  Evaluated on the
+    redistributed form (the encoding is insensitive to redistribution,
+    so a merge-level triple is normalized first)."""
+    check_pipeline(pipeline, k, a)
+    return _exceptional(_normalize(tuple(triple), pipeline), pipeline, k, a)
+
+
+# ------------------------------------------------------- fixed configurations
+
+def _template_weight(family, n, k, a):
+    if family == 1:
+        return (k + 1) * n * n + (k + 1 - a) * n
+    return (k + 1) * n * n - (k + 1 - a) * n
+
+
+def _fixed_core(pipeline, family, n, k, a):
+    """(A, middle) of the fixed template: the base fixed pair at the
+    reduced parameters with every part doubled."""
+    kk, aa = inner_params(pipeline, k, a)
+    if n == 0:
+        return ((), ())
+    if kk == 1:
+        if family == 1:
+            Ah = tuple(range(2 * n, n, -1))
+        else:
+            Ah = tuple(range(2 * n - 1, n - 1, -1))
+        Bh = ()
+    else:
+        Ah, Bh = gordon_fixed_point(family, n, kk, aa)
+    return (tuple(2 * x for x in Ah), tuple(2 * x for x in Bh))
+
+
+def _staircase(pipeline, family, n):
+    """Canonical D component of a fixed triple."""
+    if pipeline == "EE" or n == 0:
+        return ()
+    if pipeline == "OO":
+        return tuple(range(2 * n - 1, 0, -2))
+    if family == 1:
+        return tuple(range(2 * n, 0, -2))
+    return tuple(range(2 * n - 2, 0, -2))
+
+
+def _staircase_compat(D, n, pipeline, family):
+    """D equals the canonical staircase with each step once or twice,
+    plus distinct extra parts above it (the free parts to extract)."""
+    if pipeline == "EE":
+        return not D
+    cnt = Counter(D)
+    if pipeline == "OO":
+        need = range(1, 2 * n, 2)
+        hi = 2 * n
+    elif family == 1:
+        need = range(2, 2 * n + 1, 2)
+        hi = 2 * n
+    else:
+        need = range(2, 2 * n - 1, 2)
+        hi = 2 * n - 2
+    for v in need:
+        if cnt[v] not in (1, 2):
+            return False
+    for v, m in cnt.items():
+        if v > hi and m != 1:
+            return False
+    return True
+
+
+def _fixed_check(t, pipeline, k, a):
+    """(family, n) when the redistributed triple is fixed, else None.
+    The weight-0 core reports as (0, 0); the OO a=1 sector has no
+    template parametrization and always reports None here."""
+    if pipeline == "OO" and a == 1:
+        return None
+    A, mid, D, E = t
+    n = len(A)
+    if n == 0:
+        if mid == () and _staircase_compat(D, 0, pipeline, 1):
+            return (0, 0)
+        return None
+    for family in (1, 2):
+        if ((A, mid) == _fixed_core(pipeline, family, n, k, a)
+                and _staircase_compat(D, n, pipeline, family)):
+            return (family, n)
+    return None
+
+
+def _extract_free(t, pipeline, family, n):
+    """Free parts of a fixed triple: extras above the staircase plus one
+    copy of each duplicated step (EE: the E component itself)."""
+    A, mid, D, E = t
+    if pipeline == "EE":
+        return tuple(E)
+    hi = 2 * n if (pipeline == "OO" or family != 2) else 2 * n - 2
+    out = []
+    for v, m in sorted(Counter(D).items(), reverse=True):
+        if v > hi or m == 2:
+            out.append(v)
+    return tuple(out)
+
+
+def pipeline_fixed_triple(pipeline: str, family: int, n: int,
+                          k: int, a: int) -> PartitionTriple:
+    """Canonical fixed template triple with empty E: the doubled base
+    template as (A, middle) plus the canonical staircase in D.  Weight
+    is (k+1)n^2 + (k+1-a)n for family 1 and (k+1)n^2 - (k+1-a)n for
+    family 2; n = 0 gives the common empty core (family 0, 1 or 2)."""
+    check_pipeline(pipeline, k, a)
+    if pipeline == "OO" and a == 1:
+        raise ParameterError("no fixed templates at a = 1")
+    if n < 0:
+        raise ParameterError("n must be >= 0, got %r" % (n,))
+    if family not in (0, 1, 2) or (family == 0 and n != 0):
+        raise ParameterError("family must be 1 or 2 (0 only for n = 0), "
+                             "got %r" % (family,))
+    if n == 0:
+        return PartitionTriple((), (), (), ())
+    A, mid = _fixed_core(pipeline, family, n, k, a)
+    return PartitionTriple(A, mid, _staircase(pipeline, family, n), ())
+
+
+def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
+    """Factor a fixed triple as (family, n, E): extras in D above the
+    staircase and one copy of each duplicated step move to E, leaving
+    the canonical template.  Raises for non-fixed triples and for the
+    OO a=1 sector, whose fixed configurations have no template index."""
+    check_pipeline(pipeline, k, a)
+    if pipeline == "OO" and a == 1:
+        raise ParameterError("fixed configurations at a = 1 carry no "
+                             "template index")
+    t = _normalize(tuple(triple), pipeline)
+    res = _fixed_check(t, pipeline, k, a)
+    if res is None:
+        raise ParameterError("triple is not a fixed configuration: %r"
+                             % (triple,))
+    family, n = res
+    return (family, n, _extract_free(t, pipeline, family, n))
+
+
+def canonical_fixed_form(pipeline: str, family: int, n: int, E,
+                         k: int, a: int) -> PartitionTriple:
+    """Display form of a fixed configuration: for OO/OE the middle parts
+    are halved and the staircase absorbed, giving multiplicity blocks
+    k-a (even values) and a-2 (odd values) below 2n; EE keeps the
+    template middle.  E must have the pipeline's free-part shape
+    (EE: distinct parts 2 mod 4; OO: distinct odd; OE: distinct even)."""
+    check_pipeline(pipeline, k, a)
+    E = tuple(sorted(E, reverse=True))
+    prev = None
+    for v in E:
+        bad = (v <= 0 or v == prev
+               or (pipeline == "EE" and v % 4 != 2)
+               or (pipeline == "OO" and v % 2 == 0)
+               or (pipeline == "OE" and v % 2))
+        if bad:
+            raise ParameterError("free parts have the wrong shape for %s: %r"
+                                 % (pipeline, E))
+        prev = v
+    core = pipeline_fixed_triple(pipeline, family, n, k, a)
+    if pipeline == "EE":
+        return PartitionTriple(core.A, core.B, (), E)
+    halves = []
+    for c in core.B:
+        halves.extend([c // 2, c // 2])
+    halves.extend(core.D)
+    return PartitionTriple(core.A, tuple(sorted(halves, reverse=True)), (), E)
+
+
+def pipeline_e_factor(pipeline: str, N: int) -> TruncatedSeries:
+    """Generating function of the free parts E with their signs."""
+    if pipeline == "EE":
+        return series.poch_inf(2, 4, N)
+    if pipeline == "OO":
+        return series.poch_inf(1, 2, N, sign=-1)
+    if pipeline == "OE":
+        return series.poch_inf(2, 2, N, sign=-1)
+    raise ParameterError("pipeline must be one of %r, got %r"
+                         % (PIPELINES, pipeline))
+
+
+def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
+    """Signed generating function of all fixed configurations: the two
+    template families (sign (-1)^n) times the free-part factor.  The
+    OO a=1 sector has no templates; its fixed set is whatever the
+    involution leaves unpaired, and its generating function is taken in
+    theta form (the exhaustive law check validates it against the swept
+    fixed configurations)."""
+    check_pipeline(pipeline, k, a)
+    ef = pipeline_e_factor(pipeline, N)
+    if pipeline == "OO" and a == 1:
+        return series.mul(ef, series.theta_sum(2 * (k + 1), 2 * (k + 1 - a), N))
+    coeffs = [0] * (N + 1)
+    coeffs[0] = 1
+    for family in (1, 2):
+        n = 1
+        while True:
+            w = _template_weight(family, n, k, a)
+            if w > N:
+                break
+            coeffs[w] += -1 if n % 2 else 1
+            n += 1
+    return series.mul(ef, TruncatedSeries(coeffs))
+
+
+# ------------------------------------------------------------------ routing
+
+def _exchange_image(t):
+    """Odd-part exchange between A and the middle (EE): the larger of
+    the two largest odd parts crosses to the other side."""
+    A, mid, D, E = t
+    oa = max((x for x in A if x % 2), default=0)
+    oc = max((x for x in mid if x % 2), default=0)
+    if not oa and not oc:
+        return None
+    if oa > oc:
+        A2 = tuple(x for x in A if x != oa)
+        mid2 = tuple(sorted(mid + (oa,), reverse=True))
+    else:
+        mid2 = list(mid)
+        mid2.remove(oc)
+        mid2 = tuple(mid2)
+        A2 = tuple(sorted(A + (oc,), reverse=True))
+    return (A2, mid2, D, E)
+
+
+def _sector_image(t, pipeline, k, a):
+    """Base involution at the reduced parameters on halved values; None
+    when out of scope or when the reduced pair is fixed."""
+    A, mid, D, E = t
+    if pipeline == "EE" and (any(x % 2 for x in A) or any(x % 2 for x in mid)):
+        return None
+    kk, aa = inner_params(pipeline, k, a)
+    Ah = tuple(x // 2 for x in A)
+    Bh = tuple(x // 2 for x in mid)
+    if kk >= 2:
+        if aa < 1 or not partitions._gordon_ok(Bh, kk, aa):
+            return None
+        out = involute_gordon((Ah, Bh), kk, aa)
+    else:
+        if Bh != ():
+            return None
+        out = _involute_k1((Ah, ()))
+    if isinstance(out, FixedPoint):
+        return None
+    return (tuple(2 * x for x in out[0]), tuple(2 * x for x in out[1]), D, E)
+
+
+def _finish(t2, pipeline, k, a, state):
+    if t2 is None:
+        return None
+    Y = un_transform(t2, pipeline)
+    if Y == state or not _ground_valid(Y, pipeline, k, a):
+        return None
+    return ("pair", Y)
+
+
+def _blocked_subroute(t, pipeline, k, a, state):
+    if pipeline == "EE" and (any(x % 2 for x in t[0]) or any(x % 2 for x in t[1])):
+        return _finish(_exchange_image(t), pipeline, k, a, state)
+    return _finish(_sector_image(t, pipeline, k, a), pipeline, k, a, state)
+
+
+def _route_triple(state, t, pipeline, k, a):
+    f = _fixed_check(t, pipeline, k, a)
+    if f is not None:
+        return ("fixed",) + f
+    A, mid, D, E = t
+    a1 = A[0] if A else 0
+    if mid and mid[0] > a1:
+        rest = list(mid)
+        rest.remove(mid[0])
+        t2 = (tuple(sorted(A + (mid[0],), reverse=True)), tuple(rest), D, E)
+        return _finish(t2, pipeline, k, a, state)
+    if not A:
+        return None
+    if _exceptional(t, pipeline, k, a):
+        return _blocked_subroute(t, pipeline, k, a, state)
+    t2 = (A[1:], tuple(sorted(mid + (a1,), reverse=True)), D, E)
+    r = _finish(t2, pipeline, k, a, state)
+    if r is not None:
+        return r
+    return _blocked_subroute(t, pipeline, k, a, state)
+
+
+# ------------------------------------------------------------- carry moves
+
+def _ains(A, x):
+    if x <= 0 or x in A:
+        return None
+    return tuple(sorted(A + (x,), reverse=True))
+
+
+def _adel(A, x):
+    return tuple(v for v in A if v != x)
+
+
+def _brepl(B, take, give):
+    cnt = Counter(B)
+    for v in take:
+        cnt[v] -= 1
+        if cnt[v] < 0:
+            return None
+    for v in give:
+        cnt[v] += 1
+    out = []
+    for v, m in cnt.items():
+        out.extend([v] * m)
+    return tuple(sorted(out, reverse=True))
+
+
+def _carry_candidates(state):
+    """Weight-preserving moves flipping len(A) by one.  Each clause and
+    its inverse clause generate each other, so the adjacency they induce
+    on a weight class is symmetric; validity is filtered by the caller."""
+    A, B = state
+    cnt = Counter(B)
+    vals = sorted(cnt, reverse=True)
+    # a pair in B fuses to a doubled part of A, and back
+    for v in vals:
+        if cnt[v] >= 2:
+            A2, B2 = _ains(A, 2 * v), _brepl(B, (v, v), ())
+            if A2 and B2 is not None:
+                yield (A2, B2)
+    for x in A:
+        if x % 2 == 0:
+            B2 = _brepl(B, (), (x // 2, x // 2))
+            if B2 is not None:
+                yield (_adel(A, x), B2)
+    # a pair in B sheds 2 into A, and back
+    for v in vals:
+        if cnt[v] >= 2 and v >= 2:
+            A2 = _ains(A, 2)
+            B2 = _brepl(B, (v, v), (v - 1, v - 1))
+            if A2 and B2 is not None:
+                yield (A2, B2)
+    if 2 in A:
+        for v in vals:
+            if cnt[v] >= 2:
+                B2 = _brepl(B, (v, v), (v + 1, v + 1))
+                if B2 is not None:
+                    yield (_adel(A, 2), B2)
+    # a single part of B sheds 2 into A, and back
+    for v in vals:
+        if cnt[v] == 1 and v >= 3:
+            A2 = _ains(A, 2)
+            B2 = _brepl(B, (v,), (v - 2,))
+            if A2 and B2 is not None:
+                yield (A2, B2)
+    if 2 in A:
+        for v in vals:
+            if cnt[v] == 1:
+                B2 = _brepl(B, (v,), (v + 2,))
+                if B2 is not None:
+                    yield (_adel(A, 2), B2)
+    # the part 2 of A melts into another part of A, and back
+    if 2 in A:
+        for x in A:
+            if x != 2:
+                A2 = _ains(_adel(_adel(A, 2), x), x + 2)
+                if A2:
+                    yield (A2, B)
+    if 2 not in A:
+        for x in A:
+            if x >= 4:
+                A2 = _ains(_adel(A, x), x - 2)
+                if A2:
+                    A2 = _ains(A2, 2)
+                    if A2:
+                        yield (A2, B)
+    # a part x of A and x-1 of B fuse to 2x-1 in B, and back
+    for x in A:
+        if cnt[x - 1] >= 1:
+            B2 = _brepl(B, (x - 1,), (2 * x - 1,))
+            if B2 is not None:
+                yield (_adel(A, x), B2)
+    for v in vals:
+        if cnt[v] == 1 and v % 4 == 3 and v >= 7:
+            A2 = _ains(A, (v + 1) // 2)
+            B2 = _brepl(B, (v,), ((v - 1) // 2,))
+            if A2 and B2 is not None:
+                yield (A2, B2)
+    # one copy of a B part crosses whole to A, and back
+    for v in vals:
+        A2 = _ains(A, v)
+        if A2:
+            yield (A2, _brepl(B, (v,), ()))
+    for x in A:
+        yield (_adel(A, x), _brepl(B, (), (x,)))
+    # a glued odd pair (v in both A and B) absorbs into another A part
+    for v in A:
+        if v % 2 and cnt[v] >= 1:
+            for x in A:
+                if x != v:
+                    A2 = _ains(_adel(_adel(A, x), v), x + 2 * v)
+                    if A2:
+                        yield (A2, _brepl(B, (v,), ()))
+    for p in A:
+        for v in range(1, (p - 1) // 2 + 1, 2):
+            x = p - 2 * v
+            if x >= 1 and x != v and v not in A and x not in A:
+                A2 = _ains(_ains(_adel(A, p), v), x)
+                if A2:
+                    yield (A2, _brepl(B, (), (v,)))
+
+
+def _match_cap():
+    try:
+        cap = int(os.environ.get("RRG_MAX_SWEEP", "30"))
+    except ValueError:
+        cap = 30
+    return max(cap, 30)
+
+
+class _Flow:
+    """Routing state for one (pipeline, k, a): a route cache, plus a
+    per-weight maximum matching over the carry moves for the residue the
+    route ladder leaves unpaired."""
+
+    def __init__(self, pipeline, k, a):
+        self.pipeline, self.k, self.a = pipeline, k, a
+        self.rcache = {}
+        self.match = {}
+        self.matched_weights = set()
+
+    def route(self, state):
+        hit = self.rcache.get(state)
+        if hit is not None:
+            return hit[0]
+        t = _normalize(_encode(state, self.pipeline), self.pipeline)
+        res = _route_triple(state, t, self.pipeline, self.k, self.a)
+        self.rcache[state] = (res,)
+        return res
+
+    def safe(self, state):
+        """Route outcome accepted only under mutuality: a partner must
+        route straight back."""
+        r = self.route(state)
+        if r is None:
+            return None
+        if r[0] == "fixed":
+            return r
+        return r if self.route(r[1]) == ("pair", state) else None
+
+    def _match_weight(self, w):
+        if w in self.matched_weights:
+            return
+        if w > _match_cap():
+            raise ConsistencyError(
+                "pairing the weight-%d residue needs its full weight class; "
+                "set RRG_MAX_SWEEP to at least %d to allow it" % (w, w))
+        self.matched_weights.add(w)
+        pl, k, a = self.pipeline, self.k, self.a
+        residue = [s for s in enumerate_ground(pl, k, a, w)
+                   if self.safe(s) is None]
+        rset = set(residue)
+        adj = {s: set() for s in residue}
+        for s in residue:
+            for Y in _carry_candidates(s):
+                if Y in rset and _ground_valid(Y, pl, k, a):
+                    adj[s].add(Y)
+                    adj[Y].add(s)
+        match = self.match
+
+        def augment(u, seen):
+            for v in sorted(adj[u]):
+                if v in seen:
+                    continue
+                seen.add(v)
+                if v not in match or augment(match[v], seen):
+                    match[v] = u
+                    match[u] = v
+                    return True
+            return False
+
+        for u in sorted(s for s in residue if len(s[0]) % 2 == 0):
+            if u not in match:
+                augment(u, set())
+
+    def involute(self, state):
+        r = self.safe(state)
+        if r is not None:
+            return r
+        self._match_weight(sum(state[0]) + sum(state[1]))
+        if state in self.match:
+            return ("pair", self.match[state])
+        if self.pipeline == "OO" and self.a == 1:
+            # no templates at a = 1: what stays unpaired is fixed
+            return ("fixed", 0, 0)
+        return None
+
+
+_FLOWS = {}
+
+
+def _flow(pipeline, k, a):
+    key = (pipeline, k, a)
+    f = _FLOWS.get(key)
+    if f is None:
+        f = _Flow(pipeline, k, a)
+        _FLOWS[key] = f
+    return f
+
+
+def involute_pipeline(pair, pipeline: str, k: int, a: int):
+    """Partner of a ground pair, or FixedPoint(family, n) when the pair
+    is a fixed configuration.  Partners have the same weight and
+    opposite A-length parity, and the map is an involution; family 0
+    marks fixed configurations outside the two template families (the
+    weight-0 core, and the whole OO a=1 fixed sector)."""
+    check_pipeline(pipeline, k, a)
+    pair = (tuple(pair[0]), tuple(pair[1]))
+    _require_ground(pair, pipeline, k, a)
+    r = _flow(pipeline, k, a).involute(pair)
+    if r is None:
+        raise ConsistencyError("no partner and no template match for %r "
+                               "in %s (k=%d, a=%d)" % (pair, pipeline, k, a))
+    if r[0] == "fixed":
+        return FixedPoint(r[1], r[2])
+    return r[1]

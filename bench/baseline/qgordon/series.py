@@ -1,0 +1,287 @@
+"""Exact truncated power series in q, with the product and theta-sum
+builders that the partition identities are stated in.
+
+Everything is integer arithmetic on coefficient vectors c_0..c_N; there
+is no floating point and no rounding anywhere.  Division only exists as
+power-series inversion at a unit constant term, so identities with
+denominators are checked in cross-multiplied form.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+
+from . import partitions
+
+
+class TruncatedSeries:
+    """A power series in q truncated at exponent N.
+
+    coeffs holds exact ints c_0..c_N.  Binary operations require equal
+    truncations; mixing them silently would let a short series masquerade
+    as exact at higher order.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs, truncation=None):
+        coeffs = [int(c) for c in coeffs]
+        if truncation is not None:
+            if truncation < 0:
+                raise ValueError("truncation must be >= 0")
+            if len(coeffs) > truncation + 1:
+                raise ValueError("got %d coefficients for truncation %d"
+                                 % (len(coeffs), truncation))
+            coeffs.extend([0] * (truncation + 1 - len(coeffs)))
+        if not coeffs:
+            raise ValueError("need at least the constant coefficient")
+        self.coeffs = coeffs
+
+    @property
+    def truncation(self):
+        return len(self.coeffs) - 1
+
+    @classmethod
+    def zero(cls, truncation):
+        return cls([0], truncation)
+
+    @classmethod
+    def one(cls, truncation):
+        return cls([1], truncation)
+
+    @classmethod
+    def monomial(cls, coefficient, exponent, truncation):
+        c = [0] * (truncation + 1)
+        if 0 <= exponent <= truncation:
+            c[exponent] = coefficient
+        elif exponent < 0:
+            raise ValueError("negative exponent")
+        return cls(c)
+
+    def coefficient(self, n):
+        if not 0 <= n <= self.truncation:
+            raise IndexError("exponent %d outside truncation %d" % (n, self.truncation))
+        return self.coeffs[n]
+
+    def _match(self, other):
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError("expected TruncatedSeries, got %r" % (type(other),))
+        if other.truncation != self.truncation:
+            raise ValueError("truncation mismatch: %d vs %d"
+                             % (self.truncation, other.truncation))
+        return other
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(tuple(self.coeffs))
+
+    def __add__(self, other):
+        other = self._match(other)
+        return TruncatedSeries([x + y for x, y in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        other = self._match(other)
+        return TruncatedSeries([x - y for x, y in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return TruncatedSeries([-x for x in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return TruncatedSeries([other * x for x in self.coeffs])
+        other = self._match(other)
+        n = self.truncation
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (n + 1)
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j in range(n + 1 - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
+        return TruncatedSeries(out)
+
+    __rmul__ = __mul__
+
+    def invert_unit(self):
+        """Series t with self * t = 1 (mod q^{N+1}); requires c_0 = +-1."""
+        c0 = self.coeffs[0]
+        if c0 not in (1, -1):
+            raise ValueError("constant term must be +1 or -1, got %r" % (c0,))
+        n = self.truncation
+        out = [0] * (n + 1)
+        out[0] = c0
+        for m in range(1, n + 1):
+            s = 0
+            for j in range(1, m + 1):
+                cj = self.coeffs[j]
+                if cj:
+                    s += cj * out[m - j]
+            out[m] = -c0 * s
+        return TruncatedSeries(out)
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def __repr__(self):
+        terms = []
+        for e, c in enumerate(self.coeffs):
+            if c:
+                terms.append("%+d*q^%d" % (c, e))
+            if len(terms) == 8:
+                terms.append("...")
+                break
+        body = " ".join(terms) if terms else "0"
+        return "<TruncatedSeries N=%d %s>" % (self.truncation, body)
+
+
+def mul(s, t):
+    """Cauchy product of two series with equal truncation."""
+    return s * t
+
+
+def first_discrepancy(s, t):
+    """Smallest exponent where the coefficients differ, or None if the
+    series agree through their (equal) truncation."""
+    t = s._match(t)
+    for n, (x, y) in enumerate(zip(s.coeffs, t.coeffs)):
+        if x != y:
+            return n
+    return None
+
+
+def poch_inf(a, m, N, sign=1):
+    """The infinite product (sign*q^a; q^m)_inf truncated at N, i.e.
+    prod_{j>=0} (1 - sign*q^{a+j*m}).  sign=+1 gives (q^a;q^m)_inf,
+    sign=-1 gives (-q^a;q^m)_inf.  Factors beyond q^N are 1 mod q^{N+1}
+    and are skipped."""
+    if a < 1 or m < 1:
+        raise ValueError("need a >= 1 and m >= 1, got a=%r m=%r" % (a, m))
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    out = [0] * (N + 1)
+    out[0] = 1
+    e = a
+    while e <= N:
+        # multiply in place by (1 - sign*q^e)
+        for i in range(N, e - 1, -1):
+            out[i] -= sign * out[i - e]
+        e += m
+    return TruncatedSeries(out)
+
+
+def theta_sum(alpha, beta, N):
+    """Bilateral alternating theta series
+    sum_{n in Z} (-1)^n q^{(alpha*n^2 + beta*n)/2} truncated at N.
+
+    alpha must be positive and alpha+beta even so that every exponent is
+    an integer.  Iteration runs n = 0, 1, -1, 2, -2, ... and stops once
+    the quadratic term dominates past the truncation in both directions.
+    """
+    if alpha < 1:
+        raise ValueError("alpha must be positive, got %r" % (alpha,))
+    if (alpha + beta) % 2:
+        raise ValueError("alpha + beta must be even for integer exponents")
+    out = [0] * (N + 1)
+    out[0] += 1  # n = 0
+    r = 1
+    while True:
+        hit = False
+        for n in (r, -r):
+            e = (alpha * n * n + beta * n) // 2
+            if e < 0:
+                raise ValueError("theta exponent went negative at n=%d" % n)
+            if e <= N:
+                out[e] += -1 if r % 2 else 1
+                hit = True
+        # once r is past the parabola vertex |beta|/(2*alpha), a miss in
+        # both directions means every later ring misses too
+        if not hit and alpha * r >= abs(beta):
+            break
+        r += 1
+    return TruncatedSeries(out)
+
+
+def restricted_gf(forbidden_residues, modulus, N):
+    """Generating function of partitions whose parts avoid the given
+    residue classes mod ``modulus``, truncated at N."""
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    forbidden = {r % modulus for r in forbidden_residues}
+    dp = [0] * (N + 1)
+    dp[0] = 1
+    for s in range(1, N + 1):
+        if s % modulus in forbidden:
+            continue
+        for w in range(s, N + 1):
+            dp[w] += dp[w - s]
+    return TruncatedSeries(dp)
+
+
+def _inv_poch_finite(n, N):
+    # 1/(q;q)_n: partitions into parts of size <= n, truncated at N
+    dp = [0] * (N + 1)
+    dp[0] = 1
+    for s in range(1, n + 1):
+        for w in range(s, N + 1):
+            dp[w] += dp[w - s]
+    return dp
+
+
+def multisum_rrg(k, a, N):
+    """The (k-1)-fold Rogers-Ramanujan-type sum
+
+        sum q^{N_1^2 + ... + N_{k-1}^2 + N_a + ... + N_{k-1}}
+            / ((q;q)_{n_1} ... (q;q)_{n_{k-1}})
+
+    over n_1, ..., n_{k-1} >= 0, where N_j = n_j + n_{j+1} + ... + n_{k-1},
+    truncated at N.  The quadratic exponent bounds the summation."""
+    partitions.check_params(k, a)
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    max_n = isqrt(N)
+    inv = [_inv_poch_finite(n, N) for n in range(max_n + 1)]
+    acc = [0] * (N + 1)
+
+    def rec(j, n_above, exponent, prod):
+        # j runs k-1 down to 1; n_above = N_{j+1}
+        if j == 0:
+            for e in range(N + 1 - exponent):
+                if prod[e]:
+                    acc[exponent + e] += prod[e]
+            return
+        nj = 0
+        while True:
+            Nj = nj + n_above
+            e2 = exponent + Nj * Nj + (Nj if j >= a else 0)
+            if e2 > N:
+                break
+            if nj == 0:
+                rec(j - 1, Nj, e2, prod)
+            else:
+                step = inv[nj]
+                new = [0] * (N + 1)
+                for i, pi in enumerate(prod):
+                    if pi:
+                        for jj in range(N + 1 - i):
+                            if step[jj]:
+                                new[i + jj] += pi * step[jj]
+                rec(j - 1, Nj, e2, new)
+            nj += 1
+
+    one = [0] * (N + 1)
+    one[0] = 1
+    rec(k - 1, 0, 0, one)
+    return TruncatedSeries(acc)
+
+
+def family_gf(family, k, a, N):
+    """Series whose coefficient of q^n is count_family(family, k, a, n)."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    return TruncatedSeries(partitions.family_counts(family, k, a, N))
