@@ -139,8 +139,9 @@ def _report_json(report):
         obj["firstDiscrepancy"] = {"exponent": n, "lhs": lhs, "rhs": rhs}
     if report.counterexample is not None:
         law, cfg, image = report.counterexample
-        obj["counterexample"] = {"law": law, "config": _pair_obj(cfg),
-                                 "image": _pair_obj(image)}
+        obj["counterexample"] = {
+            "law": law, "config": _pair_obj(cfg),
+            "image": None if image is None else _pair_obj(image)}
     return obj
 
 
@@ -171,8 +172,12 @@ def _cmd_verify(args):
             print("first discrepancy at q^%d: %d vs %d" % (n, lhs, rhs))
         if report.counterexample is not None:
             law, cfg, image = report.counterexample
-            print("%s law fails at %s -> %s"
-                  % (law, _pair_text(cfg), _pair_text(image)))
+            if image is None:
+                print("%s law fails at %s: the map raised, no image"
+                      % (law, _pair_text(cfg)))
+            else:
+                print("%s law fails at %s -> %s"
+                      % (law, _pair_text(cfg), _pair_text(image)))
     return 0 if report.passed else 1
 
 

@@ -21,6 +21,13 @@ anchor positions exist; a missing part ends the chain, and a missing
 largest part compares as 0.  The "move a_1 into B would leave the
 family" test is evaluated semantically (membership of the extended B),
 which pins down every boundary case of the blocking condition.
+
+Public functions validate their input (parameters and pair) once.  The
+``_``-prefixed kernels trust it: their pair is a member of P_{k,a} with
+k >= 2 and 1 <= a <= k, and they never re-validate.  Each public entry
+point is a thin wrapper that validates and calls a kernel, so callers
+that generate valid pairs themselves (the parity pipelines) call the
+kernels directly.
 """
 
 from __future__ import annotations
@@ -102,6 +109,13 @@ def _witness(a1, B, k):
     return count + 1
 
 
+def _staircase_prefix(A):
+    q = 1
+    while q < len(A) and A[q - 1] - A[q] == 1:
+        q += 1
+    return q
+
+
 def _chain(B, start, step):
     """Maximal t >= 1 such that parts at 1-based positions
     start, start+step, ..., start+(t-1)*step exist pairwise-consecutively
@@ -115,6 +129,16 @@ def _chain(B, start, step):
     return t
 
 
+def _params(A, B, k, i):
+    """Class parameters of a blocked pair with witness i."""
+    p = A[-1]
+    q = _staircase_prefix(A)
+    r = _chain(B, k - 1, k - 1)
+    s = _chain(B, i - 1, k - 1) if 2 <= i <= k - 1 else None
+    n = min(p, q, r) if s is None else min(p, q, r, s)
+    return ClassParams(p, q, r, s, n)
+
+
 def compute_params(pair, k, a):
     """Class parameters (p, q, r, s, n) of a blocked pair."""
     check_params(k, a)
@@ -122,15 +146,36 @@ def compute_params(pair, k, a):
     A, B = pair
     if not A or (B and B[0] > A[0]) or not _blocked(A[0], B, k, a):
         raise ParameterError("pair is not blocked; parameters undefined")
-    i = _witness(A[0], B, k)
-    p = A[-1]
-    q = 1
-    while q < len(A) and A[q - 1] - A[q] == 1:
-        q += 1
-    r = _chain(B, k - 1, k - 1)
-    s = _chain(B, i - 1, k - 1) if 2 <= i <= k - 1 else None
-    values = [p, q, r] + ([s] if s is not None else [])
-    return ClassParams(p, q, r, s, min(values))
+    return _params(A, B, k, _witness(A[0], B, k))
+
+
+_B_TO_A = Move("b_to_a")
+_A_TO_B = Move("a_to_b")
+_EMPTY = FixedPoint(0, 0)
+
+
+def _classify(A, B, k, a):
+    if not A and not B:
+        return _EMPTY
+    a1 = A[0] if A else 0
+    if B and B[0] > a1:
+        return _B_TO_A
+    if not _blocked(a1, B, k, a):
+        return _A_TO_B
+    i = _witness(a1, B, k)
+    params = _params(A, B, k, i)
+    n = params.n
+    if params.p == n:
+        cls = 1
+    elif i == 1:
+        cls = 2 if params.q == n else 3
+    elif i == k:
+        cls = 2 if params.r == n else 4
+    elif params.s == n:
+        cls = 2
+    else:
+        cls = 4 if params.q == n else 3
+    return UClass(i, cls, params)
 
 
 def classify(pair, k, a):
@@ -139,31 +184,13 @@ def classify(pair, k, a):
     pair."""
     check_params(k, a)
     _check_pair(pair, k, a)
-    A, B = pair
-    if not A and not B:
-        return FixedPoint(0, 0)
-    a1 = A[0] if A else 0
-    b1 = B[0] if B else 0
-    if b1 > a1:
-        return Move("b_to_a")
-    if not _blocked(a1, B, k, a):
-        return Move("a_to_b")
-    params = compute_params(pair, k, a)
-    i, n = _witness(a1, B, k), params.n
-    if i == 1:
-        cls = 1 if params.p == n else (2 if params.q == n else 3)
-    elif i == k:
-        cls = 1 if params.p == n else (2 if params.r == n else 4)
-    else:
-        if params.p == n:
-            cls = 1
-        elif params.s == n:
-            cls = 2
-        elif params.q == n:
-            cls = 4
-        else:
-            cls = 3
-    return UClass(i, cls, params)
+    return _classify(pair[0], pair[1], k, a)
+
+
+def _step1(A, B, move):
+    if move.direction == "b_to_a":
+        return ((B[0],) + A, B[1:])
+    return (A[1:], (A[0],) + B)
 
 
 def step1_move(pair, k, a):
@@ -171,10 +198,7 @@ def step1_move(pair, k, a):
     label = classify(pair, k, a)
     if not isinstance(label, Move):
         raise ParameterError("pair is not in a move state")
-    A, B = pair
-    if label.direction == "b_to_a":
-        return ((B[0],) + A, B[1:])
-    return (A[1:], (A[0],) + B)
+    return _step1(pair[0], pair[1], label)
 
 
 def _bumped(B, positions):
@@ -309,14 +333,7 @@ def _match_template(pair, k, a):
     return None
 
 
-def apply_map(pair, k, a):
-    """Act on a blocked pair: produce its partner, or a FixedPoint when
-    the dispatched map breaks out of the state space and the pair sits
-    on a template."""
-    label = classify(pair, k, a)
-    if not isinstance(label, UClass):
-        raise ParameterError("apply_map needs a blocked pair")
-    A, B = pair
+def _apply(A, B, k, a, label):
     i, cls, n = label.i, label.cls, label.params.n
     if cls == 1:
         out = _map_alpha_inv(A, B, n, k) if i == k else _map_beta(A, B, n, k, i)
@@ -328,22 +345,40 @@ def apply_map(pair, k, a):
         out = _map_gamma(A, B, n, k)
     if out is not None and _pair_ok(out[0], out[1], k, a):
         return out
-    fixed = _match_template(pair, k, a)
+    fixed = _match_template((A, B), k, a)
     if fixed is None:
         raise ConsistencyError(
             "map output invalid and pair matches no template: %r (k=%d a=%d)"
-            % (pair, k, a))
+            % ((A, B), k, a))
     return fixed
+
+
+def apply_map(pair, k, a):
+    """Act on a blocked pair: produce its partner, or a FixedPoint when
+    the dispatched map breaks out of the state space and the pair sits
+    on a template."""
+    label = classify(pair, k, a)
+    if not isinstance(label, UClass):
+        raise ParameterError("apply_map needs a blocked pair")
+    return _apply(pair[0], pair[1], k, a, label)
+
+
+def _involute(A, B, k, a):
+    """involute_gordon on a pair it trusts: classified once, then moved
+    or mapped."""
+    label = _classify(A, B, k, a)
+    if isinstance(label, Move):
+        return _step1(A, B, label)
+    if isinstance(label, UClass):
+        return _apply(A, B, k, a, label)
+    return label
 
 
 def involute_gordon(pair, k, a):
     """Total involution on P_{k,a}: partner pair, or FixedPoint."""
-    label = classify(pair, k, a)
-    if isinstance(label, FixedPoint):
-        return label
-    if isinstance(label, Move):
-        return step1_move(pair, k, a)
-    return apply_map(pair, k, a)
+    check_params(k, a)
+    _check_pair(pair, k, a)
+    return _involute(pair[0], pair[1], k, a)
 
 
 def gordon_fixed_gf(k, a, N):
@@ -365,13 +400,6 @@ def gordon_fixed_gf(k, a, N):
 
 # --- degenerate single-column case (k = 1), used by the parity
 # --- pipelines after their halving step; B must be empty there
-
-def _staircase_prefix(A):
-    q = 1
-    while q < len(A) and A[q - 1] - A[q] == 1:
-        q += 1
-    return q
-
 
 def _involute_k1(pair):
     """Involution on pairs (A | empty): the classic pentagonal-number

@@ -14,14 +14,13 @@ its theta form.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
 from . import partitions, pipelines, series
 from .gordon import (ConsistencyError, FixedPoint, Move, UClass, classify,
                      gordon_fixed_gf, involute_gordon)
-from .partitions import ParameterError
+from .partitions import ParameterError, sweep_cap
 from .series import TruncatedSeries
 
 IDENTITIES = (
@@ -43,14 +42,6 @@ SCOPES = ("gordon", "EE", "OO", "OE")
 _PARAMETERLESS = ("prelude_ee", "prelude_oo", "prelude_oe")
 
 
-def sweep_cap() -> int:
-    """Weight cap for exhaustive sweeps (RRG_MAX_SWEEP, default 30)."""
-    try:
-        return int(os.environ.get("RRG_MAX_SWEEP", "30"))
-    except ValueError:
-        return 30
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     identity: str
@@ -58,7 +49,9 @@ class VerificationReport:
     truncation: int
     status: str                      # "pass" or "fail"
     first_discrepancy: tuple | None = None   # (exponent, lhs, rhs)
-    counterexample: tuple | None = None      # (law, configuration, image)
+    # (law, configuration, image); law "map" with image None when the
+    # map raised on the configuration
+    counterexample: tuple | None = None
     elapsed: float = 0.0
 
     @property
@@ -171,18 +164,8 @@ def check_identity(identity: str, k: int, a: int, N: int,
 
 
 def _scope_ground(scope, k, a, w):
-    if scope == "gordon":
-        out = []
-        for wa in range(w, -1, -1):
-            As = partitions.enumerate_distinct(wa)
-            if not As:
-                continue
-            Bs = partitions.enumerate_family("B", k, a, w - wa)
-            for A in As:
-                for B in Bs:
-                    out.append((A, B))
-        return out
-    return pipelines.enumerate_ground(scope, k, a, w)
+    """The scope's ground set at weight w, in sweep order."""
+    return pipelines._Ground(scope, k, a).pairs(w)
 
 
 def _scope_involute(scope, pair, k, a):
@@ -207,9 +190,16 @@ def check_involution_laws(scope: str, k: int, a: int,
     """Exhaustive sweep of the scope's ground set up to weight N: the
     map must be a sign-reversing weight-preserving involution off its
     fixed configurations, and the signed fixed count must equal the
-    template generating function and its theta form.  The report carries
-    the first violating configuration, or the first differing
-    coefficient when only the series comparison fails."""
+    template generating function and its theta form.
+
+    Each orbit is mapped once from each side: a configuration is mapped,
+    its partner is checked for weight and sign and mapped back, and the
+    partner is then skipped when the enumeration reaches it, since its
+    laws are the same three facts.  A map that raises ConsistencyError
+    or ParameterError is a failing law "map" with no image, not an
+    exception.  The report carries the first violating configuration in
+    enumeration order, or the first differing coefficient when only the
+    series comparison fails."""
     t0 = time.monotonic()
     if scope not in SCOPES:
         raise ParameterError("scope must be one of %r, got %r"
@@ -225,29 +215,38 @@ def check_involution_laws(scope: str, k: int, a: int,
             "sweep to weight %d exceeds the cap %d; set RRG_MAX_SWEEP "
             "to raise it" % (N, sweep_cap()))
     ident = "laws_" + scope
+
+    def fail(law, cfg, image):
+        return VerificationReport(ident, (k, a), N, "fail",
+                                  counterexample=(law, cfg, image),
+                                  elapsed=time.monotonic() - t0)
+
+    ground = pipelines._Ground(scope, k, a)
     swept = [0] * (N + 1)
     for w in range(N + 1):
-        for cfg in _scope_ground(scope, k, a, w):
-            out = _scope_involute(scope, cfg, k, a)
+        seen = set()        # partners whose orbit is already checked
+        for cfg in ground.pairs(w):
+            if cfg in seen:
+                continue
+            try:
+                out = _scope_involute(scope, cfg, k, a)
+            except (ConsistencyError, ParameterError):
+                return fail("map", cfg, None)
             if isinstance(out, FixedPoint):
                 swept[w] += -1 if len(cfg[0]) % 2 else 1
                 continue
             if sum(out[0]) + sum(out[1]) != w:
-                return VerificationReport(
-                    ident, (k, a), N, "fail",
-                    counterexample=("weight", cfg, out),
-                    elapsed=time.monotonic() - t0)
+                return fail("weight", cfg, out)
             if (len(cfg[0]) + len(out[0])) % 2 == 0:
-                return VerificationReport(
-                    ident, (k, a), N, "fail",
-                    counterexample=("sign", cfg, out),
-                    elapsed=time.monotonic() - t0)
-            back = _scope_involute(scope, out, k, a)
+                return fail("sign", cfg, out)
+            try:
+                back = _scope_involute(scope, out, k, a)
+            except (ConsistencyError, ParameterError):
+                return fail("map", out, None)
             if back != cfg:
-                return VerificationReport(
-                    ident, (k, a), N, "fail",
-                    counterexample=("involution", cfg, out),
-                    elapsed=time.monotonic() - t0)
+                return fail("involution", cfg, out)
+            # out's own laws are these three facts read from its side
+            seen.add(out)
     got = TruncatedSeries(swept)
     for want in _scope_fixed_series(scope, k, a, N):
         n = series.first_discrepancy(got, want)

@@ -16,6 +16,8 @@ adjacent part sizes, which is what the counting DP below uses.
 
 from __future__ import annotations
 
+import os
+
 FAMILIES = ("A", "B", "W", "Wbar")
 
 # which part sizes are forced to even multiplicity, per family
@@ -32,6 +34,15 @@ def check_params(k: int, a: int) -> None:
         raise ParameterError("k must be >= 2, got %r" % (k,))
     if not 1 <= a <= k:
         raise ParameterError("need 1 <= a <= k, got a=%r k=%r" % (a, k))
+
+
+def sweep_cap() -> int:
+    """Weight cap for exhaustive sweeps: RRG_MAX_SWEEP, or 30 when it is
+    unset or not an integer."""
+    try:
+        return int(os.environ.get("RRG_MAX_SWEEP", "30"))
+    except ValueError:
+        return 30
 
 
 def weight(parts) -> int:
@@ -58,7 +69,7 @@ def _gordon_ok(parts, k, a):
     for i in range(m - k + 1):
         if parts[i] - parts[i + k - 1] < 2:
             return False
-    return sum(1 for p in parts if p == 1) <= a - 1
+    return parts.count(1) <= a - 1
 
 
 def satisfies_parity(parts, mode: str) -> bool:

@@ -32,20 +32,21 @@ series times a fixed product factor.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from typing import NamedTuple
 
 from . import partitions, series
-from .gordon import (ConsistencyError, FixedPoint, _involute_k1,
-                     gordon_fixed_point, involute_gordon)
+from .gordon import (ConsistencyError, FixedPoint, _involute, _involute_k1,
+                     gordon_fixed_point)
 from .partitions import ParameterError
 from .series import TruncatedSeries
 
 PIPELINES = ("EE", "OO", "OE")
 
-_B_FAMILY = {"EE": "W", "OO": "W", "OE": "Wbar"}
-_A_PARITY = {"EE": None, "OO": "even", "OE": "even"}
+# (parity of the distinct parts of A, family of B) of each ground set;
+# "gordon" is the Gordon map's P_{k,a}, which the law sweeps stream alike
+_GROUND = {"gordon": (None, "B"), "EE": (None, "W"), "OO": ("even", "W"),
+           "OE": ("even", "Wbar")}
 # parity of the unpaired single parts left by the merge step
 _LEFTOVER_PARITY = {"EE": 1, "OO": 1, "OE": 0}
 # middle parts of this residue mod 4 may split into two equal halves
@@ -111,7 +112,8 @@ def in_ground(pair, pipeline: str, k: int, a: int) -> bool:
 
 def _ground_valid(pair, pipeline, k, a):
     A, B = pair
-    even_only = _A_PARITY[pipeline] == "even"
+    parity, family = _GROUND[pipeline]
+    even_only = parity == "even"
     prev = None
     for x in A:
         if x <= 0 or (prev is not None and x >= prev):
@@ -119,9 +121,9 @@ def _ground_valid(pair, pipeline, k, a):
         if even_only and x % 2:
             return False
         prev = x
-    if not partitions.is_gordon(B, k, a):
+    if not partitions._gordon_ok(B, k, a):
         return False
-    return partitions.satisfies_parity(B, partitions._PARITY_MODE[_B_FAMILY[pipeline]])
+    return partitions.satisfies_parity(B, partitions._PARITY_MODE[family])
 
 
 def _require_ground(pair, pipeline, k, a):
@@ -130,23 +132,39 @@ def _require_ground(pair, pipeline, k, a):
                              % (pipeline, k, a, pair))
 
 
+class _Ground:
+    """Weight classes of one ground set, streamed from the distinct-part
+    lists of A and the family lists of B, each weight of which is
+    enumerated once, on first use."""
+
+    def __init__(self, scope, k, a):
+        self.parity, self.family = _GROUND[scope]
+        self.k, self.a = k, a
+        self.As, self.Bs = {}, {}
+
+    def pairs(self, w):
+        """The pairs of weight w, A-weight descending."""
+        for wa in range(w, -1, -1):
+            As = self.As.get(wa)
+            if As is None:
+                As = self.As[wa] = partitions.enumerate_distinct(wa, self.parity)
+            if not As:
+                continue
+            Bs = self.Bs.get(w - wa)
+            if Bs is None:
+                Bs = self.Bs[w - wa] = partitions.enumerate_family(
+                    self.family, self.k, self.a, w - wa)
+            for A in As:
+                for B in Bs:
+                    yield (A, B)
+
+
 def enumerate_ground(pipeline: str, k: int, a: int, n: int):
     """All ground-set pairs of weight exactly n, A-weight descending."""
     check_pipeline(pipeline, k, a)
     if n < 0:
         raise ParameterError("n must be >= 0, got %r" % (n,))
-    fam = _B_FAMILY[pipeline]
-    par = _A_PARITY[pipeline]
-    out = []
-    for wa in range(n, -1, -1):
-        As = partitions.enumerate_distinct(wa, par)
-        if not As:
-            continue
-        Bs = partitions.enumerate_family(fam, k, a, n - wa)
-        for A in As:
-            for B in Bs:
-                out.append((A, B))
-    return out
+    return list(_Ground(pipeline, k, a).pairs(n))
 
 
 # ------------------------------------------------------------ triple coding
@@ -547,7 +565,10 @@ def _sector_image(t, pipeline, k, a):
     if kk >= 2:
         if aa < 1 or not partitions._gordon_ok(Bh, kk, aa):
             return None
-        out = involute_gordon((Ah, Bh), kk, aa)
+        # the kernel may trust (Ah, Bh): A is a ground-set A with even
+        # parts, so Ah is strictly decreasing and positive, and Bh has
+        # just passed the family test at 1 <= aa <= kk
+        out = _involute(Ah, Bh, kk, aa)
     else:
         if Bh != ():
             return None
@@ -715,14 +736,6 @@ def _carry_candidates(state):
                     yield (A2, _brepl(B, (), (v,)))
 
 
-def _match_cap():
-    try:
-        cap = int(os.environ.get("RRG_MAX_SWEEP", "30"))
-    except ValueError:
-        cap = 30
-    return max(cap, 30)
-
-
 class _Flow:
     """Routing state for one (pipeline, k, a): a route cache, plus a
     per-weight maximum matching over the carry moves for the residue the
@@ -756,7 +769,7 @@ class _Flow:
     def _match_weight(self, w):
         if w in self.matched_weights:
             return
-        if w > _match_cap():
+        if w > max(partitions.sweep_cap(), 30):
             raise ConsistencyError(
                 "pairing the weight-%d residue needs its full weight class; "
                 "set RRG_MAX_SWEEP to at least %d to allow it" % (w, w))

@@ -132,6 +132,23 @@ def test_verify_law_counterexample_reported(capsys, monkeypatch):
     assert set(obj["counterexample"]["config"]) == {"A", "B"}
 
 
+def test_verify_map_failure_reported(capsys):
+    # the OO (3, 3) map raises on ((8, 6, 4), (3,)) at weight 21
+    argv = ("verify", "--scope", "oo", "--k", "3", "--a", "3",
+            "--truncate", "21")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["status"] == "fail"
+    assert obj["counterexample"] == {"law": "map",
+                                     "config": {"A": [8, 6, 4], "B": [3]},
+                                     "image": None}
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 1
+    assert out.splitlines()[1] == ("map law fails at 8,6,4;3: the map "
+                                   "raised, no image")
+
+
 def test_verify_needs_identity_xor_scope(capsys):
     code, _, err = run(capsys, "verify", "--k", "2", "--a", "2",
                        "--truncate", "10")

@@ -4,7 +4,7 @@ laws-imply-identity meta-test."""
 
 import pytest
 
-from qgordon import harness, series
+from qgordon import harness, partitions, series
 from qgordon.gordon import ConsistencyError, FixedPoint
 from qgordon.harness import (
     IDENTITIES,
@@ -118,6 +118,121 @@ def test_involution_laws_series_failure(monkeypatch):
     assert r.status == "fail"
     assert r.counterexample is None
     assert r.first_discrepancy[0] == 5
+
+
+def _four_call_sweep(k, a, N, involute):
+    """The first law counterexample of a Gordon sweep that maps every
+    configuration and maps its image back, partners included."""
+    for w in range(N + 1):
+        for cfg in harness._scope_ground("gordon", k, a, w):
+            out = involute(cfg, k, a)
+            if isinstance(out, FixedPoint):
+                continue
+            if sum(out[0]) + sum(out[1]) != w:
+                return ("weight", cfg, out)
+            if (len(cfg[0]) + len(out[0])) % 2 == 0:
+                return ("sign", cfg, out)
+            if involute(out, k, a) != cfg:
+                return ("involution", cfg, out)
+    return None
+
+
+def _first_partners(k, a, w):
+    """(cfg, partner) of the first configuration of weight w in sweep
+    order that has a partner."""
+    for cfg in harness._scope_ground("gordon", k, a, w):
+        out = harness.involute_gordon(cfg, k, a)
+        if not isinstance(out, FixedPoint):
+            return cfg, out
+    raise AssertionError("weight %d has no partners" % w)
+
+
+def test_sweep_maps_each_configuration_once(monkeypatch):
+    k, a, N = 3, 3, 12
+    # ground-set sizes from counting DPs, not from the sweep's enumerator
+    distinct = [1] + [0] * N
+    for part in range(1, N + 1):
+        for w in range(N, part - 1, -1):
+            distinct[w] += distinct[w - part]
+    family = partitions.family_counts("B", k, a, N)
+    configs = sum(distinct[j] * family[w - j]
+                  for w in range(N + 1) for j in range(w + 1))
+    calls = []
+    real = harness.involute_gordon
+
+    def counted(pair, k, a):
+        calls.append(pair)
+        return real(pair, k, a)
+
+    monkeypatch.setattr(harness, "involute_gordon", counted)
+    assert check_involution_laws("gordon", k, a, N).passed
+    assert len(calls) == configs
+    assert len(set(calls)) == configs
+
+
+def test_broken_return_trip_reported_where_four_calls_would(monkeypatch):
+    k, a = 3, 3
+    real = harness.involute_gordon
+    cfg, partner = _first_partners(k, a, 9)
+
+    def broken(pair, k, a):
+        # partner maps to itself; cfg still maps to partner
+        return pair if pair == partner else real(pair, k, a)
+
+    monkeypatch.setattr(harness, "involute_gordon", broken)
+    r = check_involution_laws("gordon", k, a, 11)
+    assert r.status == "fail"
+    assert r.counterexample == ("involution", cfg, partner)
+    assert r.counterexample == _four_call_sweep(k, a, 11, broken)
+
+
+def test_weight_changing_map_reported(monkeypatch):
+    k, a = 3, 2
+    real = harness.involute_gordon
+
+    def heavier(pair, k, a):
+        out = real(pair, k, a)
+        if isinstance(out, FixedPoint) or sum(pair[0]) + sum(pair[1]) < 7:
+            return out
+        return (out[0], out[1] + (1,))
+
+    monkeypatch.setattr(harness, "involute_gordon", heavier)
+    r = check_involution_laws("gordon", k, a, 10)
+    assert r.status == "fail" and r.counterexample[0] == "weight"
+    assert sum(map(sum, r.counterexample[1])) == 7
+    assert r.counterexample == _four_call_sweep(k, a, 10, heavier)
+
+
+def test_raising_map_is_a_failing_report():
+    # the OO (3, 3) matching leaves this weight-21 pair without a partner
+    r = check_involution_laws("OO", 3, 3, 21)
+    assert r.status == "fail"
+    assert r.counterexample == ("map", ((8, 6, 4), (3,)), None)
+    assert r.first_discrepancy is None
+
+
+def test_map_raising_on_its_image_is_reported(monkeypatch):
+    k, a = 3, 3
+    real = harness.involute_gordon
+    cfg, partner = _first_partners(k, a, 8)
+    outside = (partner[0], partner[1] + (0,))    # B gains a zero part
+
+    def leaky(pair, k, a):
+        return outside if pair == cfg else real(pair, k, a)
+
+    monkeypatch.setattr(harness, "involute_gordon", leaky)
+    r = check_involution_laws("gordon", k, a, 9)
+    assert r.status == "fail"
+    assert r.counterexample == ("map", outside, None)
+
+    def raising(pair, k, a):
+        if pair == partner:
+            raise ConsistencyError("no partner for %r" % (pair,))
+        return real(pair, k, a)
+
+    monkeypatch.setattr(harness, "involute_gordon", raising)
+    r = check_involution_laws("gordon", k, a, 9)
+    assert r.counterexample == ("map", partner, None)
 
 
 def test_sweep_cap(monkeypatch):

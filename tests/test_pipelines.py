@@ -75,8 +75,7 @@ def test_ground_membership():
 def test_enumerate_ground_counts():
     # sizes factor: distinct-A count times the B-family count
     for pl, k, a in GRID:
-        fam = pipelines._B_FAMILY[pl]
-        par = pipelines._A_PARITY[pl]
+        par, fam = pipelines._GROUND[pl]
         for w in range(8):
             got = len(enumerate_ground(pl, k, a, w))
             want = sum(
@@ -286,7 +285,7 @@ def test_involution_laws_swept():
         assert series.TruncatedSeries(fixed) == want
         # signed ground-set sum collapses to the same series
         par = series.poch_inf(1, 1, W) if pl == "EE" else series.poch_inf(2, 2, W)
-        fam = series.family_gf(pipelines._B_FAMILY[pl], k, a, W)
+        fam = series.family_gf(pipelines._GROUND[pl][1], k, a, W)
         assert series.mul(par, fam) == want
 
 
