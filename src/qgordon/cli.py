@@ -4,8 +4,9 @@ involutions, with deterministic machine-readable output.
 
 Exit status: 0 on success (verification passed), 1 when a verification
 ran and failed, 2 on usage errors, invalid parameters, or malformed
-input.  The json format is the stable surface; text and csv are for
-reading and spreadsheets."""
+input, 3 on an internal error (a map that cannot pair a configuration),
+reported as one error line and one reproducer line.  The json format is
+the stable surface; text and csv are for reading and spreadsheets."""
 
 from __future__ import annotations
 
@@ -13,10 +14,11 @@ import argparse
 import csv
 import io
 import json
+import shlex
 import sys
 
 from . import harness, partitions, pipelines
-from .gordon import FixedPoint, gordon_fixed_point
+from .gordon import ConsistencyError, gordon_fixed_point
 from .partitions import ParameterError
 
 _IDENTITY_TOKENS = {
@@ -101,8 +103,7 @@ def _cmd_count(args):
     N = args.truncate
     if N < 0:
         raise ParameterError("--truncate must be >= 0, got %r" % (N,))
-    counts = [partitions.count_family(args.family, args.k, args.a, n)
-              for n in range(N + 1)]
+    counts = partitions.family_counts(args.family, args.k, args.a, N)
     if args.format == "json":
         _emit_json({"family": args.family, "k": args.k, "a": args.a,
                     "truncation": N, "counts": counts})
@@ -332,6 +333,12 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        if argv is None:
+            argv = sys.argv[1:]
+        print("error: %s" % exc, file=sys.stderr)
+        print("qgordon %s" % shlex.join(argv), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

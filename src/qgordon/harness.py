@@ -79,11 +79,10 @@ def _identity_sides(identity, k, a, N, mode):
     the default mode and with invert_unit in the secondary one."""
     p = series.poch_inf
     if identity == "rrg_counts":
-        lhs = TruncatedSeries([partitions.count_family("A", k, a, n)
+        # the B side enumerates, so it stays independent of the DPs
+        rhs = TruncatedSeries([len(partitions.enumerate_family("B", k, a, n))
                                for n in range(N + 1)])
-        rhs = TruncatedSeries([partitions.count_family("B", k, a, n)
-                               for n in range(N + 1)])
-        return lhs, rhs
+        return series.family_gf("A", k, a, N), rhs
     if identity == "ebf":
         theta = series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N)
         if mode == "invert":

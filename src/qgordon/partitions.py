@@ -17,6 +17,7 @@ adjacent part sizes, which is what the counting DP below uses.
 from __future__ import annotations
 
 import os
+from operator import add
 
 FAMILIES = ("A", "B", "W", "Wbar")
 
@@ -38,11 +39,13 @@ def check_params(k: int, a: int) -> None:
 
 def sweep_cap() -> int:
     """Weight cap for exhaustive sweeps: RRG_MAX_SWEEP, or 30 when it is
-    unset or not an integer."""
+    unset.  A value that is not an integer is a ParameterError."""
+    value = os.environ.get("RRG_MAX_SWEEP", "30")
     try:
-        return int(os.environ.get("RRG_MAX_SWEEP", "30"))
+        return int(value)
     except ValueError:
-        return 30
+        raise ParameterError("RRG_MAX_SWEEP must be an integer, got %r"
+                             % (value,)) from None
 
 
 def weight(parts) -> int:
@@ -175,71 +178,79 @@ def enumerate_distinct(n: int, part_parity: str | None = None):
     return out
 
 
+def _inv_one_minus(c, s):
+    """c *= 1/(1 - q^s) in place, truncated at len(c) - 1: each block of
+    s weights adds the block below it, which is already final."""
+    for lo in range(s, len(c), s):
+        c[lo:lo + s] = map(add, c[lo:lo + s], c[lo - s:lo])
+
+
+def _avoiding_counts(forbidden, modulus, limit):
+    """Partitions of 0..limit into parts whose residue mod ``modulus`` is
+    not in ``forbidden``: the restricted-parts DP, one division by
+    (1 - q^s) per allowed part size s."""
+    dp = [1] + [0] * limit
+    for s in range(1, limit + 1):
+        if s % modulus not in forbidden:
+            _inv_one_minus(dp, s)
+    return dp
+
+
 def family_counts(family: str, k: int, a: int, limit: int):
     """Counts of family members at every weight 0..limit, one DP pass.
 
-    For "A" this is the classic restricted-parts DP.  For the other
-    families it runs over part sizes from high to low, carrying the
-    multiplicity of the previous size, since the window condition only
-    couples adjacent sizes (f_j + f_{j+1} <= k-1) and the parity filter
-    is per size.
+    For "A" this is the restricted-parts DP.  For the other families it
+    runs over part sizes from high to low, carrying the multiplicity of
+    the previous size, since the window condition only couples adjacent
+    sizes (f_j + f_{j+1} <= k-1) and the parity filter is per size.
+    Each step works on whole weight rows: the row of multiplicity f at
+    size s is the sum of the rows whose previous multiplicity is at most
+    k-1-f, shifted up by f*s.
     """
     check_params(k, a)
     if limit < 0:
         raise ParameterError("limit must be >= 0, got %r" % (limit,))
     if family == "A":
         modulus = 2 * k + 1
-        forbidden = {0, a % modulus, (modulus - a) % modulus}
-        dp = [0] * (limit + 1)
-        dp[0] = 1
-        for s in range(1, limit + 1):
-            if s % modulus in forbidden:
-                continue
-            for w in range(s, limit + 1):
-                dp[w] += dp[w - s]
-        return dp
+        return _avoiding_counts({0, a % modulus, (modulus - a) % modulus},
+                                modulus, limit)
     if family not in _PARITY_MODE:
         raise ParameterError("unknown family %r" % (family,))
     mode = _PARITY_MODE[family]
+    width = limit + 1
+    zero = [0] * width
     # cur[c][w]: assignments of multiplicities to sizes > s with the size
-    # s+1 multiplicity equal to c and weight w so far
-    cur = [[0] * (limit + 1) for _ in range(k)]
-    cur[0][0] = 1
+    # s+1 multiplicity equal to c and weight w so far; rows are never
+    # mutated, so they may be shared
+    cur = [[1] + [0] * limit] + [zero] * (k - 1)
     for s in range(limit, 0, -1):
-        nxt = [[0] * (limit + 1) for _ in range(k)]
-        for c in range(k):
-            row = cur[c]
-            for w in range(limit + 1):
-                ways = row[w]
-                if not ways:
-                    continue
-                top = k - 1 - c
-                if s == 1:
-                    top = min(top, a - 1)
-                for f in range(top + 1):
-                    if f % 2 == 1 and _needs_even(s, mode):
-                        continue
-                    w2 = w + f * s
-                    if w2 > limit:
-                        break
-                    nxt[f][w2] += ways
+        # pre[m][w]: the same, summed over size s+1 multiplicities c <= m
+        pre = [cur[0]]
+        for row in cur[1:]:
+            pre.append(pre[-1] if row is zero
+                       else list(map(add, pre[-1], row)))
+        top = k - 1 if s > 1 else a - 1
+        odd_ok = not _needs_even(s, mode)
+        nxt = [pre[k - 1]]
+        for f in range(1, k):
+            shift = f * s
+            if f > top or shift > limit or (f % 2 and not odd_ok):
+                nxt.append(zero)
+            else:
+                nxt.append([0] * shift + pre[k - 1 - f][:width - shift])
         cur = nxt
-    counts = [0] * (limit + 1)
-    for c in range(k):
-        for w in range(limit + 1):
-            counts[w] += cur[c][w]
+    counts = cur[0]
+    for row in cur[1:]:
+        if row is not zero:
+            counts = list(map(add, counts, row))
     return counts
 
 
 def count_family(family: str, k: int, a: int, n: int) -> int:
-    """Number of weight-n members of the family.
-
-    Family "A" is counted by dynamic programming over allowed part
-    sizes; the others by enumeration (the DP in family_counts agrees and
-    is what the series layer uses)."""
+    """Number of weight-n members of the family, from the counting DP in
+    family_counts.  The enumerator is not used, so a check that counts
+    enumerate_family's output stays independent of this."""
     check_params(k, a)
     if n < 0:
         raise ParameterError("n must be >= 0, got %r" % (n,))
-    if family == "A":
-        return family_counts("A", k, a, n)[n]
-    return len(enumerate_family(family, k, a, n))
+    return family_counts(family, k, a, n)[n]

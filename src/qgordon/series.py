@@ -9,7 +9,7 @@ denominators are checked in cross-multiplied form.
 
 from __future__ import annotations
 
-from math import isqrt
+from operator import add
 
 from . import partitions
 
@@ -94,17 +94,21 @@ class TruncatedSeries:
         if isinstance(other, int):
             return TruncatedSeries([other * x for x in self.coeffs])
         other = self._match(other)
-        n = self.truncation
         a, b = self.coeffs, other.coeffs
-        out = [0] * (n + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return TruncatedSeries(out)
+        n = len(a)
+        # Kronecker substitution: evaluate both sides at q = X = 2^(8*nb),
+        # multiply the two ints once, and read the product's slots back.
+        # A slot holds |c_i| <= n*max|a|*max|b| < X/2 with room to spare.
+        nb = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+              + n.bit_length() + 2 + 7) // 8
+        half = 1 << (8 * nb - 1)
+        # adding X/2 to every slot keeps each digit in [0, X) with no
+        # borrow between slots, so it unpacks as c_i + X/2
+        bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+        prod = (_pack(a, nb) * _pack(b, nb) + bias) & ((1 << (8 * nb * n)) - 1)
+        raw = prod.to_bytes(nb * n, "little")
+        return TruncatedSeries([int.from_bytes(raw[i:i + nb], "little") - half
+                                for i in range(0, nb * n, nb)])
 
     __rmul__ = __mul__
 
@@ -138,6 +142,14 @@ class TruncatedSeries:
                 break
         body = " ".join(terms) if terms else "0"
         return "<TruncatedSeries N=%d %s>" % (self.truncation, body)
+
+
+def _pack(coeffs, nb):
+    """sum c_i X^i at X = 2^(8*nb) for slots wide enough for every |c_i|:
+    the positive coefficients minus the negated negative ones."""
+    pos = b"".join([(c if c > 0 else 0).to_bytes(nb, "little") for c in coeffs])
+    neg = b"".join([(-c if c < 0 else 0).to_bytes(nb, "little") for c in coeffs])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def mul(s, t):
@@ -212,25 +224,10 @@ def restricted_gf(forbidden_residues, modulus, N):
     residue classes mod ``modulus``, truncated at N."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     forbidden = {r % modulus for r in forbidden_residues}
-    dp = [0] * (N + 1)
-    dp[0] = 1
-    for s in range(1, N + 1):
-        if s % modulus in forbidden:
-            continue
-        for w in range(s, N + 1):
-            dp[w] += dp[w - s]
-    return TruncatedSeries(dp)
-
-
-def _inv_poch_finite(n, N):
-    # 1/(q;q)_n: partitions into parts of size <= n, truncated at N
-    dp = [0] * (N + 1)
-    dp[0] = 1
-    for s in range(1, n + 1):
-        for w in range(s, N + 1):
-            dp[w] += dp[w - s]
-    return dp
+    return TruncatedSeries(partitions._avoiding_counts(forbidden, modulus, N))
 
 
 def multisum_rrg(k, a, N):
@@ -240,20 +237,19 @@ def multisum_rrg(k, a, N):
             / ((q;q)_{n_1} ... (q;q)_{n_{k-1}})
 
     over n_1, ..., n_{k-1} >= 0, where N_j = n_j + n_{j+1} + ... + n_{k-1},
-    truncated at N.  The quadratic exponent bounds the summation."""
+    truncated at N.  The quadratic exponent bounds the summation.  Along
+    each n_j the running product is divided by (1 - q^{n_j}) once per
+    step, and it is kept only to the degree its final exponent leaves."""
     partitions.check_params(k, a)
     if N < 0:
         raise ValueError("N must be >= 0")
-    max_n = isqrt(N)
-    inv = [_inv_poch_finite(n, N) for n in range(max_n + 1)]
     acc = [0] * (N + 1)
 
     def rec(j, n_above, exponent, prod):
-        # j runs k-1 down to 1; n_above = N_{j+1}
+        # j runs k-1 down to 1; n_above = N_{j+1}; prod is the product
+        # of 1/(q;q)_{n_i} over i > j, through at least q^(N - exponent)
         if j == 0:
-            for e in range(N + 1 - exponent):
-                if prod[e]:
-                    acc[exponent + e] += prod[e]
+            acc[exponent:] = map(add, acc[exponent:], prod)
             return
         nj = 0
         while True:
@@ -261,22 +257,13 @@ def multisum_rrg(k, a, N):
             e2 = exponent + Nj * Nj + (Nj if j >= a else 0)
             if e2 > N:
                 break
-            if nj == 0:
-                rec(j - 1, Nj, e2, prod)
-            else:
-                step = inv[nj]
-                new = [0] * (N + 1)
-                for i, pi in enumerate(prod):
-                    if pi:
-                        for jj in range(N + 1 - i):
-                            if step[jj]:
-                                new[i + jj] += pi * step[jj]
-                rec(j - 1, Nj, e2, new)
+            if nj:
+                prod = prod[:N + 1 - e2]
+                partitions._inv_one_minus(prod, nj)
+            rec(j - 1, Nj, e2, prod)
             nj += 1
 
-    one = [0] * (N + 1)
-    one[0] = 1
-    rec(k - 1, 0, 0, one)
+    rec(k - 1, 0, 0, [1] + [0] * N)
     return TruncatedSeries(acc)
 
 

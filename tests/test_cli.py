@@ -149,6 +149,31 @@ def test_verify_map_failure_reported(capsys):
                                    "raised, no image")
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace", "--scope", "oe", "--k", "3", "--a", "2", "--pair", "32;"),
+    ("trace", "--scope", "oo", "--k", "3", "--a", "3", "--pair", "8,6,4;3"),
+])
+def test_internal_error_exits_3(capsys, argv):
+    # pipeline pairs the maps cannot pair yet: an internal error, not a
+    # failed verification (1) and not a traceback
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("error: ")
+    assert lines[1] == ("qgordon trace --scope %s --k 3 --a %s --pair '%s' "
+                        "--format json" % (argv[2], argv[6], argv[8]))
+
+
+def test_malformed_sweep_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("RRG_MAX_SWEEP", "thirty")
+    code, out, err = run(capsys, "verify", "--scope", "gordon", "--k", "2",
+                         "--a", "2", "--truncate", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "RRG_MAX_SWEEP" in err
+
+
 def test_verify_needs_identity_xor_scope(capsys):
     code, _, err = run(capsys, "verify", "--k", "2", "--a", "2",
                        "--truncate", "10")

@@ -242,7 +242,8 @@ def test_sweep_cap(monkeypatch):
     monkeypatch.setenv("RRG_MAX_SWEEP", "34")
     assert sweep_cap() == 34
     monkeypatch.setenv("RRG_MAX_SWEEP", "not a number")
-    assert sweep_cap() == 30
+    with pytest.raises(ParameterError, match="RRG_MAX_SWEEP"):
+        sweep_cap()
 
 
 def test_trace_orbit_fixtures():

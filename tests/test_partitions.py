@@ -60,6 +60,40 @@ def brute_count_a(k, a, n):
     return total
 
 
+def triple_loop_counts(family, k, a, limit):
+    """The counting DP one weight at a time: a loop over multiplicity c
+    of the size above, weight w and multiplicity f of the current size
+    (test oracle for the whole-row DP)."""
+    if family == "A":
+        modulus = 2 * k + 1
+        banned = {0, a % modulus, (modulus - a) % modulus}
+        dp = [1] + [0] * limit
+        for s in range(1, limit + 1):
+            if s % modulus not in banned:
+                for w in range(s, limit + 1):
+                    dp[w] += dp[w - s]
+        return dp
+    even_parity = {"B": None, "W": 0, "Wbar": 1}[family]
+    cur = [[0] * (limit + 1) for _ in range(k)]
+    cur[0][0] = 1
+    for s in range(limit, 0, -1):
+        nxt = [[0] * (limit + 1) for _ in range(k)]
+        for c in range(k):
+            for w in range(limit + 1):
+                ways = cur[c][w]
+                if not ways:
+                    continue
+                top = k - 1 - c if s > 1 else min(k - 1 - c, a - 1)
+                for f in range(top + 1):
+                    if f % 2 == 1 and s % 2 == even_parity:
+                        continue
+                    if w + f * s > limit:
+                        break
+                    nxt[f][w + f * s] += ways
+        cur = nxt
+    return [sum(cur[c][w] for c in range(k)) for w in range(limit + 1)]
+
+
 def test_is_gordon_fixed_cases():
     assert partitions.is_gordon((3, 1, 1), 3, 3)
     assert not partitions.is_gordon((2, 2, 1), 3, 3)
@@ -123,6 +157,26 @@ def test_counts_match_enumeration_and_dp():
                 for n in range(15):
                     assert counts[n] == len(brute_family(family, k, a, n))
                     assert partitions.count_family(family, k, a, n) == counts[n]
+
+
+@pytest.mark.parametrize("family", partitions.FAMILIES)
+def test_family_counts_match_triple_loop(family):
+    for k in range(2, 7):
+        for a in range(1, k + 1):
+            for limit in (0, 1, 2, 7, 97):
+                got = partitions.family_counts(family, k, a, limit)
+                want = triple_loop_counts(family, k, a, limit)
+                assert got == want, (family, k, a, limit)
+
+
+def test_count_family_uses_the_dp(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("count_family enumerated")
+
+    monkeypatch.setattr(partitions, "enumerate_family", no_enumeration)
+    for family in partitions.FAMILIES:
+        counts = partitions.family_counts(family, 5, 3, 40)
+        assert partitions.count_family(family, 5, 3, 40) == counts[40]
 
 
 def test_count_a_against_bruteforce():

@@ -50,6 +50,48 @@ def test_mul_fixed_cases():
     assert s * TruncatedSeries.one(4) == s
 
 
+def schoolbook(a, b):
+    """Truncated Cauchy product, term by term (test oracle)."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += x * b[j]
+    return out
+
+
+big = st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+
+
+@st.composite
+def operand_pairs(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    elements = draw(st.sampled_from(
+        [st.just(0), st.integers(-9, 9), big,
+         st.one_of(st.just(0), big)]))
+    a = draw(st.lists(elements, min_size=n + 1, max_size=n + 1))
+    b = draw(st.lists(elements, min_size=n + 1, max_size=n + 1))
+    return a, b
+
+
+@settings(max_examples=200)
+@given(operand_pairs(), big)
+def test_mul_matches_schoolbook(pair, scalar):
+    a, b = pair
+    s, t = TruncatedSeries(a), TruncatedSeries(b)
+    assert coeffs(s * t) == schoolbook(a, b)
+    assert coeffs(scalar * s) == [scalar * x for x in a]
+    assert coeffs(s * scalar) == [scalar * x for x in a]
+
+
+def test_mul_extreme_operands():
+    for n in (0, 1, 40):
+        zero = TruncatedSeries.zero(n)
+        top = TruncatedSeries([-10 ** 40] * (n + 1))
+        assert (zero * top).is_zero() and (top * zero).is_zero()
+        assert coeffs(top * top) == schoolbook(top.coeffs, top.coeffs)
+        assert coeffs(top * -top) == [-c for c in coeffs(top * top)]
+
+
 def test_mul_truncation_mismatch():
     with pytest.raises(ValueError):
         TruncatedSeries([1, 1]) * TruncatedSeries([1, 1, 1])
@@ -147,6 +189,18 @@ def test_theta_matches_triple_product():
 def test_restricted_gf():
     assert coeffs(series.restricted_gf({0, 2, 3}, 5, 4)) == [1, 1, 1, 1, 2]
     assert series.restricted_gf(set(), 1, 0) == TruncatedSeries.one(0)
+    # modulus 1: every part is forbidden, or none is
+    assert series.restricted_gf({0}, 1, 9) == TruncatedSeries.one(9)
+    assert series.restricted_gf({5}, 1, 9) == TruncatedSeries.one(9)
+    assert coeffs(series.restricted_gf(set(), 1, 12)) == [brute_p(n) for n in range(13)]
+    # no forbidden residue: all partitions, for any modulus
+    for modulus in (1, 2, 7):
+        assert coeffs(series.restricted_gf([], modulus, 12)) == [
+            brute_p(n) for n in range(13)]
+    with pytest.raises(ValueError):
+        series.restricted_gf(set(), 0, 5)
+    with pytest.raises(ValueError):
+        series.restricted_gf(set(), 3, -1)
     s = series.restricted_gf({0, 3, 4}, 7, 5)
     assert s.coefficient(5) == 4
     assert s.coefficient(5) == partitions.count_family("A", 3, 3, 5)
@@ -157,15 +211,21 @@ def test_multisum_fixed_cases():
     s = series.multisum_rrg(2, 1, 2)
     assert s.coefficient(0) == 1
     assert s.coefficient(1) == 0
-    assert series.multisum_rrg(4, 3, 0) == TruncatedSeries.one(0)
+    for k in range(2, 6):
+        for a in range(1, k + 1):
+            assert series.multisum_rrg(k, a, 0) == TruncatedSeries.one(0)
+            # q^1 needs n_1 = 1 and the others 0; for a = 1 the linear
+            # term N_1 pushes that term to q^2
+            want = [1, 1 if a > 1 else 0]
+            assert coeffs(series.multisum_rrg(k, a, 1)) == want, (k, a)
 
 
 def test_multisum_equals_family_gf():
-    for k in (2, 3, 4):
+    for k in range(2, 6):
         for a in range(1, k + 1):
-            ms = series.multisum_rrg(k, a, 18)
-            assert ms == series.family_gf("A", k, a, 18), (k, a)
-            assert ms == series.family_gf("B", k, a, 18), (k, a)
+            ms = series.multisum_rrg(k, a, 60)
+            assert ms == series.family_gf("A", k, a, 60), (k, a)
+            assert ms == series.family_gf("B", k, a, 60), (k, a)
 
 
 def test_family_gf_fixed_cases():
