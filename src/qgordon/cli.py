@@ -215,31 +215,22 @@ def _fixed_rows(scope, k, a, max_weight):
     if max_weight < 0:
         raise ParameterError("--max-weight must be >= 0, got %r"
                              % (max_weight,))
-    rows = []
-    if scope == "gordon":
-        partitions.check_params(k, a)
-        rows.append((0, 0, 0, ((), ())))
-        for family in (1, 2):
-            n = 1
-            while True:
-                pair = gordon_fixed_point(family, n, k, a)
-                w = sum(pair[0]) + sum(pair[1])
-                if w > max_weight:
-                    break
-                rows.append((family, n, w, pair))
-                n += 1
-    else:
-        pipelines.check_pipeline(scope, k, a)
-        rows.append((0, 0, 0, ((), (), (), ())))
-        for family in (1, 2):
-            n = 1
-            while True:
-                t = pipelines.pipeline_fixed_triple(scope, family, n, k, a)
-                w = pipelines.triple_weight(t)
-                if w > max_weight:
-                    break
-                rows.append((family, n, w, t))
-                n += 1
+
+    def template(family, n):     # validates (k, a) for the scope
+        if scope == "gordon":
+            return gordon_fixed_point(family, n, k, a)
+        return pipelines.pipeline_fixed_triple(scope, family, n, k, a)
+
+    rows = [(0, 0, 0, template(1, 0))]
+    for family in (1, 2):
+        n = 1
+        while True:
+            cfg = template(family, n)
+            w = sum(map(sum, cfg))
+            if w > max_weight:
+                break
+            rows.append((family, n, w, cfg))
+            n += 1
     rows.sort(key=lambda r: (r[2], r[0], r[1]))
     return rows
 

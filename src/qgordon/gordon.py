@@ -283,12 +283,36 @@ def _map_gamma_inv(A, B, n, k):
     return (newA, (A[0],) + newB)
 
 
-def _template_weight(family, n, k, a):
-    lin = 2 * (k - a) + 1
-    quad = 2 * k + 1
-    if family == 1:
-        return (quad * n * n + lin * n) // 2
-    return (quad * n * n - lin * n) // 2
+def _template_weight(alpha, beta, family, n):
+    """Weight (alpha*n^2 + beta*n)/2 of the family-1 template with index
+    n, (alpha*n^2 - beta*n)/2 of the family-2 one: the exponents of the
+    theta series sum_n (-1)^n q^((alpha*n^2 + beta*n)/2)."""
+    lin = beta * n if family == 1 else -beta * n
+    return (alpha * n * n + lin) // 2
+
+
+def _template_gf(alpha, beta, N):
+    """Signed generating function of the empty pair and both template
+    families, sign (-1)^n, built from the template weights."""
+    coeffs = [1] + [0] * N
+    for family in (1, 2):
+        n = 1
+        while (w := _template_weight(alpha, beta, family, n)) <= N:
+            coeffs[w] += -1 if n % 2 else 1
+            n += 1
+    return TruncatedSeries(coeffs)
+
+
+def _fixed_pair(family, n, k, a):
+    """gordon_fixed_point on input it trusts; at k = 1 (where a = 1) B
+    is empty."""
+    if n == 0:
+        return ((), ())
+    top = 2 * n if family == 1 else 2 * n - 1
+    B = []
+    for v in range(top, 0, -1):
+        B.extend([v] * ((k - a) if v % 2 == 0 else (a - 1)))
+    return (tuple(range(top, top - n, -1)), tuple(B))
 
 
 def gordon_fixed_point(family, n, k, a):
@@ -303,31 +327,19 @@ def gordon_fixed_point(family, n, k, a):
         raise ParameterError("n must be >= 0, got %r" % (n,))
     if family not in (1, 2):
         raise ParameterError("family must be 1 or 2, got %r" % (family,))
-    if n == 0:
-        return ((), ())
-    if family == 1:
-        A = tuple(range(2 * n, n, -1))
-        top = 2 * n
-    else:
-        A = tuple(range(2 * n - 1, n - 1, -1))
-        top = 2 * n - 1
-    B = []
-    for v in range(top, 0, -1):
-        mult = (k - a) if v % 2 == 0 else (a - 1)
-        B.extend([v] * mult)
-    return (A, tuple(B))
+    return _fixed_pair(family, n, k, a)
 
 
 def _match_template(pair, k, a):
     """FixedPoint when the pair equals a template of its weight."""
     w = sum(pair[0]) + sum(pair[1])
     if w == 0:
-        return FixedPoint(0, 0)
+        return _EMPTY
+    alpha, beta = 2 * k + 1, 2 * (k - a) + 1
     for family in (1, 2):
         n = 1
-        while _template_weight(family, n, k, a) <= w:
-            if _template_weight(family, n, k, a) == w and \
-                    gordon_fixed_point(family, n, k, a) == pair:
+        while (t := _template_weight(alpha, beta, family, n)) <= w:
+            if t == w and _fixed_pair(family, n, k, a) == pair:
                 return FixedPoint(family, n)
             n += 1
     return None
@@ -385,17 +397,9 @@ def gordon_fixed_gf(k, a, N):
     """Signed generating function of the fixed configurations: the
     empty pair plus both template families, sign (-1)^len(A)."""
     check_params(k, a)
-    coeffs = [0] * (N + 1)
-    coeffs[0] = 1
-    for family in (1, 2):
-        n = 1
-        while True:
-            w = _template_weight(family, n, k, a)
-            if w > N:
-                break
-            coeffs[w] += -1 if n % 2 else 1
-            n += 1
-    return TruncatedSeries(coeffs)
+    if N < 0:
+        raise ParameterError("N must be >= 0, got %r" % (N,))
+    return _template_gf(2 * k + 1, 2 * (k - a) + 1, N)
 
 
 # --- degenerate single-column case (k = 1), used by the parity
@@ -405,33 +409,16 @@ def _involute_k1(pair):
     """Involution on pairs (A | empty): the classic pentagonal-number
     pairing.  Compare the smallest part p with the staircase prefix q;
     the smaller one is peeled off or spread back."""
+    _check_pair(pair, 1, 1)
     A, B = pair
-    if B != ():
-        raise ParameterError("single-column case needs an empty B")
-    for i in range(len(A) - 1):
-        if A[i] <= A[i + 1]:
-            raise ParameterError("A must be strictly decreasing: %r" % (A,))
     if not A:
-        return FixedPoint(0, 0)
-    if A[-1] < 1:
-        raise ParameterError("A must have positive parts: %r" % (A,))
+        return _EMPTY
     p = A[-1]
-    q = _staircase_prefix(A)
-    n = min(p, q)
-    if p == n:
-        out = _map_alpha_inv(A, B, n, 1)
-    else:
-        out = _map_alpha(A, B, n, 1)
+    n = min(p, _staircase_prefix(A))
+    out = _map_alpha_inv(A, B, n, 1) if p == n else _map_alpha(A, B, n, 1)
     if out is not None and _pair_ok(out[0], out[1], 1, 1):
         return out
-    w = sum(A)
-    for family in (1, 2):
-        t = 1
-        while _template_weight(family, t, 1, 1) <= w:
-            if _template_weight(family, t, 1, 1) == w:
-                tmpl = tuple(range(2 * t, t, -1)) if family == 1 else \
-                    tuple(range(2 * t - 1, t - 1, -1))
-                if tmpl == A:
-                    return FixedPoint(family, t)
-            t += 1
-    raise ConsistencyError("invalid single-column state: %r" % (A,))
+    fixed = _match_template(pair, 1, 1)
+    if fixed is None:
+        raise ConsistencyError("invalid single-column state: %r" % (A,))
+    return fixed

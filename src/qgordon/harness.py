@@ -14,8 +14,10 @@ its theta form.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 from . import partitions, pipelines, series
 from .gordon import (ConsistencyError, FixedPoint, Move, UClass, classify,
@@ -23,23 +25,7 @@ from .gordon import (ConsistencyError, FixedPoint, Move, UClass, classify,
 from .partitions import ParameterError, sweep_cap
 from .series import TruncatedSeries
 
-IDENTITIES = (
-    "rrg_counts",     # window counts equal residue-class counts
-    "ebf",            # signed pair sum collapses to a theta series
-    "thm13",          # W family, k and a even
-    "thm14",          # W family, k and a odd
-    "thm15",          # Wbar family, k odd and a even
-    "multisum",       # nested-sum form of the residue-class product
-    "jtp_instance",   # theta series as a triple product
-    "prelude_ee",     # product rearrangement feeding the EE pipeline
-    "prelude_oo",     # the same rearrangement, as used by the OO pipeline
-    "prelude_oe",     # product rearrangement feeding the OE pipeline
-)
-
 SCOPES = ("gordon", "EE", "OO", "OE")
-
-# identities whose (k, a) parameters are ignored
-_PARAMETERLESS = ("prelude_ee", "prelude_oo", "prelude_oe")
 
 
 @dataclass(frozen=True)
@@ -67,76 +53,82 @@ class OrbitTrace:
     fixed: FixedPoint | None = None
 
 
-def _prod3(k, a, N):
-    m = 2 * k + 2
-    return series.mul(
-        series.mul(series.poch_inf(a, m, N), series.poch_inf(m - a, m, N)),
-        series.poch_inf(m, m, N))
+def _poch(N, *factors):
+    """Product of the (sign*q^a; q^m)_inf named by factors (a, m) and
+    (a, m, sign), truncated at N."""
+    return reduce(operator.mul, [series.poch_inf(a, m, N, *sign)
+                                 for a, m, *sign in factors])
+
+
+def _jtp(m, a, N):
+    """(q^a; q^m)_inf (q^(m-a); q^m)_inf (q^m; q^m)_inf"""
+    return _poch(N, (a, m), (m - a, m), (m, m))
+
+
+# product rearrangement feeding the EE pipeline; it is also the one the
+# OO pipeline uses, under the id prelude_oo
+_PRELUDE_EE = (None, lambda k, a, N: (
+    _poch(N, (1, 2, -1), (1, 1)), None, _poch(N, (2, 4), (2, 2))))
+
+# id -> (scope whose (k, a) rules apply, None when (k, a) are ignored;
+# (k, a, N) -> (F, D, R) with F*D = R, D None for no denominator)
+_IDENTITIES = {
+    # window counts equal residue-class counts; the B side enumerates,
+    # so it stays independent of the DPs
+    "rrg_counts": ("gordon", lambda k, a, N: (
+        series.family_gf("A", k, a, N), None,
+        TruncatedSeries([len(partitions.enumerate_family("B", k, a, n))
+                         for n in range(N + 1)]))),
+    # signed pair sum collapses to a theta series
+    "ebf": ("gordon", lambda k, a, N: (
+        series.family_gf("B", k, a, N), _poch(N, (1, 1)),
+        series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N))),
+    # W family, k and a even
+    "thm13": ("EE", lambda k, a, N: (
+        series.family_gf("W", k, a, N), _poch(N, (2, 2)),
+        _poch(N, (1, 2, -1)) * _jtp(2 * k + 2, a, N))),
+    # W family, k and a odd
+    "thm14": ("OO", lambda k, a, N: (
+        series.family_gf("W", k, a, N), _poch(N, (1, 1)),
+        _poch(N, (2, 4)) * _jtp(2 * k + 2, a, N))),
+    # Wbar family, k odd and a even
+    "thm15": ("OE", lambda k, a, N: (
+        series.family_gf("Wbar", k, a, N), _poch(N, (1, 2, -1), (1, 1)),
+        _jtp(2 * k + 2, a, N))),
+    # nested-sum form of the residue-class product
+    "multisum": ("gordon", lambda k, a, N: (
+        series.multisum_rrg(k, a, N), None, series.family_gf("A", k, a, N))),
+    # theta series as a triple product
+    "jtp_instance": ("gordon", lambda k, a, N: (
+        series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N), None,
+        _jtp(2 * k + 1, a, N))),
+    "prelude_ee": _PRELUDE_EE,
+    "prelude_oo": _PRELUDE_EE,
+    # product rearrangement feeding the OE pipeline
+    "prelude_oe": (None, lambda k, a, N: (
+        _poch(N, (2, 2)), None, _poch(N, (2, 2, -1), (1, 2, -1), (1, 1)))),
+}
+
+IDENTITIES = tuple(_IDENTITIES)
 
 
 def _identity_sides(identity, k, a, N, mode):
-    """The two series an identity equates, arranged without division in
-    the default mode and with invert_unit in the secondary one."""
-    p = series.poch_inf
-    if identity == "rrg_counts":
-        # the B side enumerates, so it stays independent of the DPs
-        rhs = TruncatedSeries([len(partitions.enumerate_family("B", k, a, n))
-                               for n in range(N + 1)])
-        return series.family_gf("A", k, a, N), rhs
-    if identity == "ebf":
-        theta = series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N)
-        if mode == "invert":
-            return (series.family_gf("B", k, a, N),
-                    series.mul(theta, p(1, 1, N).invert_unit()))
-        return series.mul(p(1, 1, N), series.family_gf("B", k, a, N)), theta
-    if identity == "thm13":
-        rhs = series.mul(p(1, 2, N, sign=-1), _prod3(k, a, N))
-        if mode == "invert":
-            return (series.family_gf("W", k, a, N),
-                    series.mul(rhs, p(2, 2, N).invert_unit()))
-        return series.mul(series.family_gf("W", k, a, N), p(2, 2, N)), rhs
-    if identity == "thm14":
-        rhs = series.mul(p(2, 4, N), _prod3(k, a, N))
-        if mode == "invert":
-            return (series.family_gf("W", k, a, N),
-                    series.mul(rhs, p(1, 1, N).invert_unit()))
-        return series.mul(series.family_gf("W", k, a, N), p(1, 1, N)), rhs
-    if identity == "thm15":
-        rhs = _prod3(k, a, N)
-        den = series.mul(p(1, 2, N, sign=-1), p(1, 1, N))
-        if mode == "invert":
-            return (series.family_gf("Wbar", k, a, N),
-                    series.mul(rhs, den.invert_unit()))
-        return series.mul(series.family_gf("Wbar", k, a, N), den), rhs
-    if identity == "multisum":
-        return series.multisum_rrg(k, a, N), series.family_gf("A", k, a, N)
-    if identity == "jtp_instance":
-        m = 2 * k + 1
-        prod = series.mul(
-            series.mul(p(a, m, N), p(m - a, m, N)), p(m, m, N))
-        return series.theta_sum(m, 2 * (k - a) + 1, N), prod
-    if identity in ("prelude_ee", "prelude_oo"):
-        return (series.mul(p(1, 2, N, sign=-1), p(1, 1, N)),
-                series.mul(p(2, 4, N), p(2, 2, N)))
-    if identity == "prelude_oe":
-        rhs = series.mul(
-            series.mul(p(2, 2, N, sign=-1), p(1, 2, N, sign=-1)), p(1, 1, N))
-        return p(2, 2, N), rhs
-    raise ParameterError("identity must be one of %r, got %r"
-                         % (IDENTITIES, identity))
+    """The two series an identity F*D = R equates: (F*D, R) in the
+    "cross" mode, (F, R*D^-1) through invert_unit in the "invert" one."""
+    F, D, R = _IDENTITIES[identity][1](k, a, N)
+    if D is None:
+        return F, R
+    if mode == "invert":
+        return F, R * D.invert_unit()
+    return F * D, R
 
 
-def _check_identity_params(identity, k, a):
-    if identity in _PARAMETERLESS:
-        return
-    if identity == "thm13":
-        pipelines.check_pipeline("EE", k, a)
-    elif identity == "thm14":
-        pipelines.check_pipeline("OO", k, a)
-    elif identity == "thm15":
-        pipelines.check_pipeline("OE", k, a)
-    else:
+def _check_scope(scope, k, a):
+    """Validate (k, a) under a scope's rules; None checks nothing."""
+    if scope == "gordon":
         partitions.check_params(k, a)
+    elif scope is not None:
+        pipelines.check_pipeline(scope, k, a)
 
 
 def check_identity(identity: str, k: int, a: int, N: int,
@@ -150,7 +142,7 @@ def check_identity(identity: str, k: int, a: int, N: int,
                              % (IDENTITIES, identity))
     if mode not in ("cross", "invert"):
         raise ParameterError("mode must be cross or invert, got %r" % (mode,))
-    _check_identity_params(identity, k, a)
+    _check_scope(_IDENTITIES[identity][0], k, a)
     if N < 0:
         raise ParameterError("N must be >= 0, got %r" % (N,))
     lhs, rhs = _identity_sides(identity, k, a, N, mode)
@@ -181,7 +173,7 @@ def _scope_fixed_series(scope, k, a, N):
                 series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N))
     theta = series.theta_sum(2 * (k + 1), 2 * (k + 1 - a), N)
     return (pipelines.pipeline_fixed_gf(scope, k, a, N),
-            series.mul(pipelines.pipeline_e_factor(scope, N), theta))
+            pipelines.pipeline_e_factor(scope, N) * theta)
 
 
 def check_involution_laws(scope: str, k: int, a: int,
@@ -203,10 +195,7 @@ def check_involution_laws(scope: str, k: int, a: int,
     if scope not in SCOPES:
         raise ParameterError("scope must be one of %r, got %r"
                              % (SCOPES, scope))
-    if scope == "gordon":
-        partitions.check_params(k, a)
-    else:
-        pipelines.check_pipeline(scope, k, a)
+    _check_scope(scope, k, a)
     if N < 0:
         raise ParameterError("N must be >= 0, got %r" % (N,))
     if N > sweep_cap():

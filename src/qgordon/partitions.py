@@ -48,10 +48,6 @@ def sweep_cap() -> int:
                              % (value,)) from None
 
 
-def weight(parts) -> int:
-    return sum(parts)
-
-
 def is_gordon(parts, k: int, a: int) -> bool:
     """True iff ``parts`` is a weakly decreasing tuple of positive ints
     with every window of k consecutive parts spanning at least 2
@@ -150,6 +146,9 @@ def enumerate_distinct(n: int, part_parity: str | None = None):
     to that parity; None allows all parts."""
     if n < 0:
         raise ParameterError("n must be >= 0, got %r" % (n,))
+    if part_parity not in (None, "even", "odd"):
+        raise ParameterError("part_parity must be None, 'even' or 'odd', "
+                             "got %r" % (part_parity,))
     out = []
     prefix = []
 

@@ -36,8 +36,8 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import partitions, series
-from .gordon import (ConsistencyError, FixedPoint, _involute, _involute_k1,
-                     gordon_fixed_point)
+from .gordon import (ConsistencyError, FixedPoint, _fixed_pair, _involute,
+                     _involute_k1, _template_gf)
 from .partitions import ParameterError
 from .series import TruncatedSeries
 
@@ -338,26 +338,10 @@ def exceptional_condition(triple, pipeline: str, k: int, a: int) -> bool:
 
 # ------------------------------------------------------- fixed configurations
 
-def _template_weight(family, n, k, a):
-    if family == 1:
-        return (k + 1) * n * n + (k + 1 - a) * n
-    return (k + 1) * n * n - (k + 1 - a) * n
-
-
 def _fixed_core(pipeline, family, n, k, a):
     """(A, middle) of the fixed template: the base fixed pair at the
     reduced parameters with every part doubled."""
-    kk, aa = inner_params(pipeline, k, a)
-    if n == 0:
-        return ((), ())
-    if kk == 1:
-        if family == 1:
-            Ah = tuple(range(2 * n, n, -1))
-        else:
-            Ah = tuple(range(2 * n - 1, n - 1, -1))
-        Bh = ()
-    else:
-        Ah, Bh = gordon_fixed_point(family, n, kk, aa)
+    Ah, Bh = _fixed_pair(family, n, *inner_params(pipeline, k, a))
     return (tuple(2 * x for x in Ah), tuple(2 * x for x in Bh))
 
 
@@ -408,8 +392,9 @@ def _fixed_check(t, pipeline, k, a):
         if mid == () and _staircase_compat(D, 0, pipeline, 1):
             return (0, 0)
         return None
-    for family in (1, 2):
-        if ((A, mid) == _fixed_core(pipeline, family, n, k, a)
+    # a core's top part is its base template's top part doubled
+    for family, top in ((1, 4 * n), (2, 4 * n - 2)):
+        if (A[0] == top and (A, mid) == _fixed_core(pipeline, family, n, k, a)
                 and _staircase_compat(D, n, pipeline, family)):
             return (family, n)
     return None
@@ -498,6 +483,8 @@ def canonical_fixed_form(pipeline: str, family: int, n: int, E,
 
 def pipeline_e_factor(pipeline: str, N: int) -> TruncatedSeries:
     """Generating function of the free parts E with their signs."""
+    if N < 0:
+        raise ParameterError("N must be >= 0, got %r" % (N,))
     if pipeline == "EE":
         return series.poch_inf(2, 4, N)
     if pipeline == "OO":
@@ -517,19 +504,10 @@ def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
     fixed configurations)."""
     check_pipeline(pipeline, k, a)
     ef = pipeline_e_factor(pipeline, N)
+    alpha, beta = 2 * (k + 1), 2 * (k + 1 - a)
     if pipeline == "OO" and a == 1:
-        return series.mul(ef, series.theta_sum(2 * (k + 1), 2 * (k + 1 - a), N))
-    coeffs = [0] * (N + 1)
-    coeffs[0] = 1
-    for family in (1, 2):
-        n = 1
-        while True:
-            w = _template_weight(family, n, k, a)
-            if w > N:
-                break
-            coeffs[w] += -1 if n % 2 else 1
-            n += 1
-    return series.mul(ef, TruncatedSeries(coeffs))
+        return ef * series.theta_sum(alpha, beta, N)
+    return ef * _template_gf(alpha, beta, N)
 
 
 # ------------------------------------------------------------------ routing

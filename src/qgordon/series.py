@@ -153,7 +153,8 @@ def _pack(coeffs, nb):
 
 
 def mul(s, t):
-    """Cauchy product of two series with equal truncation."""
+    """Cauchy product of two series with equal truncation: s * t, kept
+    as a public name."""
     return s * t
 
 
@@ -176,6 +177,8 @@ def poch_inf(a, m, N, sign=1):
         raise ValueError("need a >= 1 and m >= 1, got a=%r m=%r" % (a, m))
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     out = [0] * (N + 1)
     out[0] = 1
     e = a
@@ -199,6 +202,8 @@ def theta_sum(alpha, beta, N):
         raise ValueError("alpha must be positive, got %r" % (alpha,))
     if (alpha + beta) % 2:
         raise ValueError("alpha + beta must be even for integer exponents")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     out = [0] * (N + 1)
     out[0] += 1  # n = 0
     r = 1

@@ -41,6 +41,17 @@ def test_identity_grid_both_modes():
     for ident, k, a in cases:
         assert check_identity(ident, k, a, 25).passed
         assert check_identity(ident, k, a, 25, mode="invert").passed
+    # every id at every (k, a) its parameter rules accept, k <= 5; the
+    # ids whose sides do not depend on the mode run in both modes too
+    parity = {"thm13": (0, 0), "thm14": (1, 1), "thm15": (1, 0)}
+    for ident in IDENTITIES:
+        for k in range(2, 6):
+            for a in range(1, k + 1):
+                if ident in parity and (k % 2, a % 2) != parity[ident]:
+                    continue
+                for mode in ("cross", "invert"):
+                    r = check_identity(ident, k, a, 40, mode=mode)
+                    assert r.passed, (ident, k, a, mode, r.first_discrepancy)
 
 
 def test_prelude_relations():

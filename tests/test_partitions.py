@@ -228,6 +228,12 @@ def test_enumerate_distinct():
         assert got == want
 
 
+def test_enumerate_distinct_rejects_unknown_parity():
+    for parity in ("evn", "none", "", 0, 1):
+        with pytest.raises(partitions.ParameterError):
+            partitions.enumerate_distinct(5, parity)
+
+
 def test_parameter_errors():
     with pytest.raises(partitions.ParameterError):
         partitions.is_gordon((1,), 1, 1)

@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgordon import partitions, series
+from qgordon.gordon import gordon_fixed_gf
+from qgordon.partitions import ParameterError
+from qgordon.pipelines import pipeline_e_factor, pipeline_fixed_gf
 from qgordon.series import TruncatedSeries
 
 
@@ -204,6 +207,20 @@ def test_restricted_gf():
     s = series.restricted_gf({0, 3, 4}, 7, 5)
     assert s.coefficient(5) == 4
     assert s.coefficient(5) == partitions.count_family("A", 3, 3, 5)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: series.poch_inf(1, 1, -1), ValueError),
+    (lambda: series.theta_sum(7, 1, -1), ValueError),
+    (lambda: gordon_fixed_gf(3, 3, -1), ParameterError),
+    (lambda: pipeline_fixed_gf("EE", 2, 2, -1), ParameterError),
+    (lambda: pipeline_e_factor("OO", -2), ParameterError),
+], ids=["poch_inf", "theta_sum", "gordon_fixed_gf", "pipeline_fixed_gf",
+        "pipeline_e_factor"])
+def test_negative_truncation_rejected(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert info.type is error
 
 
 def test_multisum_fixed_cases():
