@@ -74,24 +74,23 @@ class FixedPoint:
     n: int
 
 
+def _pair_fault(A, B, k, a):
+    """Why (A|B) is not in P_{k,a}, or None when it is."""
+    for i in range(len(A) - 1):
+        if A[i] <= A[i + 1]:
+            return "A must be strictly decreasing: %r" % (A,)
+    if A and A[-1] < 1:
+        return "A must have positive parts: %r" % (A,)
+    if not _gordon_ok(B, k, a):
+        return "B fails the family conditions: %r" % (B,)
+    return None
+
+
 def _check_pair(pair, k, a):
     A, B = pair
-    for i in range(len(A) - 1):
-        if A[i] <= A[i + 1]:
-            raise ParameterError("A must be strictly decreasing: %r" % (A,))
-    if A and A[-1] < 1:
-        raise ParameterError("A must have positive parts: %r" % (A,))
-    if not _gordon_ok(B, k, a):
-        raise ParameterError("B fails the family conditions: %r" % (B,))
-
-
-def _pair_ok(A, B, k, a):
-    for i in range(len(A) - 1):
-        if A[i] <= A[i + 1]:
-            return False
-    if A and A[-1] < 1:
-        return False
-    return _gordon_ok(B, k, a)
+    fault = _pair_fault(A, B, k, a)
+    if fault is not None:
+        raise ParameterError(fault)
 
 
 def _blocked(a1, B, k, a):
@@ -355,7 +354,7 @@ def _apply(A, B, k, a, label):
         out = _map_gamma_inv(A, B, n, k)
     else:
         out = _map_gamma(A, B, n, k)
-    if out is not None and _pair_ok(out[0], out[1], k, a):
+    if out is not None and _pair_fault(out[0], out[1], k, a) is None:
         return out
     fixed = _match_template((A, B), k, a)
     if fixed is None:
@@ -416,7 +415,7 @@ def _involute_k1(pair):
     p = A[-1]
     n = min(p, _staircase_prefix(A))
     out = _map_alpha_inv(A, B, n, 1) if p == n else _map_alpha(A, B, n, 1)
-    if out is not None and _pair_ok(out[0], out[1], 1, 1):
+    if out is not None and _pair_fault(out[0], out[1], 1, 1) is None:
         return out
     fixed = _match_template(pair, 1, 1)
     if fixed is None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -65,6 +66,13 @@ def _jtp(m, a, N):
     return _poch(N, (a, m), (m - a, m), (m, m))
 
 
+def _walked_gf(family, k, a, N):
+    """Series counting the family's members at weights 0..N, from one
+    enumeration walk that is counted as it streams."""
+    counts = Counter(map(sum, partitions._walk_family(family, k, a, 0, N)))
+    return TruncatedSeries([counts[n] for n in range(N + 1)])
+
+
 # product rearrangement feeding the EE pipeline; it is also the one the
 # OO pipeline uses, under the id prelude_oo
 _PRELUDE_EE = (None, lambda k, a, N: (
@@ -76,9 +84,7 @@ _IDENTITIES = {
     # window counts equal residue-class counts; the B side enumerates,
     # so it stays independent of the DPs
     "rrg_counts": ("gordon", lambda k, a, N: (
-        series.family_gf("A", k, a, N), None,
-        TruncatedSeries([len(partitions.enumerate_family("B", k, a, n))
-                         for n in range(N + 1)]))),
+        series.family_gf("A", k, a, N), None, _walked_gf("B", k, a, N))),
     # signed pair sum collapses to a theta series
     "ebf": ("gordon", lambda k, a, N: (
         series.family_gf("B", k, a, N), _poch(N, (1, 1)),

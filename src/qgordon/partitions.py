@@ -95,18 +95,54 @@ def _needs_even(size, mode):
 
 def _tail_bound(size, k):
     # upper bound on the weight of a valid suffix using part sizes <= size:
-    # pair sizes (s, s-1) jointly carry at most k-1 parts, each <= s
-    total = 0
-    s = size
-    while s >= 1:
-        total += (k - 1) * s
-        s -= 2
-    return total
+    # pair sizes (s, s-1) jointly carry at most k-1 parts, each <= s, so
+    # the bound is (k-1) * (size + (size-2) + ... down to 1 or 2)
+    return (k - 1) * ((size + 1) // 2) * ((size + 2) // 2)
+
+
+def _walk_family(family, k, a, lo, hi):
+    """Every member of the family with weight in lo..hi, each once, in
+    descending lexicographic order, so the members of one weight come
+    out in enumerate_family's order.  Trusts its input.
+
+    Each step picks the next (smaller) part size and its multiplicity
+    directly, multiplicities in descending order; a member is yielded
+    after all its extensions.  Branches that cannot reach weight lo
+    under the tail bound are cut."""
+    mode = _PARITY_MODE[family]
+    bound = [_tail_bound(s, k) for s in range(hi + 1)]
+
+    def rec(prefix, top, above, w):
+        # prefix weighs w; the next size is at most top, and size top
+        # may take k-1-above parts (above: multiplicity of size top+1)
+        for s in range(min(top, hi - w), 0, -1):
+            if w + bound[s] < lo:
+                break
+            cap = min(k - 1 - above if s == top else k - 1, (hi - w) // s)
+            if s == 1:
+                cap = min(cap, a - 1)
+            even = _needs_even(s, mode)
+            for mult in range(cap, 0, -1):
+                if even and mult % 2:
+                    continue
+                w2 = w + mult * s
+                if w2 + bound[s - 1] < lo:
+                    break
+                child = prefix + (s,) * mult
+                if w2 == hi:
+                    yield child         # nothing extends it
+                else:
+                    yield from rec(child, s - 1, mult, w2)
+        if w >= lo:
+            yield prefix
+
+    return rec((), hi, 0, 0)
 
 
 def enumerate_family(family: str, k: int, a: int, n: int):
     """All partitions of n in the family, as a list of tuples in
-    largest-part-first lexicographic (descending) order.
+    largest-part-first lexicographic (descending) order: the weight
+    range [n, n] of _walk_family.
 
     family is one of "B", "W", "Wbar"; the residue-avoiding family "A"
     has no enumerator here, only counts.
@@ -116,28 +152,7 @@ def enumerate_family(family: str, k: int, a: int, n: int):
         raise ParameterError("family must be B, W or Wbar, got %r" % (family,))
     if n < 0:
         raise ParameterError("n must be >= 0, got %r" % (n,))
-    mode = _PARITY_MODE[family]
-    out = []
-    prefix = []
-
-    def rec(size, above, remaining):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if size <= 0 or remaining > _tail_bound(size, k):
-            return
-        cap = min(k - 1 - above, remaining // size)
-        if size == 1:
-            cap = min(cap, a - 1)
-        for mult in range(cap, -1, -1):
-            if mult % 2 == 1 and _needs_even(size, mode):
-                continue
-            prefix.extend([size] * mult)
-            rec(size - 1, mult, remaining - mult * size)
-            del prefix[len(prefix) - mult:]
-
-    rec(n, 0, n)
-    return out
+    return list(_walk_family(family, k, a, n, n))
 
 
 def enumerate_distinct(n: int, part_parity: str | None = None):

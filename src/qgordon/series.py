@@ -9,7 +9,7 @@ denominators are checked in cross-multiplied form.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 
 from . import partitions
 
@@ -171,23 +171,36 @@ def first_discrepancy(s, t):
 def poch_inf(a, m, N, sign=1):
     """The infinite product (sign*q^a; q^m)_inf truncated at N, i.e.
     prod_{j>=0} (1 - sign*q^{a+j*m}).  sign=+1 gives (q^a;q^m)_inf,
-    sign=-1 gives (-q^a;q^m)_inf.  Factors beyond q^N are 1 mod q^{N+1}
-    and are skipped."""
+    sign=-1 gives (-q^a;q^m)_inf.
+
+    It is summed by Euler's expansion (x; q)_inf = sum_n (-x)^n
+    q^{n(n-1)/2} / (q; q)_n at x = sign*q^a and base q^m:
+
+        sum_{n>=0} (-sign)^n q^{a*n + m*n(n-1)/2} / (q^m; q^m)_n.
+
+    One running row holds 1/(q^m; q^m)_n; each step divides it by
+    (1 - q^{m*n}) and keeps it only to the degree its exponent leaves,
+    so about sqrt(2N/m) whole-row steps replace the factor-by-factor
+    product."""
     if a < 1 or m < 1:
         raise ValueError("need a >= 1 and m >= 1, got a=%r m=%r" % (a, m))
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if N < 0:
         raise ValueError("N must be >= 0")
-    out = [0] * (N + 1)
-    out[0] = 1
-    e = a
+    acc = [1] + [0] * N
+    row = acc[:]
+    # term n sits at e = a*n + m*n(n-1)/2; row becomes 1/(q^m; q^m)_n
+    # through q^(N - e)
+    n, e = 1, a
     while e <= N:
-        # multiply in place by (1 - sign*q^e)
-        for i in range(N, e - 1, -1):
-            out[i] -= sign * out[i - e]
-        e += m
-    return TruncatedSeries(out)
+        row = row[:N + 1 - e]
+        partitions._inv_one_minus(row, m * n)
+        op = sub if sign == 1 and n % 2 else add
+        acc[e:] = map(op, acc[e:], row)
+        e += a + m * n
+        n += 1
+    return TruncatedSeries(acc)
 
 
 def theta_sum(alpha, beta, N):

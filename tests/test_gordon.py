@@ -187,10 +187,13 @@ def test_single_column_engine():
 
 
 def test_invalid_pairs_rejected():
-    with pytest.raises(ParameterError):
-        involute_gordon(((3, 3), ()), 3, 3)  # A not strictly decreasing
-    with pytest.raises(ParameterError):
-        involute_gordon(((), (1, 1, 1)), 3, 3)  # too many ones for a=3
+    for pair, message in [
+            (((3, 3), ()), "A must be strictly decreasing: (3, 3)"),
+            (((3, 0), ()), "A must have positive parts: (3, 0)"),
+            (((), (1, 1, 1)), "B fails the family conditions: (1, 1, 1)")]:
+        with pytest.raises(ParameterError) as info:
+            involute_gordon(pair, 3, 3)
+        assert str(info.value) == message
     with pytest.raises(ParameterError):
         involute_gordon(((2,), (1,)), 1, 1)  # k out of range
     with pytest.raises(ParameterError):

@@ -30,6 +30,19 @@ def test_identity_fixtures():
     assert check_identity("thm15", 3, 2, 20).passed
 
 
+def test_rrg_counts_enumerates_family_b(monkeypatch):
+    real = partitions.family_counts
+
+    def no_b_counts(family, k, a, limit):
+        if family == "B":
+            raise AssertionError("rrg_counts counted B with the DP")
+        return real(family, k, a, limit)
+
+    monkeypatch.setattr(partitions, "family_counts", no_b_counts)
+    for k, a in [(2, 1), (3, 2), (4, 4)]:
+        assert check_identity("rrg_counts", k, a, 30).passed
+
+
 def test_identity_grid_both_modes():
     cases = (
         [("thm13", k, a) for k, a in [(2, 2), (4, 2), (4, 4)]]

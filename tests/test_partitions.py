@@ -149,6 +149,25 @@ def test_enumeration_order_is_descending_lex():
     assert len(set(out)) == len(out)
 
 
+def test_walk_covers_each_weight_in_enumeration_order():
+    N = 30
+    for k in (2, 3, 4, 5):
+        for a in range(1, k + 1):
+            for family in ("B", "W", "Wbar"):
+                walk = list(partitions._walk_family(family, k, a, 0, N))
+                # a stable sort by weight keeps each weight's own order
+                by_weight = sorted(walk, key=sum)
+                want = [p for n in range(N + 1)
+                        for p in partitions.enumerate_family(family, k, a, n)]
+                assert by_weight == want, (family, k, a)
+                counts = [0] * (N + 1)
+                for p in walk:
+                    counts[sum(p)] += 1
+                assert counts == partitions.family_counts(family, k, a, N)
+                inner = list(partitions._walk_family(family, k, a, 11, 23))
+                assert inner == [p for p in walk if 11 <= sum(p) <= 23]
+
+
 def test_counts_match_enumeration_and_dp():
     for k in (2, 3, 4):
         for a in range(1, k + 1):

@@ -137,6 +137,43 @@ def test_poch_inf_fixed_cases():
         series.poch_inf(0, 1, 4)
 
 
+def factor_by_factor_poch(a, m, N, sign=1):
+    """(sign*q^a; q^m)_inf multiplied out one factor (1 - sign*q^e) and
+    one coefficient at a time (test oracle for Euler's sum)."""
+    out = [0] * (N + 1)
+    out[0] = 1
+    e = a
+    while e <= N:
+        for i in range(N, e - 1, -1):
+            out[i] -= sign * out[i - e]
+        e += m
+    return out
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 200),
+       st.sampled_from([1, -1]))
+def test_poch_inf_matches_factor_by_factor(a, m, N, sign):
+    want = factor_by_factor_poch(a, m, N, sign)
+    assert coeffs(series.poch_inf(a, m, N, sign)) == want
+
+
+@pytest.mark.parametrize("a, m, sign", [
+    (1, 1, 1), (1, 2, -1), (2, 2, 1), (2, 2, -1), (3, 7, 1)])
+def test_poch_inf_deep(a, m, sign):
+    want = factor_by_factor_poch(a, m, 600, sign)
+    assert coeffs(series.poch_inf(a, m, 600, sign)) == want
+
+
+def test_poch_inf_first_factor_past_truncation():
+    for sign in (1, -1):
+        assert series.poch_inf(8, 1, 7, sign) == TruncatedSeries.one(7)
+        assert series.poch_inf(601, 3, 600, sign) == TruncatedSeries.one(600)
+        assert series.poch_inf(1, 5, 0, sign) == TruncatedSeries.one(0)
+        # a = N: the one factor inside the truncation
+        assert coeffs(series.poch_inf(5, 5, 5, sign)) == [1, 0, 0, 0, 0, -sign]
+
+
 def test_poch_inf_counts_partitions():
     # 1/(q^2;q^2)_inf generates partitions into even parts
     inv = series.poch_inf(2, 2, 12).invert_unit()
