@@ -4,21 +4,23 @@ involutions, with deterministic machine-readable output.
 
 Exit status: 0 on success (verification passed), 1 when a verification
 ran and failed, 2 on usage errors, invalid parameters, or malformed
-input, 3 on an internal error (a map that cannot pair a configuration),
-reported as one error line and one reproducer line.  The json format is
-the stable surface; text and csv are for reading and spreadsheets."""
+input, 3 on an internal error (a map that cannot pair a configuration,
+or any other exception), reported as one error line and one reproducer
+line.  The json format is the stable surface; text and csv are for
+reading and spreadsheets.  Each command builds its output once, as a
+JSON object, a csv header with its rows and the text lines, and `main`
+renders the one its --format names."""
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import shlex
 import sys
 
 from . import harness, partitions, pipelines
-from .gordon import ConsistencyError, gordon_fixed_point
+from .gordon import gordon_fixed_point
 from .partitions import ParameterError
 
 _IDENTITY_TOKENS = {
@@ -31,7 +33,7 @@ _IDENTITY_TOKENS = {
     "jtp": "jtp_instance",
 }
 
-_SCOPE_TOKENS = {"gordon": "gordon", "ee": "EE", "oo": "OO", "oe": "OE"}
+_SCOPE_TOKENS = {scope.lower(): scope for scope in harness.SCOPES}
 
 
 def _parse_pair(text):
@@ -58,29 +60,10 @@ def _pair_text(pair):
                       ",".join(str(x) for x in pair[1]))
 
 
-def _pair_obj(pair):
-    return {"A": list(pair[0]), "B": list(pair[1])}
-
-
-def _triple_obj(triple, scope):
-    out = {"A": list(triple[0]), "B": list(triple[1])}
-    if scope != "EE":
-        out["D"] = list(triple[2])
-    out["E"] = list(triple[3])
-    return out
-
-
-def _emit_json(obj):
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
-def _emit_csv(header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    sys.stdout.write(buf.getvalue())
+def _config(cfg, names="AB"):
+    """A configuration as a JSON object, one list per component keyed by
+    its name; a component named " " is left out."""
+    return {name: list(p) for name, p in zip(names, cfg) if name != " "}
 
 
 def _parts_field(parts):
@@ -90,29 +73,18 @@ def _parts_field(parts):
 def _cmd_count(args):
     if (args.n is None) == (args.truncate is None):
         raise ParameterError("count needs exactly one of --n or --truncate")
+    head = {"family": args.family, "k": args.k, "a": args.a}
     if args.n is not None:
         c = partitions.count_family(args.family, args.k, args.a, args.n)
-        if args.format == "json":
-            _emit_json({"family": args.family, "k": args.k, "a": args.a,
-                        "n": args.n, "count": c})
-        elif args.format == "csv":
-            _emit_csv(("n", "count"), [(args.n, c)])
-        else:
-            print(c)
-        return 0
+        return (0, {**head, "n": args.n, "count": c}, ("n", "count"),
+                [(args.n, c)], [str(c)])
     N = args.truncate
     if N < 0:
         raise ParameterError("--truncate must be >= 0, got %r" % (N,))
     counts = partitions.family_counts(args.family, args.k, args.a, N)
-    if args.format == "json":
-        _emit_json({"family": args.family, "k": args.k, "a": args.a,
-                    "truncation": N, "counts": counts})
-    elif args.format == "csv":
-        _emit_csv(("n", "count"), list(enumerate(counts)))
-    else:
-        for n, c in enumerate(counts):
-            print("%d %d" % (n, c))
-    return 0
+    rows = list(enumerate(counts))
+    return (0, {**head, "truncation": N, "counts": counts}, ("n", "count"),
+            rows, ["%d %d" % row for row in rows])
 
 
 def _cmd_enumerate(args):
@@ -120,30 +92,10 @@ def _cmd_enumerate(args):
         raise ParameterError("family A is counted by residue classes and "
                              "has no enumerator; use count")
     parts = partitions.enumerate_family(args.family, args.k, args.a, args.n)
-    if args.format == "json":
-        _emit_json({"family": args.family, "k": args.k, "a": args.a,
-                    "n": args.n, "partitions": [list(p) for p in parts]})
-    elif args.format == "csv":
-        _emit_csv(("partition",), [(_parts_field(p),) for p in parts])
-    else:
-        for p in parts:
-            print(_parts_field(p) if p else "(empty)")
-    return 0
-
-
-def _report_json(report):
-    obj = {"identity": report.identity, "k": report.params[0],
-           "a": report.params[1], "truncation": report.truncation,
-           "status": report.status}
-    if report.first_discrepancy is not None:
-        n, lhs, rhs = report.first_discrepancy
-        obj["firstDiscrepancy"] = {"exponent": n, "lhs": lhs, "rhs": rhs}
-    if report.counterexample is not None:
-        law, cfg, image = report.counterexample
-        obj["counterexample"] = {
-            "law": law, "config": _pair_obj(cfg),
-            "image": None if image is None else _pair_obj(image)}
-    return obj
+    obj = {"family": args.family, "k": args.k, "a": args.a, "n": args.n,
+           "partitions": [list(p) for p in parts]}
+    return (0, obj, ("partition",), [(_parts_field(p),) for p in parts],
+            [_parts_field(p) if p else "(empty)" for p in parts])
 
 
 def _cmd_verify(args):
@@ -156,62 +108,53 @@ def _cmd_verify(args):
     else:
         report = harness.check_involution_laws(
             _SCOPE_TOKENS[args.scope], args.k, args.a, args.truncate)
-    if args.format == "json":
-        _emit_json(_report_json(report))
-    elif args.format == "csv":
-        n, lhs, rhs = report.first_discrepancy or ("", "", "")
-        _emit_csv(("identity", "k", "a", "truncation", "status",
-                   "exponent", "lhs", "rhs"),
-                  [(report.identity, report.params[0], report.params[1],
-                    report.truncation, report.status, n, lhs, rhs)])
-    else:
-        print("%s  identity=%s k=%d a=%d N=%d"
-              % (report.status, report.identity, report.params[0],
-                 report.params[1], report.truncation))
-        if report.first_discrepancy is not None:
-            n, lhs, rhs = report.first_discrepancy
-            print("first discrepancy at q^%d: %d vs %d" % (n, lhs, rhs))
-        if report.counterexample is not None:
-            law, cfg, image = report.counterexample
-            if image is None:
-                print("%s law fails at %s: the map raised, no image"
-                      % (law, _pair_text(cfg)))
-            else:
-                print("%s law fails at %s -> %s"
-                      % (law, _pair_text(cfg), _pair_text(image)))
-    return 0 if report.passed else 1
+    (k, a), N = report.params, report.truncation
+    obj = {"identity": report.identity, "k": k, "a": a, "truncation": N,
+           "status": report.status}
+    lines = ["%s  identity=%s k=%d a=%d N=%d"
+             % (report.status, report.identity, k, a, N)]
+    n, lhs, rhs = report.first_discrepancy or ("", "", "")
+    if report.first_discrepancy is not None:
+        obj["firstDiscrepancy"] = {"exponent": n, "lhs": lhs, "rhs": rhs}
+        lines.append("first discrepancy at q^%d: %d vs %d" % (n, lhs, rhs))
+    if report.counterexample is not None:
+        law, cfg, image = report.counterexample
+        obj["counterexample"] = {
+            "law": law, "config": _config(cfg),
+            "image": None if image is None else _config(image)}
+        lines.append("%s law fails at %s" % (law, _pair_text(cfg))
+                     + (": the map raised, no image" if image is None
+                        else " -> %s" % _pair_text(image)))
+    return (0 if report.passed else 1, obj,
+            ("identity", "k", "a", "truncation", "status", "exponent",
+             "lhs", "rhs"),
+            [(report.identity, k, a, N, report.status, n, lhs, rhs)], lines)
 
 
 def _cmd_trace(args):
     scope = _SCOPE_TOKENS[args.scope]
-    pair = _parse_pair(args.pair)
-    trace = harness.trace_orbit(pair, scope, args.k, args.a)
-    if args.format == "json":
-        obj = {"scope": scope, "k": args.k, "a": args.a,
-               "start": _pair_obj(trace.start),
-               "steps": [{"label": lbl, "config": _pair_obj(cfg)}
-                         for lbl, cfg in trace.steps],
-               "terminal": trace.terminal}
-        if trace.fixed is not None:
-            obj["fixed"] = {"family": trace.fixed.family, "n": trace.fixed.n}
-        _emit_json(obj)
-    elif args.format == "csv":
-        rows = [(i + 1, lbl, _pair_text(cfg))
-                for i, (lbl, cfg) in enumerate(trace.steps)]
-        _emit_csv(("step", "label", "config"), rows)
+    trace = harness.trace_orbit(_parse_pair(args.pair), scope, args.k, args.a)
+    obj = {"scope": scope, "k": args.k, "a": args.a,
+           "start": _config(trace.start),
+           "steps": [{"label": lbl, "config": _config(cfg)}
+                     for lbl, cfg in trace.steps],
+           "terminal": trace.terminal}
+    lines = ["start %s" % _pair_text(trace.start)]
+    lines += ["%s -> %s" % (lbl, _pair_text(cfg)) for lbl, cfg in trace.steps]
+    if trace.fixed is not None:
+        obj["fixed"] = {"family": trace.fixed.family, "n": trace.fixed.n}
+        lines.append("fixed family=%d n=%d"
+                     % (trace.fixed.family, trace.fixed.n))
     else:
-        print("start %s" % _pair_text(trace.start))
-        for lbl, cfg in trace.steps:
-            print("%s -> %s" % (lbl, _pair_text(cfg)))
-        if trace.terminal == "fixed":
-            print("fixed family=%d n=%d" % (trace.fixed.family, trace.fixed.n))
-        else:
-            print("partner %s" % _pair_text(trace.steps[0][1]))
-    return 0
+        lines.append("partner %s" % _pair_text(trace.steps[0][1]))
+    return (0, obj, ("step", "label", "config"),
+            [(i + 1, lbl, _pair_text(cfg))
+             for i, (lbl, cfg) in enumerate(trace.steps)], lines)
 
 
-def _fixed_rows(scope, k, a, max_weight):
-    """(family, n, weight, configuration) rows, weight-sorted."""
+def _cmd_fixed_points(args):
+    scope, k, a, max_weight = (_SCOPE_TOKENS[args.scope], args.k, args.a,
+                               args.max_weight)
     if max_weight < 0:
         raise ParameterError("--max-weight must be >= 0, got %r"
                              % (max_weight,))
@@ -221,7 +164,7 @@ def _fixed_rows(scope, k, a, max_weight):
             return gordon_fixed_point(family, n, k, a)
         return pipelines.pipeline_fixed_triple(scope, family, n, k, a)
 
-    rows = [(0, 0, 0, template(1, 0))]
+    found = [(0, 0, 0, template(1, 0))]
     for family in (1, 2):
         n = 1
         while True:
@@ -229,43 +172,25 @@ def _fixed_rows(scope, k, a, max_weight):
             w = sum(map(sum, cfg))
             if w > max_weight:
                 break
-            rows.append((family, n, w, cfg))
+            found.append((family, n, w, cfg))
             n += 1
-    rows.sort(key=lambda r: (r[2], r[0], r[1]))
-    return rows
-
-
-def _cmd_fixed_points(args):
-    scope = _SCOPE_TOKENS[args.scope]
-    rows = _fixed_rows(scope, args.k, args.a, args.max_weight)
-    if args.format == "json":
-        out = []
-        for family, n, w, cfg in rows:
-            conf = (_pair_obj(cfg) if scope == "gordon"
-                    else _triple_obj(cfg, scope))
-            out.append({"family": family, "n": n, "weight": w,
-                        "config": conf})
-        _emit_json({"scope": scope, "k": args.k, "a": args.a,
-                    "maxWeight": args.max_weight, "fixedPoints": out})
-    elif args.format == "csv":
-        if scope == "gordon":
-            _emit_csv(("family", "n", "weight", "A", "B"),
-                      [(f, n, w, _parts_field(c[0]), _parts_field(c[1]))
-                       for f, n, w, c in rows])
-        else:
-            _emit_csv(("family", "n", "weight", "A", "B", "D", "E"),
-                      [(f, n, w, _parts_field(c[0]), _parts_field(c[1]),
-                        _parts_field(c[2]), _parts_field(c[3]))
-                       for f, n, w, c in rows])
-    else:
-        for f, n, w, c in rows:
-            if scope == "gordon":
-                print("family=%d n=%d weight=%d  %s" % (f, n, w, _pair_text(c)))
-            else:
-                print("family=%d n=%d weight=%d  A=%s B=%s D=%s E=%s"
-                      % (f, n, w, _parts_field(c[0]), _parts_field(c[1]),
-                         _parts_field(c[2]), _parts_field(c[3])))
-    return 0
+    found.sort(key=lambda r: (r[2], r[0], r[1]))
+    columns = "AB" if scope == "gordon" else "ABDE"
+    # EE triples carry no D component, and their JSON leaves it out
+    keys = columns.replace("D", " ") if scope == "EE" else columns
+    obj = {"scope": scope, "k": k, "a": a, "maxWeight": max_weight,
+           "fixedPoints": [{"family": f, "n": n, "weight": w,
+                            "config": _config(cfg, keys)}
+                           for f, n, w, cfg in found]}
+    lines = []
+    for f, n, w, cfg in found:
+        shown = (_pair_text(cfg) if scope == "gordon" else
+                 " ".join("%s=%s" % (name, _parts_field(p))
+                          for name, p in zip(columns, cfg)))
+        lines.append("family=%d n=%d weight=%d  %s" % (f, n, w, shown))
+    return (0, obj, ("family", "n", "weight") + tuple(columns),
+            [(f, n, w) + tuple(map(_parts_field, cfg))
+             for f, n, w, cfg in found], lines)
 
 
 def _build_parser():
@@ -320,16 +245,26 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status, obj, header, rows, lines = args.func(args)
     except ParameterError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
+    except Exception as exc:
         if argv is None:
             argv = sys.argv[1:]
         print("error: %s" % exc, file=sys.stderr)
         print("qgordon %s" % shlex.join(argv), file=sys.stderr)
         return 3
+    if args.format == "json":
+        print(json.dumps(obj, separators=(",", ":")))
+    elif args.format == "csv":
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+    return status
 
 
 if __name__ == "__main__":

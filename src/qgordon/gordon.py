@@ -26,8 +26,8 @@ Public functions validate their input (parameters and pair) once.  The
 ``_``-prefixed kernels trust it: their pair is a member of P_{k,a} with
 k >= 2 and 1 <= a <= k, and they never re-validate.  Each public entry
 point is a thin wrapper that validates and calls a kernel, so callers
-that generate valid pairs themselves (the parity pipelines) call the
-kernels directly.
+that generate valid pairs themselves (the parity pipelines and the law
+sweeps) call the kernels directly.
 """
 
 from __future__ import annotations

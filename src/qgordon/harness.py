@@ -22,11 +22,11 @@ from functools import reduce
 
 from . import partitions, pipelines, series
 from .gordon import (ConsistencyError, FixedPoint, Move, UClass, classify,
-                     gordon_fixed_gf, involute_gordon)
+                     gordon_fixed_gf)
 from .partitions import ParameterError, sweep_cap
 from .series import TruncatedSeries
 
-SCOPES = ("gordon", "EE", "OO", "OE")
+SCOPES = tuple(pipelines._SCOPES)
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,6 @@ def _identity_sides(identity, k, a, N, mode):
     return F * D, R
 
 
-def _check_scope(scope, k, a):
-    """Validate (k, a) under a scope's rules; None checks nothing."""
-    if scope == "gordon":
-        partitions.check_params(k, a)
-    elif scope is not None:
-        pipelines.check_pipeline(scope, k, a)
-
-
 def check_identity(identity: str, k: int, a: int, N: int,
                    mode: str = "cross") -> VerificationReport:
     """Compare the two sides of an identity exactly on coefficients
@@ -148,7 +140,9 @@ def check_identity(identity: str, k: int, a: int, N: int,
                              % (IDENTITIES, identity))
     if mode not in ("cross", "invert"):
         raise ParameterError("mode must be cross or invert, got %r" % (mode,))
-    _check_scope(_IDENTITIES[identity][0], k, a)
+    scope = _IDENTITIES[identity][0]
+    if scope is not None:
+        pipelines._SCOPES[scope].check(k, a)
     if N < 0:
         raise ParameterError("N must be >= 0, got %r" % (N,))
     lhs, rhs = _identity_sides(identity, k, a, N, mode)
@@ -158,17 +152,6 @@ def check_identity(identity: str, k: int, a: int, N: int,
         identity=identity, params=(k, a), truncation=N,
         status="pass" if n is None else "fail",
         first_discrepancy=disc, elapsed=time.monotonic() - t0)
-
-
-def _scope_ground(scope, k, a, w):
-    """The scope's ground set at weight w, in sweep order."""
-    return pipelines._Ground(scope, k, a).pairs(w)
-
-
-def _scope_involute(scope, pair, k, a):
-    if scope == "gordon":
-        return involute_gordon(pair, k, a)
-    return pipelines.involute_pipeline(pair, scope, k, a)
 
 
 def _scope_fixed_series(scope, k, a, N):
@@ -182,6 +165,37 @@ def _scope_fixed_series(scope, k, a, N):
             pipelines.pipeline_e_factor(scope, N) * theta)
 
 
+def _orbit(rules, pair, k, a):
+    """Map a ground pair through a scope's kernel and check the laws
+    of its orbit: a partner keeps the weight, flips the sign, lies in
+    the ground set and maps back.  Returns (image, fault, error): fault
+    is the first law broken, as (law, configuration, image), or None.
+    A kernel that raises breaks law "map" on the configuration it was
+    given, with no image, and error is what it raised; a partner outside
+    the ground set breaks law "map" on itself, with error None."""
+    try:
+        out = rules.involute(pair, k, a)
+    except Exception as exc:
+        return None, ("map", pair, None), exc
+    if isinstance(out, FixedPoint):
+        return out, None, None
+    if sum(out[0]) + sum(out[1]) != sum(pair[0]) + sum(pair[1]):
+        return out, ("weight", pair, out), None
+    if (len(pair[0]) + len(out[0])) % 2 == 0:
+        return out, ("sign", pair, out), None
+    try:
+        rules.ground(out, k, a)
+    except ParameterError:
+        return out, ("map", out, None), None
+    try:
+        back = rules.involute(out, k, a)
+    except Exception as exc:
+        return out, ("map", out, None), exc
+    if back != pair:
+        return out, ("involution", pair, out), None
+    return out, None, None
+
+
 def check_involution_laws(scope: str, k: int, a: int,
                           N: int) -> VerificationReport:
     """Exhaustive sweep of the scope's ground set up to weight N: the
@@ -189,11 +203,12 @@ def check_involution_laws(scope: str, k: int, a: int,
     fixed configurations, and the signed fixed count must equal the
     template generating function and its theta form.
 
-    Each orbit is mapped once from each side: a configuration is mapped,
-    its partner is checked for weight and sign and mapped back, and the
-    partner is then skipped when the enumeration reaches it, since its
-    laws are the same three facts.  A map that raises ConsistencyError
-    or ParameterError is a failing law "map" with no image, not an
+    The sweep generates its ground set, so it maps through the scope's
+    trusting kernel and validates only the partners it is handed.  Each
+    orbit is mapped once from each side: a configuration is mapped, its
+    partner is checked and mapped back, and the partner is then skipped
+    when the enumeration reaches it, since its laws are the same facts.
+    A map that raises is a failing law "map" with no image, not an
     exception.  The report carries the first violating configuration in
     enumeration order, or the first differing coefficient when only the
     series comparison fails."""
@@ -201,7 +216,8 @@ def check_involution_laws(scope: str, k: int, a: int,
     if scope not in SCOPES:
         raise ParameterError("scope must be one of %r, got %r"
                              % (SCOPES, scope))
-    _check_scope(scope, k, a)
+    rules = pipelines._SCOPES[scope]
+    rules.check(k, a)
     if N < 0:
         raise ParameterError("N must be >= 0, got %r" % (N,))
     if N > sweep_cap():
@@ -209,12 +225,6 @@ def check_involution_laws(scope: str, k: int, a: int,
             "sweep to weight %d exceeds the cap %d; set RRG_MAX_SWEEP "
             "to raise it" % (N, sweep_cap()))
     ident = "laws_" + scope
-
-    def fail(law, cfg, image):
-        return VerificationReport(ident, (k, a), N, "fail",
-                                  counterexample=(law, cfg, image),
-                                  elapsed=time.monotonic() - t0)
-
     ground = pipelines._Ground(scope, k, a)
     swept = [0] * (N + 1)
     for w in range(N + 1):
@@ -222,25 +232,15 @@ def check_involution_laws(scope: str, k: int, a: int,
         for cfg in ground.pairs(w):
             if cfg in seen:
                 continue
-            try:
-                out = _scope_involute(scope, cfg, k, a)
-            except (ConsistencyError, ParameterError):
-                return fail("map", cfg, None)
+            out, fault, _ = _orbit(rules, cfg, k, a)
+            if fault is not None:
+                return VerificationReport(ident, (k, a), N, "fail",
+                                          counterexample=fault,
+                                          elapsed=time.monotonic() - t0)
             if isinstance(out, FixedPoint):
                 swept[w] += -1 if len(cfg[0]) % 2 else 1
-                continue
-            if sum(out[0]) + sum(out[1]) != w:
-                return fail("weight", cfg, out)
-            if (len(cfg[0]) + len(out[0])) % 2 == 0:
-                return fail("sign", cfg, out)
-            try:
-                back = _scope_involute(scope, out, k, a)
-            except (ConsistencyError, ParameterError):
-                return fail("map", out, None)
-            if back != cfg:
-                return fail("involution", cfg, out)
-            # out's own laws are these three facts read from its side
-            seen.add(out)
+            else:
+                seen.add(out)
     got = TruncatedSeries(swept)
     for want in _scope_fixed_series(scope, k, a, N):
         n = series.first_discrepancy(got, want)
@@ -264,22 +264,25 @@ def _gordon_label(pair, k, a):
 
 def trace_orbit(config, scope: str, k: int, a: int) -> OrbitTrace:
     """Follow a configuration through the involution: one step to its
-    partner and one step back (asserted), or none if it is fixed."""
+    partner and one step back, or none if it is fixed.  The orbit is
+    checked as a sweep checks it; a broken law raises ConsistencyError,
+    and what the map raises propagates."""
     if scope not in SCOPES:
         raise ParameterError("scope must be one of %r, got %r"
                              % (SCOPES, scope))
+    rules = pipelines._SCOPES[scope]
+    rules.check(k, a)
     pair = (tuple(config[0]), tuple(config[1]))
-    out = _scope_involute(scope, pair, k, a)
+    rules.ground(pair, k, a)
+    out, fault, error = _orbit(rules, pair, k, a)
+    if error is not None:
+        raise error
+    if fault is not None:
+        law, cfg, image = fault
+        raise ConsistencyError("%s law fails on the orbit of %r: %r -> %r"
+                               % (law, pair, cfg, image))
     if isinstance(out, FixedPoint):
         return OrbitTrace(start=pair, steps=(), terminal="fixed", fixed=out)
-    w = sum(pair[0]) + sum(pair[1])
-    if sum(out[0]) + sum(out[1]) != w:
-        raise ConsistencyError("weight changed along the orbit of %r"
-                               % (pair,))
-    back = _scope_involute(scope, out, k, a)
-    if back != pair:
-        raise ConsistencyError("orbit of %r fails to return: %r -> %r"
-                               % (pair, out, back))
     if scope == "gordon":
         steps = ((_gordon_label(pair, k, a), out),
                  (_gordon_label(out, k, a), pair))

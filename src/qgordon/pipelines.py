@@ -33,48 +33,78 @@ series times a fixed product factor.
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import partitions, series
-from .gordon import (ConsistencyError, FixedPoint, _fixed_pair, _involute,
-                     _involute_k1, _template_gf)
+from .gordon import (ConsistencyError, FixedPoint, _check_pair, _fixed_pair,
+                     _involute, _involute_k1, _template_gf)
 from .partitions import ParameterError
 from .series import TruncatedSeries
 
 PIPELINES = ("EE", "OO", "OE")
 
-# (parity of the distinct parts of A, family of B) of each ground set;
-# "gordon" is the Gordon map's P_{k,a}, which the law sweeps stream alike
-_GROUND = {"gordon": (None, "B"), "EE": (None, "W"), "OO": ("even", "W"),
-           "OE": ("even", "Wbar")}
+# the parities of (k, a) each pipeline needs (0 even, 1 odd), as worded
+# in its error message
+_PARITY_RULES = {"EE": ((0, 0), "k and a even"),
+                 "OO": ((1, 1), "k and a odd"),
+                 "OE": ((1, 0), "k odd and a even")}
+# (a, m, sign) of the product (sign*q^a; q^m)_inf generating the free
+# parts E with their signs
+_E_FACTORS = {"EE": (2, 4, 1), "OO": (1, 2, -1), "OE": (2, 2, -1)}
 # parity of the unpaired single parts left by the merge step
 _LEFTOVER_PARITY = {"EE": 1, "OO": 1, "OE": 0}
 # middle parts of this residue mod 4 may split into two equal halves
 _SPLIT_RESIDUE = {"OO": 2, "OE": 0}
 
 
-def check_pipeline(pipeline: str, k: int, a: int) -> None:
-    """Validate the pipeline id and its parity preconditions on (k, a)."""
+class _Scope(NamedTuple):
+    """A ground set and its map, as the law sweeps and orbit traces use
+    them: the two validations raise ParameterError, and the kernel maps
+    a ground pair it trusts to its partner or a FixedPoint."""
+    parity: str | None      # parity of the distinct parts of A
+    family: str             # family of B
+    check: Callable         # (k, a) -> None
+    ground: Callable        # (pair, k, a) -> None
+    involute: Callable      # (pair, k, a) -> image, trusting its input
+
+
+def _pipeline_scope(pipeline, parity, family):
+    return _Scope(parity, family,
+                  lambda k, a: check_pipeline(pipeline, k, a),
+                  lambda pair, k, a: _require_ground(pair, pipeline, k, a),
+                  lambda pair, k, a: _involute_pipeline(pair, pipeline, k, a))
+
+
+# "gordon" is the Gordon map on P_{k,a}, which the law sweeps run alike
+_SCOPES = {
+    "gordon": _Scope(None, "B", partitions.check_params, _check_pair,
+                     lambda pair, k, a: _involute(pair[0], pair[1], k, a)),
+    "EE": _pipeline_scope("EE", None, "W"),
+    "OO": _pipeline_scope("OO", "even", "W"),
+    "OE": _pipeline_scope("OE", "even", "Wbar"),
+}
+
+
+def _require_pipeline(pipeline):
     if pipeline not in PIPELINES:
         raise ParameterError("pipeline must be one of %r, got %r"
                              % (PIPELINES, pipeline))
+
+
+def check_pipeline(pipeline: str, k: int, a: int) -> None:
+    """Validate the pipeline id and its parity preconditions on (k, a)."""
+    _require_pipeline(pipeline)
     partitions.check_params(k, a)
-    if pipeline == "EE" and (k % 2 or a % 2):
-        raise ParameterError("EE needs k and a even, got (%d, %d)" % (k, a))
-    if pipeline == "OO" and (k % 2 == 0 or a % 2 == 0):
-        raise ParameterError("OO needs k and a odd, got (%d, %d)" % (k, a))
-    if pipeline == "OE" and (k % 2 == 0 or a % 2):
-        raise ParameterError("OE needs k odd and a even, got (%d, %d)"
-                             % (k, a))
+    parities, wording = _PARITY_RULES[pipeline]
+    if (k % 2, a % 2) != parities:
+        raise ParameterError("%s needs %s, got (%d, %d)"
+                             % (pipeline, wording, k, a))
 
 
 def inner_params(pipeline: str, k: int, a: int) -> tuple:
-    """(k, a) for the reduced involution on halved middle parts."""
-    if pipeline == "EE":
-        return k // 2, a // 2
-    if pipeline == "OO":
-        return (k - 1) // 2, (a - 1) // 2
-    return (k - 1) // 2, a // 2
+    """(k, a) for the reduced involution on halved middle parts; every
+    pipeline halves both, rounding down."""
+    return k // 2, a // 2
 
 
 class PartitionTriple(NamedTuple):
@@ -112,8 +142,8 @@ def in_ground(pair, pipeline: str, k: int, a: int) -> bool:
 
 def _ground_valid(pair, pipeline, k, a):
     A, B = pair
-    parity, family = _GROUND[pipeline]
-    even_only = parity == "even"
+    ground = _SCOPES[pipeline]
+    even_only = ground.parity == "even"
     prev = None
     for x in A:
         if x <= 0 or (prev is not None and x >= prev):
@@ -123,7 +153,8 @@ def _ground_valid(pair, pipeline, k, a):
         prev = x
     if not partitions._gordon_ok(B, k, a):
         return False
-    return partitions.satisfies_parity(B, partitions._PARITY_MODE[family])
+    return partitions.satisfies_parity(B,
+                                       partitions._PARITY_MODE[ground.family])
 
 
 def _require_ground(pair, pipeline, k, a):
@@ -138,7 +169,8 @@ class _Ground:
     enumerated once, on first use."""
 
     def __init__(self, scope, k, a):
-        self.parity, self.family = _GROUND[scope]
+        ground = _SCOPES[scope]
+        self.parity, self.family = ground.parity, ground.family
         self.k, self.a = k, a
         self.As, self.Bs = {}, {}
 
@@ -239,9 +271,7 @@ def to_triple(pair, pipeline: str, k: int, a: int) -> PartitionTriple:
 def un_transform(triple, pipeline: str) -> tuple:
     """Invert the triple encoding back to a pair (A, B).  Accepts both
     the merge-level form and the redistributed form."""
-    if pipeline not in PIPELINES:
-        raise ParameterError("pipeline must be one of %r, got %r"
-                             % (PIPELINES, pipeline))
+    _require_pipeline(pipeline)
     A, mid, D, E = triple
     if pipeline == "EE":
         if D:
@@ -279,9 +309,7 @@ def redistribute(triple, pipeline: str) -> PartitionTriple:
     OO/OE pipelines have this step."""
     if pipeline == "EE":
         raise ParameterError("the EE pipeline has no redistribution step")
-    if pipeline not in PIPELINES:
-        raise ParameterError("pipeline must be one of %r, got %r"
-                             % (PIPELINES, pipeline))
+    _require_pipeline(pipeline)
     A, mid, D, E = triple
     C, D2 = _rho(mid, D, pipeline)
     return PartitionTriple(tuple(A), C, D2, tuple(E))
@@ -485,14 +513,9 @@ def pipeline_e_factor(pipeline: str, N: int) -> TruncatedSeries:
     """Generating function of the free parts E with their signs."""
     if N < 0:
         raise ParameterError("N must be >= 0, got %r" % (N,))
-    if pipeline == "EE":
-        return series.poch_inf(2, 4, N)
-    if pipeline == "OO":
-        return series.poch_inf(1, 2, N, sign=-1)
-    if pipeline == "OE":
-        return series.poch_inf(2, 2, N, sign=-1)
-    raise ParameterError("pipeline must be one of %r, got %r"
-                         % (PIPELINES, pipeline))
+    _require_pipeline(pipeline)
+    a, m, sign = _E_FACTORS[pipeline]
+    return series.poch_inf(a, m, N, sign)
 
 
 def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
@@ -813,6 +836,11 @@ def involute_pipeline(pair, pipeline: str, k: int, a: int):
     check_pipeline(pipeline, k, a)
     pair = (tuple(pair[0]), tuple(pair[1]))
     _require_ground(pair, pipeline, k, a)
+    return _involute_pipeline(pair, pipeline, k, a)
+
+
+def _involute_pipeline(pair, pipeline, k, a):
+    """involute_pipeline on a ground pair it trusts, given as tuples."""
     r = _flow(pipeline, k, a).involute(pair)
     if r is None:
         raise ConsistencyError("no partner and no template match for %r "

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qgordon import cli, harness, series
+from qgordon import cli, pipelines, series
 from qgordon.series import TruncatedSeries
 
 
@@ -13,6 +13,25 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def patch_map(monkeypatch, kernel, scope="gordon"):
+    """Make the sweeps and traces map the scope's pairs with kernel."""
+    monkeypatch.setitem(pipelines._SCOPES, scope,
+                        pipelines._SCOPES[scope]._replace(involute=kernel))
+
+
+def crook_theta(monkeypatch):
+    """theta_sum with one added to its q^7 coefficient."""
+    real = series.theta_sum
+
+    def crooked(alpha, beta, N):
+        coeffs = list(real(alpha, beta, N).coeffs)
+        if len(coeffs) > 7:
+            coeffs[7] += 1
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(series, "theta_sum", crooked)
 
 
 def test_count_single(capsys):
@@ -102,16 +121,7 @@ def test_verify_scope_sweep(capsys):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    real = series.theta_sum
-
-    def crooked(alpha, beta, N):
-        s = real(alpha, beta, N)
-        coeffs = list(s.coeffs)
-        if len(coeffs) > 7:
-            coeffs[7] += 1
-        return TruncatedSeries(coeffs)
-
-    monkeypatch.setattr(series, "theta_sum", crooked)
+    crook_theta(monkeypatch)
     code, out, _ = run(capsys, "verify", "--identity", "ebf", "--k", "2",
                        "--a", "2", "--truncate", "20", "--format", "json")
     assert code == 1
@@ -122,8 +132,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 
 
 def test_verify_law_counterexample_reported(capsys, monkeypatch):
-    monkeypatch.setattr(harness, "involute_gordon",
-                        lambda pair, k, a: pair)
+    patch_map(monkeypatch, lambda pair, k, a: pair)
     code, out, _ = run(capsys, "verify", "--scope", "gordon", "--k", "2",
                        "--a", "2", "--truncate", "8", "--format", "json")
     assert code == 1
@@ -164,6 +173,37 @@ def test_internal_error_exits_3(capsys, argv):
     assert lines[0].startswith("error: ")
     assert lines[1] == ("qgordon trace --scope %s --k 3 --a %s --pair '%s' "
                         "--format json" % (argv[2], argv[6], argv[8]))
+
+
+def _assert_exit_3(code, out, err, argv):
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("error: ")
+    assert lines[1] == "qgordon " + " ".join(argv)
+
+
+def test_trace_checks_sign_law(capsys, monkeypatch):
+    # a map that returns its input has no partner: an internal error,
+    # not a pair that is its own partner
+    patch_map(monkeypatch, lambda pair, k, a: pair)
+    argv = ("trace", "--scope", "gordon", "--k", "3", "--a", "3",
+            "--pair", "6,1;5,5", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    _assert_exit_3(code, out, err, argv[:-3] + ("'6,1;5,5'",) + argv[-2:])
+    assert "sign law fails" in err
+
+
+def test_map_exception_exits_3(capsys, monkeypatch):
+    def deep(pair, k, a):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    patch_map(monkeypatch, deep, "OE")
+    argv = ("trace", "--scope", "oe", "--k", "3", "--a", "2",
+            "--pair", "4;", "--format", "text")
+    code, out, err = run(capsys, *argv)
+    _assert_exit_3(code, out, err, argv[:-3] + ("'4;'",) + argv[-2:])
+    assert err.splitlines()[0] == "error: maximum recursion depth exceeded"
 
 
 def test_malformed_sweep_cap_exits_2(capsys, monkeypatch):
@@ -302,3 +342,133 @@ def test_usage_errors_exit_2(capsys):
         cli.main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# one small invocation per command and case, in every format, with the
+# exact bytes of stdout; "theta" and "identity" name the patches that
+# make a verification fail
+GOLDEN_ARGV = {
+    "count-n": ("count --family B --k 2 --a 2 --n 7", None),
+    "count-truncate": ("count --family W --k 3 --a 2 --truncate 6", None),
+    "enumerate": ("enumerate --family B --k 2 --a 2 --n 7", None),
+    "enumerate-empty": ("enumerate --family Wbar --k 3 --a 2 --n 0", None),
+    "verify-discrepancy": ("verify --identity ebf --k 2 --a 2 --truncate 9",
+                           "theta"),
+    "verify-counterexample": ("verify --scope gordon --k 2 --a 2 "
+                              "--truncate 4", "identity"),
+    "trace-partner": ("trace --scope gordon --k 3 --a 3 --pair 6,1;5,5",
+                      None),
+    "trace-fixed": ("trace --scope ee --k 2 --a 2 --pair 4;", None),
+    "fixed-points-gordon": ("fixed-points --scope gordon --k 2 --a 2 "
+                            "--max-weight 9", None),
+    "fixed-points-pipeline": ("fixed-points --scope oo --k 3 --a 3 "
+                              "--max-weight 14", None),
+}
+
+GOLDEN = [
+    ('count-n', 'json', 0,
+     '{"family":"B","k":2,"a":2,"n":7,"count":3}\n'),
+    ('count-n', 'csv', 0,
+     'n,count\n7,3\n'),
+    ('count-n', 'text', 0,
+     '3\n'),
+    ('count-truncate', 'json', 0,
+     '{"family":"W","k":3,"a":2,"truncation":6,"counts":[1,1,0,1,'
+     '2,1,2]}\n'),
+    ('count-truncate', 'csv', 0,
+     'n,count\n0,1\n1,1\n2,0\n3,1\n4,2\n5,1\n6,2\n'),
+    ('count-truncate', 'text', 0,
+     '0 1\n1 1\n2 0\n3 1\n4 2\n5 1\n6 2\n'),
+    ('enumerate', 'json', 0,
+     '{"family":"B","k":2,"a":2,"n":7,"partitions":[[7],[6,1],[5,'
+     '2]]}\n'),
+    ('enumerate', 'csv', 0,
+     'partition\n7\n6 1\n5 2\n'),
+    ('enumerate', 'text', 0,
+     '7\n6 1\n5 2\n'),
+    ('enumerate-empty', 'json', 0,
+     '{"family":"Wbar","k":3,"a":2,"n":0,"partitions":[[]]}\n'),
+    ('enumerate-empty', 'csv', 0,
+     'partition\n""\n'),
+    ('enumerate-empty', 'text', 0,
+     '(empty)\n'),
+    ('verify-discrepancy', 'json', 1,
+     '{"identity":"ebf","k":2,"a":2,"truncation":9,'
+     '"status":"fail","firstDiscrepancy":{"exponent":7,"lhs":0,'
+     '"rhs":1}}\n'),
+    ('verify-discrepancy', 'csv', 1,
+     'identity,k,a,truncation,status,exponent,lhs,rhs\nebf,2,2,9,'
+     'fail,7,0,1\n'),
+    ('verify-discrepancy', 'text', 1,
+     'fail  identity=ebf k=2 a=2 N=9\n'
+     'first discrepancy at q^7: 0 vs 1\n'),
+    ('verify-counterexample', 'json', 1,
+     '{"identity":"laws_gordon","k":2,"a":2,"truncation":4,'
+     '"status":"fail","counterexample":{"law":"sign",'
+     '"config":{"A":[],"B":[]},"image":{"A":[],"B":[]}}}\n'),
+    ('verify-counterexample', 'csv', 1,
+     'identity,k,a,truncation,status,exponent,lhs,rhs\n'
+     'laws_gordon,2,2,4,fail,,,\n'),
+    ('verify-counterexample', 'text', 1,
+     'fail  identity=laws_gordon k=2 a=2 N=4\n'
+     'sign law fails at ; -> ;\n'),
+    ('trace-partner', 'json', 0,
+     '{"scope":"gordon","k":3,"a":3,"start":{"A":[6,1],"B":[5,5]},'
+     '"steps":[{"label":"U(1,1)","config":{"A":[6],"B":[6,5]}},'
+     '{"label":"U(2,2)","config":{"A":[6,1],"B":[5,5]}}],'
+     '"terminal":"partner"}\n'),
+    ('trace-partner', 'csv', 0,
+     'step,label,config\n1,"U(1,1)","6;6,5"\n2,"U(2,2)","6,1;5,'
+     '5"\n'),
+    ('trace-partner', 'text', 0,
+     'start 6,1;5,5\nU(1,1) -> 6;6,5\nU(2,2) -> 6,1;5,5\n'
+     'partner 6;6,5\n'),
+    ('trace-fixed', 'json', 0,
+     '{"scope":"EE","k":2,"a":2,"start":{"A":[4],"B":[]},'
+     '"steps":[],"terminal":"fixed","fixed":{"family":1,"n":1}}\n'),
+    ('trace-fixed', 'csv', 0,
+     'step,label,config\n'),
+    ('trace-fixed', 'text', 0,
+     'start 4;\nfixed family=1 n=1\n'),
+    ('fixed-points-gordon', 'json', 0,
+     '{"scope":"gordon","k":2,"a":2,"maxWeight":9,'
+     '"fixedPoints":[{"family":0,"n":0,"weight":0,'
+     '"config":{"A":[],"B":[]}},{"family":2,"n":1,"weight":2,'
+     '"config":{"A":[1],"B":[1]}},{"family":1,"n":1,"weight":3,'
+     '"config":{"A":[2],"B":[1]}},{"family":2,"n":2,"weight":9,'
+     '"config":{"A":[3,2],"B":[3,1]}}]}\n'),
+    ('fixed-points-gordon', 'csv', 0,
+     'family,n,weight,A,B\n0,0,0,,\n2,1,2,1,1\n1,1,3,2,1\n2,2,9,'
+     '3 2,3 1\n'),
+    ('fixed-points-gordon', 'text', 0,
+     'family=0 n=0 weight=0  ;\nfamily=2 n=1 weight=2  1;1\n'
+     'family=1 n=1 weight=3  2;1\nfamily=2 n=2 weight=9  3,2;3,1\n'),
+    ('fixed-points-pipeline', 'json', 0,
+     '{"scope":"OO","k":3,"a":3,"maxWeight":14,'
+     '"fixedPoints":[{"family":0,"n":0,"weight":0,'
+     '"config":{"A":[],"B":[],"D":[],"E":[]}},{"family":2,"n":1,'
+     '"weight":3,"config":{"A":[2],"B":[],"D":[1],"E":[]}},'
+     '{"family":1,"n":1,"weight":5,"config":{"A":[4],"B":[],'
+     '"D":[1],"E":[]}},{"family":2,"n":2,"weight":14,'
+     '"config":{"A":[6,4],"B":[],"D":[3,1],"E":[]}}]}\n'),
+    ('fixed-points-pipeline', 'csv', 0,
+     'family,n,weight,A,B,D,E\n0,0,0,,,,\n2,1,3,2,,1,\n1,1,5,4,,1,'
+     '\n2,2,14,6 4,,3 1,\n'),
+    ('fixed-points-pipeline', 'text', 0,
+     'family=0 n=0 weight=0  A= B= D= E=\n'
+     'family=2 n=1 weight=3  A=2 B= D=1 E=\n'
+     'family=1 n=1 weight=5  A=4 B= D=1 E=\n'
+     'family=2 n=2 weight=14  A=6 4 B= D=3 1 E=\n'),
+]
+
+
+@pytest.mark.parametrize("case,fmt,status,stdout", GOLDEN,
+                         ids=["%s-%s" % g[:2] for g in GOLDEN])
+def test_golden_bytes(capsys, monkeypatch, case, fmt, status, stdout):
+    argv, patch = GOLDEN_ARGV[case]
+    if patch == "theta":
+        crook_theta(monkeypatch)
+    elif patch == "identity":
+        patch_map(monkeypatch, lambda pair, k, a: pair)
+    code, out, err = run(capsys, *argv.split(), "--format", fmt)
+    assert (code, out, err) == (status, stdout, "")

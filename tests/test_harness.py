@@ -4,7 +4,7 @@ laws-imply-identity meta-test."""
 
 import pytest
 
-from qgordon import harness, partitions, series
+from qgordon import harness, partitions, pipelines, series
 from qgordon.gordon import ConsistencyError, FixedPoint
 from qgordon.harness import (
     IDENTITIES,
@@ -17,6 +17,14 @@ from qgordon.harness import (
     trace_orbit,
 )
 from qgordon.partitions import ParameterError
+
+GORDON_MAP = pipelines._SCOPES["gordon"].involute
+
+
+def patch_map(monkeypatch, kernel, scope="gordon"):
+    """Make the sweeps and traces map the scope's pairs with kernel."""
+    monkeypatch.setitem(pipelines._SCOPES, scope,
+                        pipelines._SCOPES[scope]._replace(involute=kernel))
 
 
 def test_identity_fixtures():
@@ -121,7 +129,7 @@ def test_involution_laws_pass():
 
 def test_involution_laws_counterexample(monkeypatch):
     # a broken map must surface as a configuration, not a wrong series
-    monkeypatch.setattr(harness, "involute_gordon", lambda pair, k, a: pair)
+    patch_map(monkeypatch, lambda pair, k, a: pair)
     r = check_involution_laws("gordon", 2, 2, 6)
     assert r.status == "fail"
     law, cfg, image = r.counterexample
@@ -148,7 +156,7 @@ def _four_call_sweep(k, a, N, involute):
     """The first law counterexample of a Gordon sweep that maps every
     configuration and maps its image back, partners included."""
     for w in range(N + 1):
-        for cfg in harness._scope_ground("gordon", k, a, w):
+        for cfg in pipelines._Ground("gordon", k, a).pairs(w):
             out = involute(cfg, k, a)
             if isinstance(out, FixedPoint):
                 continue
@@ -164,8 +172,8 @@ def _four_call_sweep(k, a, N, involute):
 def _first_partners(k, a, w):
     """(cfg, partner) of the first configuration of weight w in sweep
     order that has a partner."""
-    for cfg in harness._scope_ground("gordon", k, a, w):
-        out = harness.involute_gordon(cfg, k, a)
+    for cfg in pipelines._Ground("gordon", k, a).pairs(w):
+        out = GORDON_MAP(cfg, k, a)
         if not isinstance(out, FixedPoint):
             return cfg, out
     raise AssertionError("weight %d has no partners" % w)
@@ -182,13 +190,13 @@ def test_sweep_maps_each_configuration_once(monkeypatch):
     configs = sum(distinct[j] * family[w - j]
                   for w in range(N + 1) for j in range(w + 1))
     calls = []
-    real = harness.involute_gordon
+    real = GORDON_MAP
 
     def counted(pair, k, a):
         calls.append(pair)
         return real(pair, k, a)
 
-    monkeypatch.setattr(harness, "involute_gordon", counted)
+    patch_map(monkeypatch, counted)
     assert check_involution_laws("gordon", k, a, N).passed
     assert len(calls) == configs
     assert len(set(calls)) == configs
@@ -196,14 +204,14 @@ def test_sweep_maps_each_configuration_once(monkeypatch):
 
 def test_broken_return_trip_reported_where_four_calls_would(monkeypatch):
     k, a = 3, 3
-    real = harness.involute_gordon
+    real = GORDON_MAP
     cfg, partner = _first_partners(k, a, 9)
 
     def broken(pair, k, a):
         # partner maps to itself; cfg still maps to partner
         return pair if pair == partner else real(pair, k, a)
 
-    monkeypatch.setattr(harness, "involute_gordon", broken)
+    patch_map(monkeypatch, broken)
     r = check_involution_laws("gordon", k, a, 11)
     assert r.status == "fail"
     assert r.counterexample == ("involution", cfg, partner)
@@ -212,7 +220,7 @@ def test_broken_return_trip_reported_where_four_calls_would(monkeypatch):
 
 def test_weight_changing_map_reported(monkeypatch):
     k, a = 3, 2
-    real = harness.involute_gordon
+    real = GORDON_MAP
 
     def heavier(pair, k, a):
         out = real(pair, k, a)
@@ -220,7 +228,7 @@ def test_weight_changing_map_reported(monkeypatch):
             return out
         return (out[0], out[1] + (1,))
 
-    monkeypatch.setattr(harness, "involute_gordon", heavier)
+    patch_map(monkeypatch, heavier)
     r = check_involution_laws("gordon", k, a, 10)
     assert r.status == "fail" and r.counterexample[0] == "weight"
     assert sum(map(sum, r.counterexample[1])) == 7
@@ -237,14 +245,14 @@ def test_raising_map_is_a_failing_report():
 
 def test_map_raising_on_its_image_is_reported(monkeypatch):
     k, a = 3, 3
-    real = harness.involute_gordon
+    real = GORDON_MAP
     cfg, partner = _first_partners(k, a, 8)
     outside = (partner[0], partner[1] + (0,))    # B gains a zero part
 
     def leaky(pair, k, a):
         return outside if pair == cfg else real(pair, k, a)
 
-    monkeypatch.setattr(harness, "involute_gordon", leaky)
+    patch_map(monkeypatch, leaky)
     r = check_involution_laws("gordon", k, a, 9)
     assert r.status == "fail"
     assert r.counterexample == ("map", outside, None)
@@ -254,7 +262,31 @@ def test_map_raising_on_its_image_is_reported(monkeypatch):
             raise ConsistencyError("no partner for %r" % (pair,))
         return real(pair, k, a)
 
-    monkeypatch.setattr(harness, "involute_gordon", raising)
+    patch_map(monkeypatch, raising)
+    r = check_involution_laws("gordon", k, a, 9)
+    assert r.counterexample == ("map", partner, None)
+
+
+def test_any_map_exception_is_a_failing_report(monkeypatch):
+    k, a = 3, 3
+    cfg, partner = _first_partners(k, a, 8)
+
+    def deep(pair, k, a):
+        if pair in (cfg, partner):
+            raise RecursionError("maximum recursion depth exceeded")
+        return GORDON_MAP(pair, k, a)
+
+    patch_map(monkeypatch, deep)
+    r = check_involution_laws("gordon", k, a, 9)
+    assert r.status == "fail"
+    assert r.counterexample == ("map", cfg, None)
+
+    def deep_image(pair, k, a):
+        if pair == partner:
+            raise RecursionError("maximum recursion depth exceeded")
+        return GORDON_MAP(pair, k, a)
+
+    patch_map(monkeypatch, deep_image)
     r = check_involution_laws("gordon", k, a, 9)
     assert r.counterexample == ("map", partner, None)
 
@@ -288,10 +320,31 @@ def test_trace_orbit_fixtures():
 def test_trace_orbit_weight_constant():
     for scope, k, a in [("gordon", 3, 2), ("EE", 4, 2), ("OO", 3, 3)]:
         for w in range(9):
-            for cfg in harness._scope_ground(scope, k, a, w):
+            for cfg in pipelines._Ground(scope, k, a).pairs(w):
                 t = trace_orbit(cfg, scope, k, a)
                 for _, stop in t.steps:
                     assert sum(stop[0]) + sum(stop[1]) == w
+
+
+def test_trace_orbit_checks_the_laws(monkeypatch):
+    pair = ((6, 1), (5, 5))
+    # a map that returns its input breaks the sign law
+    patch_map(monkeypatch, lambda pair, k, a: pair)
+    with pytest.raises(ConsistencyError, match="sign law"):
+        trace_orbit(pair, "gordon", 3, 3)
+    # a partner outside the ground set breaks the map law
+    partner = GORDON_MAP(pair, 3, 3)
+    patch_map(monkeypatch, lambda p, k, a: (partner[0], partner[1] + (0,)))
+    with pytest.raises(ConsistencyError, match="map law"):
+        trace_orbit(pair, "gordon", 3, 3)
+
+    # what the map raises propagates
+    def deep(pair, k, a):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    patch_map(monkeypatch, deep)
+    with pytest.raises(RecursionError):
+        trace_orbit(pair, "gordon", 3, 3)
 
 
 def test_trace_orbit_validation():

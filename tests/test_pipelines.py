@@ -75,12 +75,12 @@ def test_ground_membership():
 def test_enumerate_ground_counts():
     # sizes factor: distinct-A count times the B-family count
     for pl, k, a in GRID:
-        par, fam = pipelines._GROUND[pl]
+        ground = pipelines._SCOPES[pl]
         for w in range(8):
             got = len(enumerate_ground(pl, k, a, w))
             want = sum(
-                len(partitions.enumerate_distinct(wa, par))
-                * partitions.count_family(fam, k, a, w - wa)
+                len(partitions.enumerate_distinct(wa, ground.parity))
+                * partitions.count_family(ground.family, k, a, w - wa)
                 for wa in range(w + 1))
             assert got == want
     assert enumerate_ground("EE", 2, 2, 0) == [((), ())]
@@ -285,7 +285,7 @@ def test_involution_laws_swept():
         assert series.TruncatedSeries(fixed) == want
         # signed ground-set sum collapses to the same series
         par = series.poch_inf(1, 1, W) if pl == "EE" else series.poch_inf(2, 2, W)
-        fam = series.family_gf(pipelines._GROUND[pl][1], k, a, W)
+        fam = series.family_gf(pipelines._SCOPES[pl].family, k, a, W)
         assert series.mul(par, fam) == want
 
 
