@@ -19,8 +19,9 @@ The classification below works with four parameters measured on a pair:
 with n the minimum of those defined.  A chain link only counts when both
 anchor positions exist; a missing part ends the chain, and a missing
 largest part compares as 0.  The "move a_1 into B would leave the
-family" test is evaluated semantically (membership of the extended B),
-which pins down every boundary case of the blocking condition.
+family" test is decided locally: B is already in the family and a_1 is
+at least its largest part, so only the new top window and the count of
+ones can break, and both are read off in O(1).
 
 Public functions validate their input (parameters and pair) once.  The
 ``_``-prefixed kernels trust it: their pair is a member of P_{k,a} with
@@ -94,8 +95,10 @@ def _check_pair(pair, k, a):
 
 
 def _blocked(a1, B, k, a):
-    # moving a1 on top of B would leave the family
-    return not _gordon_ok((a1,) + tuple(B), k, a)
+    # moving a1 >= B[0] on top of B, which is in the family, would leave
+    # it: the window a1, B[0..k-2] spans less than 2, or a1 is the a-th 1
+    return ((len(B) >= k - 1 and a1 - B[k - 2] < 2)
+            or (a1 == 1 and len(B) >= a - 1))
 
 
 def _witness(a1, B, k):

@@ -165,27 +165,26 @@ def _scope_fixed_series(scope, k, a, N):
             pipelines.pipeline_e_factor(scope, N) * theta)
 
 
-def _orbit(rules, pair, k, a):
-    """Map a ground pair through a scope's kernel and check the laws
-    of its orbit: a partner keeps the weight, flips the sign, lies in
-    the ground set and maps back.  Returns (image, fault, error): fault
-    is the first law broken, as (law, configuration, image), or None.
-    A kernel that raises breaks law "map" on the configuration it was
-    given, with no image, and error is what it raised; a partner outside
-    the ground set breaks law "map" on itself, with error None."""
+def _orbit(rules, member, pair, w, k, a):
+    """Map a ground pair of weight w through a scope's kernel and check
+    the laws of its orbit: a partner keeps the weight, flips the sign,
+    lies in the ground set (member(partner) is true) and maps back.
+    Returns (image, fault, error): fault is the first law broken, as
+    (law, configuration, image), or None.  A kernel that raises breaks
+    law "map" on the configuration it was given, with no image, and
+    error is what it raised; a partner outside the ground set breaks law
+    "map" on itself, with error None."""
     try:
         out = rules.involute(pair, k, a)
     except Exception as exc:
         return None, ("map", pair, None), exc
     if isinstance(out, FixedPoint):
         return out, None, None
-    if sum(out[0]) + sum(out[1]) != sum(pair[0]) + sum(pair[1]):
+    if sum(out[0]) + sum(out[1]) != w:
         return out, ("weight", pair, out), None
     if (len(pair[0]) + len(out[0])) % 2 == 0:
         return out, ("sign", pair, out), None
-    try:
-        rules.ground(out, k, a)
-    except ParameterError:
+    if not member(out):
         return out, ("map", out, None), None
     try:
         back = rules.involute(out, k, a)
@@ -204,7 +203,8 @@ def check_involution_laws(scope: str, k: int, a: int,
     template generating function and its theta form.
 
     The sweep generates its ground set, so it maps through the scope's
-    trusting kernel and validates only the partners it is handed.  Each
+    trusting kernel, and checks each partner it is handed by lookup in
+    the weight classes it enumerates, not by the ground predicate.  Each
     orbit is mapped once from each side: a configuration is mapped, its
     partner is checked and mapped back, and the partner is then skipped
     when the enumeration reaches it, since its laws are the same facts.
@@ -232,7 +232,7 @@ def check_involution_laws(scope: str, k: int, a: int,
         for cfg in ground.pairs(w):
             if cfg in seen:
                 continue
-            out, fault, _ = _orbit(rules, cfg, k, a)
+            out, fault, _ = _orbit(rules, ground.contains, cfg, w, k, a)
             if fault is not None:
                 return VerificationReport(ident, (k, a), N, "fail",
                                           counterexample=fault,
@@ -274,7 +274,16 @@ def trace_orbit(config, scope: str, k: int, a: int) -> OrbitTrace:
     rules.check(k, a)
     pair = (tuple(config[0]), tuple(config[1]))
     rules.ground(pair, k, a)
-    out, fault, error = _orbit(rules, pair, k, a)
+
+    def member(out):
+        try:
+            rules.ground(out, k, a)
+        except ParameterError:
+            return False
+        return True
+
+    out, fault, error = _orbit(rules, member, pair, sum(pair[0]) + sum(pair[1]),
+                               k, a)
     if error is not None:
         raise error
     if fault is not None:

@@ -17,6 +17,7 @@ adjacent part sizes, which is what the counting DP below uses.
 from __future__ import annotations
 
 import os
+from itertools import accumulate, groupby
 from operator import add
 
 FAMILIES = ("A", "B", "W", "Wbar")
@@ -78,15 +79,19 @@ def satisfies_parity(parts, mode: str) -> bool:
     mode "odd":  every odd part value occurs an even number of times.
     mode "none": always true.
     """
+    if mode not in _PARITY_MODE.values():
+        raise ParameterError("unknown parity mode %r" % (mode,))
+    return _parity_ok(tuple(sorted(parts, reverse=True)), mode)
+
+
+def _parity_ok(parts, mode):
+    """satisfies_parity on a weakly decreasing tuple and a known mode:
+    every run of a part size of the paired parity has even length."""
     if mode == "none":
         return True
-    if mode not in ("even", "odd"):
-        raise ParameterError("unknown parity mode %r" % (mode,))
     want = 0 if mode == "even" else 1
-    counts = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    return all(c % 2 == 0 for v, c in counts.items() if v % 2 == want)
+    return not any(v % 2 == want and len(tuple(run)) % 2
+                   for v, run in groupby(parts))
 
 
 def _needs_even(size, mode):
@@ -193,8 +198,14 @@ def enumerate_distinct(n: int, part_parity: str | None = None):
 
 
 def _inv_one_minus(c, s):
-    """c *= 1/(1 - q^s) in place, truncated at len(c) - 1: each block of
-    s weights adds the block below it, which is already final."""
+    """c *= 1/(1 - q^s) in place, truncated at len(c) - 1: a prefix sum
+    along each residue class mod s.  With few classes (s*s < len(c))
+    each class is one accumulate; otherwise each block of s weights adds
+    the block below it, which is already final."""
+    if s * s < len(c):
+        for r in range(s):
+            c[r::s] = accumulate(c[r::s])
+        return
     for lo in range(s, len(c), s):
         c[lo:lo + s] = map(add, c[lo:lo + s], c[lo - s:lo])
 

@@ -33,6 +33,7 @@ series times a fixed product factor.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 from . import partitions, series
@@ -153,8 +154,7 @@ def _ground_valid(pair, pipeline, k, a):
         prev = x
     if not partitions._gordon_ok(B, k, a):
         return False
-    return partitions.satisfies_parity(B,
-                                       partitions._PARITY_MODE[ground.family])
+    return partitions._parity_ok(B, partitions._PARITY_MODE[ground.family])
 
 
 def _require_ground(pair, pipeline, k, a):
@@ -166,7 +166,9 @@ def _require_ground(pair, pipeline, k, a):
 class _Ground:
     """Weight classes of one ground set, streamed from the distinct-part
     lists of A and the family lists of B, each weight of which is
-    enumerated once, on first use."""
+    enumerated once, on first use.  Each list is kept as a dict, an
+    ordered set: it iterates in enumeration order and answers membership
+    by lookup."""
 
     def __init__(self, scope, k, a):
         ground = _SCOPES[scope]
@@ -174,21 +176,46 @@ class _Ground:
         self.k, self.a = k, a
         self.As, self.Bs = {}, {}
 
+    def _A(self, wa):
+        As = self.As.get(wa)
+        if As is None:
+            As = self.As[wa] = dict.fromkeys(
+                partitions.enumerate_distinct(wa, self.parity))
+        return As
+
+    def _B(self, wb):
+        Bs = self.Bs.get(wb)
+        if Bs is None:
+            Bs = self.Bs[wb] = dict.fromkeys(
+                partitions.enumerate_family(self.family, self.k, self.a, wb))
+        return Bs
+
     def pairs(self, w):
         """The pairs of weight w, A-weight descending."""
         for wa in range(w, -1, -1):
-            As = self.As.get(wa)
-            if As is None:
-                As = self.As[wa] = partitions.enumerate_distinct(wa, self.parity)
+            As = self._A(wa)
             if not As:
                 continue
-            Bs = self.Bs.get(w - wa)
-            if Bs is None:
-                Bs = self.Bs[w - wa] = partitions.enumerate_family(
-                    self.family, self.k, self.a, w - wa)
+            Bs = self._B(w - wa)
             for A in As:
                 for B in Bs:
                     yield (A, B)
+
+    def contains(self, pair):
+        """Ground membership by lookup in the weight classes of A and B,
+        which are built on first use as pairs() builds them; a sweep asks
+        only once the weight law holds, so it builds no class above the
+        swept weight.  False, never an exception, for anything but a pair
+        of tuples in the ground set (lists, unhashable parts, another
+        arity)."""
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        A, B = pair
+        try:
+            wa, wb = sum(A), sum(B)
+            return wa >= 0 and wb >= 0 and A in self._A(wa) and B in self._B(wb)
+        except TypeError:
+            return False
 
 
 def enumerate_ground(pipeline: str, k: int, a: int, n: int):
@@ -202,33 +229,29 @@ def enumerate_ground(pipeline: str, k: int, a: int, n: int):
 # ------------------------------------------------------------ triple coding
 
 def _merge_pairs(parts):
-    """Pair equal parts once: (doubled parts, unpaired leftovers)."""
-    cnt = Counter(parts)
+    """Pair equal parts of a weakly decreasing sequence once: (doubled
+    parts, unpaired leftovers), both descending, one pass over its runs."""
     merged, left = [], []
-    for v, m in cnt.items():
-        merged.extend([2 * v] * (m // 2))
-        left.extend([v] * (m % 2))
-    return tuple(sorted(merged, reverse=True)), tuple(sorted(left, reverse=True))
+    for v, run in groupby(parts):
+        m = len(tuple(run))
+        merged += [2 * v] * (m // 2)
+        if m % 2:
+            left.append(v)
+    return tuple(merged), tuple(left)
 
 
 def _encode(pair, pipeline):
     """Merge-level triple of a ground pair (no redistribution)."""
     A, B = pair
     if pipeline == "EE":
-        bcnt = Counter(B)
-        kept, E = [], []
-        for x in A:
-            if x % 2 and bcnt[x] > 0:
-                bcnt[x] -= 1
-                E.append(2 * x)
-            else:
-                kept.append(x)
-        rest = []
-        for v, m in bcnt.items():
-            rest.extend([v] * m)
+        shared = [x for x in A if x % 2 and x in B]
+        rest = list(B)
+        for x in shared:
+            rest.remove(x)
         merged, left = _merge_pairs(rest)
-        mid = tuple(sorted(merged + left, reverse=True))
-        return (tuple(kept), mid, (), tuple(sorted(E, reverse=True)))
+        return (tuple(x for x in A if x not in shared),
+                tuple(sorted(merged + left, reverse=True)), (),
+                tuple(2 * x for x in shared))
     C, D = _merge_pairs(B)
     return (tuple(A), C, D, ())
 
@@ -629,23 +652,23 @@ def _adel(A, x):
 
 
 def _brepl(B, take, give):
-    cnt = Counter(B)
+    out = list(B)
     for v in take:
-        cnt[v] -= 1
-        if cnt[v] < 0:
+        if v not in out:
             return None
-    for v in give:
-        cnt[v] += 1
-    out = []
-    for v, m in cnt.items():
-        out.extend([v] * m)
-    return tuple(sorted(out, reverse=True))
+        out.remove(v)
+    out += give
+    out.sort(reverse=True)
+    return tuple(out)
 
 
 def _carry_candidates(state):
-    """Weight-preserving moves flipping len(A) by one.  Each clause and
-    its inverse clause generate each other, so the adjacency they induce
-    on a weight class is symmetric; validity is filtered by the caller."""
+    """Weight-preserving moves flipping len(A) by one, in clause and
+    inverse-clause pairs.  An inverse clause does not always fire where
+    its clause did, so a few edges are one-way: ((), (5, 3)) sheds 2
+    into ((2,), (3, 3)), whose inverse clause needs a single 3.
+    _match_weight adds each edge in both directions.  Candidates outside
+    the ground set are the caller's to drop."""
     A, B = state
     cnt = Counter(B)
     vals = sorted(cnt, reverse=True)
@@ -744,6 +767,7 @@ class _Flow:
 
     def __init__(self, pipeline, k, a):
         self.pipeline, self.k, self.a = pipeline, k, a
+        self.ground = _Ground(pipeline, k, a)
         self.rcache = {}
         self.match = {}
         self.matched_weights = set()
@@ -775,14 +799,13 @@ class _Flow:
                 "pairing the weight-%d residue needs its full weight class; "
                 "set RRG_MAX_SWEEP to at least %d to allow it" % (w, w))
         self.matched_weights.add(w)
-        pl, k, a = self.pipeline, self.k, self.a
-        residue = [s for s in enumerate_ground(pl, k, a, w)
-                   if self.safe(s) is None]
-        rset = set(residue)
+        residue = [s for s in self.ground.pairs(w) if self.safe(s) is None]
         adj = {s: set() for s in residue}
         for s in residue:
+            # the residue is drawn from the ground set, so a candidate
+            # in it is a ground pair
             for Y in _carry_candidates(s):
-                if Y in rset and _ground_valid(Y, pl, k, a):
+                if Y in adj:
                     adj[s].add(Y)
                     adj[Y].add(s)
         match = self.match

@@ -10,6 +10,7 @@ from qgordon.gordon import (
     FixedPoint,
     Move,
     UClass,
+    _blocked,
     _involute_k1,
     apply_map,
     classify,
@@ -96,6 +97,22 @@ def test_more_alpha_and_beta_rows():
     for src, dst in rows:
         assert involute_gordon(src, 3, 3) == dst, src
         assert involute_gordon(dst, 3, 3) == src, dst
+
+
+def test_blocked_is_membership_of_the_extended_b():
+    # the O(1) test reads the top window and the ones of (a1,) + B; it
+    # must agree with the family test on every a1 >= B[0] it is asked
+    cases = 0
+    for k in range(2, 7):
+        for a in range(1, k + 1):
+            for w in range(19):
+                for B in partitions.enumerate_family("B", k, a, w):
+                    top = B[0] if B else 1
+                    for a1 in range(top, top + 4):
+                        want = not partitions._gordon_ok((a1,) + B, k, a)
+                        assert _blocked(a1, B, k, a) == want, (a1, B, k, a)
+                        cases += 1
+    assert cases == 47980
 
 
 def test_fixed_point_templates():

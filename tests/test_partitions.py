@@ -5,6 +5,9 @@ independently of the package (straight from the defining inequalities)
 so they can act as oracles for the optimized enumerators and DP counts.
 """
 
+import random
+from operator import add
+
 import pytest
 
 from qgordon import partitions
@@ -121,6 +124,9 @@ def test_satisfies_parity():
     assert partitions.satisfies_parity((5, 5, 4), "odd")
     assert partitions.satisfies_parity((7, 2), "none")
     assert partitions.satisfies_parity((), "even")
+    # the public filter takes parts in any order
+    assert partitions.satisfies_parity((4, 3, 4), "even")
+    assert not partitions.satisfies_parity((5, 4, 1, 5, 4), "odd")
     with pytest.raises(partitions.ParameterError):
         partitions.satisfies_parity((1,), "both")
 
@@ -266,3 +272,17 @@ def test_parameter_errors():
         partitions.count_family("X", 3, 3, 4)
     with pytest.raises(partitions.ParameterError):
         partitions.count_family("B", 3, 3, -1)
+
+
+def test_inv_one_minus_residue_classes_match_blocks():
+    # both forms of c *= 1/(1 - q^s): one accumulate per residue class
+    # when s*s < len(c), one block of s weights at a time otherwise
+    rng = random.Random(7)
+    for length in (1, 2, 61, 601):
+        for s in range(1, 61):
+            c = [rng.randint(-9, 9) for _ in range(length)]
+            want = list(c)
+            for lo in range(s, length, s):
+                want[lo:lo + s] = map(add, want[lo:lo + s], want[lo - s:lo])
+            partitions._inv_one_minus(c, s)
+            assert c == want, (length, s)

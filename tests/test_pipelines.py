@@ -4,8 +4,8 @@ law sweeps on the small parameter grid."""
 
 import pytest
 
-from qgordon import partitions, pipelines, series
-from qgordon.gordon import ConsistencyError, FixedPoint
+from qgordon import harness, partitions, pipelines, series
+from qgordon.gordon import ConsistencyError, FixedPoint, involute_gordon
 from qgordon.partitions import ParameterError
 from qgordon.pipelines import (
     PartitionTriple,
@@ -84,6 +84,68 @@ def test_enumerate_ground_counts():
                 for wa in range(w + 1))
             assert got == want
     assert enumerate_ground("EE", 2, 2, 0) == [((), ())]
+
+
+SCOPE_GRID = ([("gordon", k, a) for k in (2, 3, 4) for a in range(1, k + 1)]
+              + GRID)
+
+
+def _predicate(scope, pair, k, a):
+    try:
+        pipelines._SCOPES[scope].ground(pair, k, a)
+    except ParameterError:
+        return False
+    return True
+
+
+def test_ground_contains_agrees_with_the_predicate():
+    for scope, k, a in SCOPE_GRID:
+        ground = pipelines._Ground(scope, k, a)
+        for w in range(15):
+            for A, B in pipelines._Ground(scope, k, a).pairs(w):
+                assert ground.contains((A, B))
+                assert _predicate(scope, (A, B), k, a)
+                # well-formed pairs, mostly non-members: unsorted B, a
+                # zero part, a repeated A part, an odd A part
+                for bad in [(A, B[::-1]), (A, B + (0,)), (A + (0,), B),
+                            (A + A[-1:], B), (A + (1,), B)]:
+                    assert ground.contains(bad) == _predicate(scope, bad, k, a)
+                # malformed: lists, unhashable parts, another arity
+                for bad in [(list(A), B), (A, list(B)), [A, B], (A, B, ()),
+                            (A + ([1],), B), (A,), None]:
+                    assert not ground.contains(bad)
+
+
+def test_each_ground_enumerates_a_weight_once(monkeypatch):
+    calls = []
+    real = partitions.enumerate_family
+
+    def counted(family, k, a, n):
+        calls.append(n)
+        return real(family, k, a, n)
+
+    monkeypatch.setattr(partitions, "enumerate_family", counted)
+    monkeypatch.setattr(pipelines, "_FLOWS", {})
+    assert harness.check_involution_laws("EE", 4, 4, 21).passed
+    # one _Ground in the sweep and one in the matching's flow
+    assert max(calls.count(n) for n in set(calls)) <= 2
+    assert len(calls) <= 2 * 22
+
+
+def test_one_pair_maps_enumerate_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(partitions, "enumerate_family",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(pipelines, "_FLOWS", {})
+    pair = ((10, 8, 5), (5, 4, 4, 4, 4))
+    assert pipelines._flow("EE", 6, 6).safe(pair) is not None
+    partner = involute_pipeline(pair, "EE", 6, 6)
+    assert involute_pipeline(partner, "EE", 6, 6) == pair
+    assert harness.trace_orbit(pair, "EE", 6, 6).terminal == "partner"
+    partner = involute_gordon(((6, 1), (5, 5)), 3, 3)
+    assert involute_gordon(partner, 3, 3) == ((6, 1), (5, 5))
+    assert harness.trace_orbit(((6, 1), (5, 5)), "gordon", 3, 3).steps
+    assert calls == []
 
 
 def test_to_triple_fixtures():
