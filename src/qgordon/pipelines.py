@@ -28,10 +28,20 @@ degenerate) a two-family sequence of template triples indexed by n, of
 weights (k+1)n^2 +- (k+1-a)n, each carrying a free partition E, so the
 signed generating function of the fixed configurations is a theta
 series times a fixed product factor.
+
+The pipelines differ in three stated facts: the parities of (k, a)
+(_PARITY_RULES), the ground set, A's part parity and B's family
+(_SCOPES), and the free-part factor of E (_E_FACTORS).  The rest is
+derived from them: B's family fixes the parity of the parts the merge
+leaves single, hence the residue of the middle parts that split and the
+staircase of a fixed triple (the single-parity sizes up to the top of
+its base template); the factor (sign*q^e; q^m)_inf fixes the shape of a
+free part (v = e mod m) and whether it counts in the sign (sign +1).
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from itertools import groupby
 from typing import Callable, NamedTuple
@@ -49,13 +59,9 @@ PIPELINES = ("EE", "OO", "OE")
 _PARITY_RULES = {"EE": ((0, 0), "k and a even"),
                  "OO": ((1, 1), "k and a odd"),
                  "OE": ((1, 0), "k odd and a even")}
-# (a, m, sign) of the product (sign*q^a; q^m)_inf generating the free
+# (e, m, sign) of the product (sign*q^e; q^m)_inf generating the free
 # parts E with their signs
 _E_FACTORS = {"EE": (2, 4, 1), "OO": (1, 2, -1), "OE": (2, 2, -1)}
-# parity of the unpaired single parts left by the merge step
-_LEFTOVER_PARITY = {"EE": 1, "OO": 1, "OE": 0}
-# middle parts of this residue mod 4 may split into two equal halves
-_SPLIT_RESIDUE = {"OO": 2, "OE": 0}
 
 
 class _Scope(NamedTuple):
@@ -90,6 +96,23 @@ def _require_pipeline(pipeline):
     if pipeline not in PIPELINES:
         raise ParameterError("pipeline must be one of %r, got %r"
                              % (PIPELINES, pipeline))
+
+
+def _single_parity(pipeline):
+    """Parity of the parts the merge leaves single: W pairs up its even
+    parts, so only odd ones stay single; Wbar the other way round."""
+    return 1 if _SCOPES[pipeline].family == "W" else 0
+
+
+def _is_free_part(v, pipeline):
+    """A free part of (sign*q^e; q^m)_inf is e mod m."""
+    e, m = _E_FACTORS[pipeline][:2]
+    return v % m == e % m
+
+
+def _untemplated(pipeline, a):
+    """The OO a = 1 sector, whose fixed configurations have no template."""
+    return pipeline == "OO" and a == 1
 
 
 def check_pipeline(pipeline: str, k: int, a: int) -> None:
@@ -127,9 +150,11 @@ def triple_weight(triple) -> int:
 
 
 def triple_sign(triple, pipeline: str) -> int:
-    """EE configurations count E parts in the sign; OO/OE do not."""
+    """E parts count in the sign when their factor (q^e; q^m)_inf has
+    sign +1 (EE), not when it is (-q^e; q^m)_inf (OO/OE)."""
+    _require_pipeline(pipeline)
     A, B, D, E = triple
-    n = len(A) + (len(E) if pipeline == "EE" else 0)
+    n = len(A) + (len(E) if _E_FACTORS[pipeline][2] == 1 else 0)
     return -1 if n % 2 else 1
 
 
@@ -223,7 +248,7 @@ def enumerate_ground(pipeline: str, k: int, a: int, n: int):
     check_pipeline(pipeline, k, a)
     if n < 0:
         raise ParameterError("n must be >= 0, got %r" % (n,))
-    return list(_Ground(pipeline, k, a).pairs(n))
+    return list(_ground(pipeline, k, a).pairs(n))
 
 
 # ------------------------------------------------------------ triple coding
@@ -257,9 +282,10 @@ def _encode(pair, pipeline):
 
 
 def _rho(C, D, pipeline):
-    """Split one middle part per value (residue _SPLIT_RESIDUE mod 4)
-    whose half is absent from D; the two halves join D."""
-    res = _SPLIT_RESIDUE[pipeline]
+    """Split one middle part per value whose half is absent from D and
+    has the single parity (so the part is 2 * parity mod 4); the two
+    halves join D."""
+    res = 2 * _single_parity(pipeline)
     dset = set(D)
     keep, moved, seen = [], [], set()
     for c in C:
@@ -308,7 +334,7 @@ def un_transform(triple, pipeline: str) -> tuple:
                 B.append(v)
         back = list(A)
         for e in E:
-            if e % 4 != 2:
+            if not _is_free_part(e, pipeline):
                 raise ConsistencyError("EE free parts must be 2 mod 4: %r"
                                        % (triple,))
             back.append(e // 2)
@@ -370,7 +396,7 @@ def _exceptional(t, pipeline, k, a):
 
     if any(chain(lim1, i) for i in range(1, lim1 + 1)):
         return True
-    lp = _LEFTOVER_PARITY[pipeline]
+    lp = _single_parity(pipeline)
     lset = set(left)
     witness = any(w % 2 == lp and w in lset
                   for w in (a1 // 2, a1 // 2 - 1))
@@ -396,73 +422,60 @@ def _fixed_core(pipeline, family, n, k, a):
     return (tuple(2 * x for x in Ah), tuple(2 * x for x in Bh))
 
 
-def _staircase(pipeline, family, n):
-    """Canonical D component of a fixed triple."""
-    if pipeline == "EE" or n == 0:
+def _top(A):
+    """Top of the base template under a fixed core with parts A (A's top
+    part is that top doubled); 0 for the empty core."""
+    return A[0] // 2 if A else 0
+
+
+def _staircase(pipeline, top):
+    """Canonical D of a fixed triple whose base template tops out at
+    top: the single-parity sizes up to top (EE triples carry no D)."""
+    if pipeline == "EE":
         return ()
-    if pipeline == "OO":
-        return tuple(range(2 * n - 1, 0, -2))
-    if family == 1:
-        return tuple(range(2 * n, 0, -2))
-    return tuple(range(2 * n - 2, 0, -2))
+    p = _single_parity(pipeline)
+    return tuple(v for v in range(top, 0, -1) if v % 2 == p)
 
 
-def _staircase_compat(D, n, pipeline, family):
-    """D equals the canonical staircase with each step once or twice,
-    plus distinct extra parts above it (the free parts to extract)."""
+def _staircase_compat(D, pipeline, top):
+    """D equals the staircase with each step once or twice, plus
+    distinct extra parts above top (the free parts to extract)."""
     if pipeline == "EE":
         return not D
     cnt = Counter(D)
-    if pipeline == "OO":
-        need = range(1, 2 * n, 2)
-        hi = 2 * n
-    elif family == 1:
-        need = range(2, 2 * n + 1, 2)
-        hi = 2 * n
-    else:
-        need = range(2, 2 * n - 1, 2)
-        hi = 2 * n - 2
-    for v in need:
-        if cnt[v] not in (1, 2):
-            return False
-    for v, m in cnt.items():
-        if v > hi and m != 1:
-            return False
-    return True
+    return (all(cnt[v] in (1, 2) for v in _staircase(pipeline, top))
+            and all(m == 1 for v, m in cnt.items() if v > top))
 
 
 def _fixed_check(t, pipeline, k, a):
     """(family, n) when the redistributed triple is fixed, else None.
     The weight-0 core reports as (0, 0); the OO a=1 sector has no
     template parametrization and always reports None here."""
-    if pipeline == "OO" and a == 1:
+    if _untemplated(pipeline, a):
         return None
     A, mid, D, E = t
     n = len(A)
     if n == 0:
-        if mid == () and _staircase_compat(D, 0, pipeline, 1):
+        if mid == () and _staircase_compat(D, pipeline, 0):
             return (0, 0)
         return None
-    # a core's top part is its base template's top part doubled
-    for family, top in ((1, 4 * n), (2, 4 * n - 2)):
-        if (A[0] == top and (A, mid) == _fixed_core(pipeline, family, n, k, a)
-                and _staircase_compat(D, n, pipeline, family)):
+    # the base template tops out at 2n in family 1 and 2n - 1 in family 2
+    for family, top in ((1, 2 * n), (2, 2 * n - 1)):
+        if (A[0] == 2 * top and (A, mid) == _fixed_core(pipeline, family, n, k, a)
+                and _staircase_compat(D, pipeline, top)):
             return (family, n)
     return None
 
 
-def _extract_free(t, pipeline, family, n):
+def _extract_free(t, pipeline):
     """Free parts of a fixed triple: extras above the staircase plus one
     copy of each duplicated step (EE: the E component itself)."""
     A, mid, D, E = t
     if pipeline == "EE":
         return tuple(E)
-    hi = 2 * n if (pipeline == "OO" or family != 2) else 2 * n - 2
-    out = []
-    for v, m in sorted(Counter(D).items(), reverse=True):
-        if v > hi or m == 2:
-            out.append(v)
-    return tuple(out)
+    top = _top(A)
+    return tuple(v for v, m in sorted(Counter(D).items(), reverse=True)
+                 if v > top or m == 2)
 
 
 def pipeline_fixed_triple(pipeline: str, family: int, n: int,
@@ -472,17 +485,15 @@ def pipeline_fixed_triple(pipeline: str, family: int, n: int,
     is (k+1)n^2 + (k+1-a)n for family 1 and (k+1)n^2 - (k+1-a)n for
     family 2; n = 0 gives the common empty core (family 0, 1 or 2)."""
     check_pipeline(pipeline, k, a)
-    if pipeline == "OO" and a == 1:
+    if _untemplated(pipeline, a):
         raise ParameterError("no fixed templates at a = 1")
     if n < 0:
         raise ParameterError("n must be >= 0, got %r" % (n,))
     if family not in (0, 1, 2) or (family == 0 and n != 0):
         raise ParameterError("family must be 1 or 2 (0 only for n = 0), "
                              "got %r" % (family,))
-    if n == 0:
-        return PartitionTriple((), (), (), ())
     A, mid = _fixed_core(pipeline, family, n, k, a)
-    return PartitionTriple(A, mid, _staircase(pipeline, family, n), ())
+    return PartitionTriple(A, mid, _staircase(pipeline, _top(A)), ())
 
 
 def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
@@ -491,7 +502,7 @@ def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
     the canonical template.  Raises for non-fixed triples and for the
     OO a=1 sector, whose fixed configurations have no template index."""
     check_pipeline(pipeline, k, a)
-    if pipeline == "OO" and a == 1:
+    if _untemplated(pipeline, a):
         raise ParameterError("fixed configurations at a = 1 carry no "
                              "template index")
     t = _normalize(tuple(triple), pipeline)
@@ -499,8 +510,7 @@ def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
     if res is None:
         raise ParameterError("triple is not a fixed configuration: %r"
                              % (triple,))
-    family, n = res
-    return (family, n, _extract_free(t, pipeline, family, n))
+    return res + (_extract_free(t, pipeline),)
 
 
 def canonical_fixed_form(pipeline: str, family: int, n: int, E,
@@ -508,28 +518,19 @@ def canonical_fixed_form(pipeline: str, family: int, n: int, E,
     """Display form of a fixed configuration: for OO/OE the middle parts
     are halved and the staircase absorbed, giving multiplicity blocks
     k-a (even values) and a-2 (odd values) below 2n; EE keeps the
-    template middle.  E must have the pipeline's free-part shape
-    (EE: distinct parts 2 mod 4; OO: distinct odd; OE: distinct even)."""
+    template middle.  E must hold distinct free parts of the pipeline's
+    factor (sign*q^e; q^m)_inf, each e mod m (EE: 2 mod 4; OO: odd; OE:
+    even)."""
     check_pipeline(pipeline, k, a)
     E = tuple(sorted(E, reverse=True))
-    prev = None
-    for v in E:
-        bad = (v <= 0 or v == prev
-               or (pipeline == "EE" and v % 4 != 2)
-               or (pipeline == "OO" and v % 2 == 0)
-               or (pipeline == "OE" and v % 2))
-        if bad:
-            raise ParameterError("free parts have the wrong shape for %s: %r"
-                                 % (pipeline, E))
-        prev = v
+    if (len(set(E)) < len(E)
+            or any(v <= 0 or not _is_free_part(v, pipeline) for v in E)):
+        raise ParameterError("free parts have the wrong shape for %s: %r"
+                             % (pipeline, E))
     core = pipeline_fixed_triple(pipeline, family, n, k, a)
     if pipeline == "EE":
         return PartitionTriple(core.A, core.B, (), E)
-    halves = []
-    for c in core.B:
-        halves.extend([c // 2, c // 2])
-    halves.extend(core.D)
-    return PartitionTriple(core.A, tuple(sorted(halves, reverse=True)), (), E)
+    return PartitionTriple(*un_transform(core, pipeline), (), E)
 
 
 def pipeline_e_factor(pipeline: str, N: int) -> TruncatedSeries:
@@ -537,8 +538,8 @@ def pipeline_e_factor(pipeline: str, N: int) -> TruncatedSeries:
     if N < 0:
         raise ParameterError("N must be >= 0, got %r" % (N,))
     _require_pipeline(pipeline)
-    a, m, sign = _E_FACTORS[pipeline]
-    return series.poch_inf(a, m, N, sign)
+    e, m, sign = _E_FACTORS[pipeline]
+    return series.poch_inf(e, m, N, sign)
 
 
 def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
@@ -551,7 +552,7 @@ def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
     check_pipeline(pipeline, k, a)
     ef = pipeline_e_factor(pipeline, N)
     alpha, beta = 2 * (k + 1), 2 * (k + 1 - a)
-    if pipeline == "OO" and a == 1:
+    if _untemplated(pipeline, a):
         return ef * series.theta_sum(alpha, beta, N)
     return ef * _template_gf(alpha, beta, N)
 
@@ -581,8 +582,6 @@ def _sector_image(t, pipeline, k, a):
     """Base involution at the reduced parameters on halved values; None
     when out of scope or when the reduced pair is fixed."""
     A, mid, D, E = t
-    if pipeline == "EE" and (any(x % 2 for x in A) or any(x % 2 for x in mid)):
-        return None
     kk, aa = inner_params(pipeline, k, a)
     Ah = tuple(x // 2 for x in A)
     Bh = tuple(x // 2 for x in mid)
@@ -608,7 +607,7 @@ def _finish(t2, pipeline, k, a, state):
     Y = un_transform(t2, pipeline)
     if Y == state or not _ground_valid(Y, pipeline, k, a):
         return None
-    return ("pair", Y)
+    return Y
 
 
 def _blocked_subroute(t, pipeline, k, a, state):
@@ -620,7 +619,7 @@ def _blocked_subroute(t, pipeline, k, a, state):
 def _route_triple(state, t, pipeline, k, a):
     f = _fixed_check(t, pipeline, k, a)
     if f is not None:
-        return ("fixed",) + f
+        return FixedPoint(*f)
     A, mid, D, E = t
     a1 = A[0] if A else 0
     if mid and mid[0] > a1:
@@ -785,11 +784,9 @@ class _Flow:
         """Route outcome accepted only under mutuality: a partner must
         route straight back."""
         r = self.route(state)
-        if r is None:
-            return None
-        if r[0] == "fixed":
+        if r is None or isinstance(r, FixedPoint):
             return r
-        return r if self.route(r[1]) == ("pair", state) else None
+        return r if self.route(r) == state else None
 
     def _match_weight(self, w):
         if w in self.matched_weights:
@@ -831,23 +828,23 @@ class _Flow:
             return r
         self._match_weight(sum(state[0]) + sum(state[1]))
         if state in self.match:
-            return ("pair", self.match[state])
-        if self.pipeline == "OO" and self.a == 1:
+            return self.match[state]
+        if _untemplated(self.pipeline, self.a):
             # no templates at a = 1: what stays unpaired is fixed
-            return ("fixed", 0, 0)
+            return FixedPoint(0, 0)
         return None
 
 
-_FLOWS = {}
+_flow = functools.lru_cache(maxsize=16)(_Flow)
 
 
-def _flow(pipeline, k, a):
-    key = (pipeline, k, a)
-    f = _FLOWS.get(key)
-    if f is None:
-        f = _Flow(pipeline, k, a)
-        _FLOWS[key] = f
-    return f
+def _ground(scope, k, a):
+    """The _Ground of a scope: a pipeline's is its flow's, which the
+    fallback matching reads too, so each weight class is enumerated
+    once; the Gordon map's is a fresh one."""
+    if scope in PIPELINES:
+        return _flow(scope, k, a).ground
+    return _Ground(scope, k, a)
 
 
 def involute_pipeline(pair, pipeline: str, k: int, a: int):
@@ -868,6 +865,4 @@ def _involute_pipeline(pair, pipeline, k, a):
     if r is None:
         raise ConsistencyError("no partner and no template match for %r "
                                "in %s (k=%d, a=%d)" % (pair, pipeline, k, a))
-    if r[0] == "fixed":
-        return FixedPoint(r[1], r[2])
-    return r[1]
+    return r

@@ -116,7 +116,15 @@ def test_ground_contains_agrees_with_the_predicate():
                     assert not ground.contains(bad)
 
 
-def test_each_ground_enumerates_a_weight_once(monkeypatch):
+@pytest.fixture
+def fresh_flows():
+    """No flow built before the test, and none it built kept after it."""
+    pipelines._flow.cache_clear()
+    yield
+    pipelines._flow.cache_clear()
+
+
+def test_each_ground_enumerates_a_weight_once(monkeypatch, fresh_flows):
     calls = []
     real = partitions.enumerate_family
 
@@ -125,18 +133,16 @@ def test_each_ground_enumerates_a_weight_once(monkeypatch):
         return real(family, k, a, n)
 
     monkeypatch.setattr(partitions, "enumerate_family", counted)
-    monkeypatch.setattr(pipelines, "_FLOWS", {})
     assert harness.check_involution_laws("EE", 4, 4, 21).passed
-    # one _Ground in the sweep and one in the matching's flow
-    assert max(calls.count(n) for n in set(calls)) <= 2
-    assert len(calls) <= 2 * 22
+    # the sweep and the matching read the flow's one _Ground
+    assert max(calls.count(n) for n in set(calls)) == 1
+    assert len(calls) <= 22
 
 
-def test_one_pair_maps_enumerate_nothing(monkeypatch):
+def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
     calls = []
     monkeypatch.setattr(partitions, "enumerate_family",
                         lambda *args: calls.append(args))
-    monkeypatch.setattr(pipelines, "_FLOWS", {})
     pair = ((10, 8, 5), (5, 4, 4, 4, 4))
     assert pipelines._flow("EE", 6, 6).safe(pair) is not None
     partner = involute_pipeline(pair, "EE", 6, 6)
@@ -374,6 +380,62 @@ def test_triple_sign():
     assert triple_sign(PartitionTriple((10, 8), (8, 8), (), ()), "EE") == 1
     assert triple_sign(PartitionTriple((16, 14, 12, 10), (), (), (9,)), "OO") == 1
     assert triple_sign(PartitionTriple((2,), (), (), ()), "OE") == -1
+    for bad in ("ee", "XX", None):
+        with pytest.raises(ParameterError):
+            triple_sign(PartitionTriple((2,), (), (), ()), bad)
+
+
+# The literal per-pipeline tables the derivations replaced, kept as the
+# reference they must reproduce.
+_OLD_LEFTOVER_PARITY = {"EE": 1, "OO": 1, "OE": 0}
+_OLD_SPLIT_RESIDUE = {"OO": 2, "OE": 0}
+
+
+def _old_staircase(pipeline, family, n):
+    if pipeline == "EE" or n == 0:
+        return ()
+    if pipeline == "OO":
+        return tuple(range(2 * n - 1, 0, -2))
+    if family == 1:
+        return tuple(range(2 * n, 0, -2))
+    return tuple(range(2 * n - 2, 0, -2))
+
+
+def _old_free_shape(pipeline, v):
+    return not ((pipeline == "EE" and v % 4 != 2)
+                or (pipeline == "OO" and v % 2 == 0)
+                or (pipeline == "OE" and v % 2))
+
+
+def test_derived_parities_match_the_old_tables():
+    for pl in pipelines.PIPELINES:
+        assert pipelines._single_parity(pl) == _OLD_LEFTOVER_PARITY[pl]
+    for pl, res in _OLD_SPLIT_RESIDUE.items():
+        assert 2 * pipelines._single_parity(pl) == res
+        # a part of that residue splits when its half is absent from D
+        c = 4 + res
+        assert pipelines._rho((c,), (), pl) == ((), (c // 2, c // 2))
+        assert pipelines._rho((c + 2,), (), pl) == ((c + 2,), ())
+
+
+def test_derived_staircase_matches_the_old_ranges():
+    for pl, k, a in [("EE", 4, 4), ("OO", 5, 3), ("OE", 5, 4)]:
+        for family in (1, 2):
+            for n in range(1, 13):
+                t = pipeline_fixed_triple(pl, family, n, k, a)
+                assert t.D == _old_staircase(pl, family, n)
+
+
+def test_derived_free_shape_matches_the_old_branches():
+    for pl, k, a in [("EE", 4, 4), ("OO", 3, 3), ("OE", 3, 2)]:
+        for v in range(1, 41):
+            assert pipelines._is_free_part(v, pl) == _old_free_shape(pl, v)
+            try:
+                canonical_fixed_form(pl, 1, 1, (v,), k, a)
+                ok = True
+            except ParameterError:
+                ok = False
+            assert ok == _old_free_shape(pl, v)
 
 
 def test_un_transform_shape_errors():
