@@ -14,10 +14,10 @@ renders the one its --format names."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import shlex
 import sys
+# csv and shlex are imported in the one branch of main that uses each,
+# so a --format json call, the common one, loads neither
 
 from . import harness, partitions, pipelines
 from .gordon import gordon_fixed_point
@@ -250,6 +250,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:
+        import shlex
         if argv is None:
             argv = sys.argv[1:]
         print("error: %s" % exc, file=sys.stderr)
@@ -258,6 +259,7 @@ def main(argv=None) -> int:
     if args.format == "json":
         print(json.dumps(obj, separators=(",", ":")))
     elif args.format == "csv":
+        import csv
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(header)
         out.writerows(rows)

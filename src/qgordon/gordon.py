@@ -33,7 +33,7 @@ sweeps) call the kernels directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import ParameterError, _gordon_ok, check_params
 from .series import TruncatedSeries
@@ -44,14 +44,12 @@ class ConsistencyError(RuntimeError):
     fixed-point template; indicates a genuine rule inconsistency."""
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """Step-1 outcome: the top part crosses between A and B."""
     direction: str  # "b_to_a" or "a_to_b"
 
 
-@dataclass(frozen=True)
-class ClassParams:
+class ClassParams(NamedTuple):
     p: int
     q: int
     r: int
@@ -59,18 +57,18 @@ class ClassParams:
     n: int
 
 
-@dataclass(frozen=True)
-class UClass:
+class UClass(NamedTuple):
     """Blocked pair: witness position i (1..k) and class 1..4."""
     i: int
     cls: int
     params: ClassParams
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     """Fixed configuration: template family 1 or 2 with index n >= 1,
-    or the empty pair (family 0, n = 0)."""
+    or the empty pair (family 0, n = 0).  It is a 2-tuple, the shape of
+    a pair, so a map's result is tested with isinstance(out, FixedPoint)
+    before it is read as a pair."""
     family: int
     n: int
 

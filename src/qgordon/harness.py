@@ -17,8 +17,8 @@ from __future__ import annotations
 import operator
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from . import partitions, pipelines, series
 from .gordon import (ConsistencyError, FixedPoint, Move, UClass, classify,
@@ -29,8 +29,7 @@ from .series import TruncatedSeries
 SCOPES = tuple(pipelines._SCOPES)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     params: tuple
     truncation: int
@@ -46,8 +45,7 @@ class VerificationReport:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
+class OrbitTrace(NamedTuple):
     start: tuple
     steps: tuple                     # ((label, configuration), ...)
     terminal: str                    # "partner" or "fixed"
@@ -190,7 +188,7 @@ def _orbit(rules, member, pair, w, k, a):
         back = rules.involute(out, k, a)
     except Exception as exc:
         return out, ("map", out, None), exc
-    if back != pair:
+    if isinstance(back, FixedPoint) or back != pair:
         return out, ("involution", pair, out), None
     return out, None, None
 

@@ -499,13 +499,21 @@ def pipeline_fixed_triple(pipeline: str, family: int, n: int,
 def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
     """Factor a fixed triple as (family, n, E): extras in D above the
     staircase and one copy of each duplicated step move to E, leaving
-    the canonical template.  Raises for non-fixed triples and for the
-    OO a=1 sector, whose fixed configurations have no template index."""
+    the canonical template.  Raises for non-fixed triples, for OO/OE
+    triples that encode no pair (a nonempty E, or a D part of the wrong
+    parity: the merge leaves only odd parts single in OO, only even ones
+    in OE), and for the OO a=1 sector, whose fixed configurations have
+    no template index."""
     check_pipeline(pipeline, k, a)
     if _untemplated(pipeline, a):
         raise ParameterError("fixed configurations at a = 1 carry no "
                              "template index")
     t = _normalize(tuple(triple), pipeline)
+    D, E = t[2:]
+    if pipeline != "EE" and (E or any(v % 2 != _single_parity(pipeline)
+                                      for v in D)):
+        raise ParameterError("triple encodes no %s pair: %r"
+                             % (pipeline, triple))
     res = _fixed_check(t, pipeline, k, a)
     if res is None:
         raise ParameterError("triple is not a fixed configuration: %r"
@@ -759,6 +767,35 @@ def _carry_candidates(state):
                     yield (A2, _brepl(B, (), (v,)))
 
 
+def _augment(adj, match, root):
+    """Extend the matching by an augmenting path from the unmatched root,
+    if there is one: a depth-first search that tries each state's
+    neighbours in sorted order and never revisits a state.  It keeps its
+    own stack, so a path of any length fits: stack[i] is a state with its
+    unread neighbours, and path[i] the neighbour it is trying."""
+    seen = set()
+    stack, path = [(root, iter(sorted(adj[root])))], []
+    while stack:
+        u, todo = stack[-1]
+        for v in todo:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match:
+                # flip the path: each state takes the neighbour it tried
+                for (x, _), y in zip(reversed(stack), [v] + path[::-1]):
+                    match[y] = x
+                    match[x] = y
+                return
+            path.append(v)
+            stack.append((match[v], iter(sorted(adj[match[v]]))))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+
+
 class _Flow:
     """Routing state for one (pipeline, k, a): a route cache, plus a
     per-weight maximum matching over the carry moves for the residue the
@@ -786,7 +823,8 @@ class _Flow:
         r = self.route(state)
         if r is None or isinstance(r, FixedPoint):
             return r
-        return r if self.route(r) == state else None
+        back = self.route(r)
+        return None if isinstance(back, FixedPoint) or back != state else r
 
     def _match_weight(self, w):
         if w in self.matched_weights:
@@ -805,22 +843,9 @@ class _Flow:
                 if Y in adj:
                     adj[s].add(Y)
                     adj[Y].add(s)
-        match = self.match
-
-        def augment(u, seen):
-            for v in sorted(adj[u]):
-                if v in seen:
-                    continue
-                seen.add(v)
-                if v not in match or augment(match[v], seen):
-                    match[v] = u
-                    match[u] = v
-                    return True
-            return False
-
         for u in sorted(s for s in residue if len(s[0]) % 2 == 0):
-            if u not in match:
-                augment(u, set())
+            if u not in self.match:
+                _augment(adj, self.match, u)
 
     def involute(self, state):
         r = self.safe(state)

@@ -2,6 +2,9 @@
 invocations, exit codes, and output stability."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -330,6 +333,35 @@ def test_fixed_points_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "family,n,weight,A,B"
     assert lines[1] == "0,0,0,,"
+
+
+# run in a fresh interpreter: the modules `import qgordon.cli` adds, then
+# those a json call adds, each beyond what the interpreter already holds
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+bare = set(sys.modules)
+import qgordon.cli
+imported = set(sys.modules) - bare
+with contextlib.redirect_stdout(io.StringIO()):
+    status = qgordon.cli.main(["trace", "--scope", "gordon", "--k", "3",
+                               "--a", "2", "--pair", "9,8,5,3,1;6,2",
+                               "--format", "json"])
+called = set(sys.modules) - bare - imported
+print(json.dumps([status, sorted(imported), sorted(called)]))
+"""
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    status, imported, called = json.loads(out)
+    assert status == 0
+    assert "qgordon.cli" in imported
+    heavy = {"dataclasses", "inspect", "csv", "shlex"}
+    assert heavy.isdisjoint(imported), sorted(heavy & set(imported))
+    assert heavy.isdisjoint(called), sorted(heavy & set(called))
 
 
 def test_usage_errors_exit_2(capsys):

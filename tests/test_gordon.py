@@ -46,6 +46,23 @@ def test_classify_fixtures():
     assert (lab.i, lab.cls) == (2, 4)
 
 
+def test_records_are_frozen_tuples_with_stable_reprs():
+    assert repr(FixedPoint(1, 2)) == "FixedPoint(family=1, n=2)"
+    assert repr(Move("a_to_b")) == "Move(direction='a_to_b')"
+    assert repr(UClass(1, 2, ClassParams(1, 2, 3, None, 1))) == (
+        "UClass(i=1, cls=2, params=ClassParams(p=1, q=2, r=3, s=None, n=1))")
+    records = [FixedPoint(1, 2), Move("b_to_a"), ClassParams(6, 1, 1, None, 1),
+               UClass(1, 2, ClassParams(6, 1, 1, None, 1))]
+    for rec in records:
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], 0)
+        twin = type(rec)(*rec)
+        assert twin == rec and hash(twin) == hash(rec)
+        assert rec == tuple(rec)
+    assert FixedPoint(1, 2) != FixedPoint(2, 1)
+    assert len({FixedPoint(1, 2), FixedPoint(1, 2), FixedPoint(0, 0)}) == 2
+
+
 def test_compute_params_fixtures():
     assert compute_params(((6,), (5, 5, 1)), 3, 3) == ClassParams(6, 1, 1, None, 1)
     assert compute_params(((4, 3, 2, 1), (3, 3, 1)), 3, 3) == ClassParams(1, 4, 1, None, 1)

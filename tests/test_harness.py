@@ -305,6 +305,24 @@ def test_sweep_cap(monkeypatch):
         sweep_cap()
 
 
+def test_report_records_are_frozen_tuples_with_stable_reprs():
+    r = VerificationReport("ebf", (3, 3), 17, "pass")
+    assert repr(r) == (
+        "VerificationReport(identity='ebf', params=(3, 3), truncation=17, "
+        "status='pass', first_discrepancy=None, counterexample=None, "
+        "elapsed=0.0)")
+    assert r.passed and not r._replace(status="fail").passed
+    t = OrbitTrace(((2,), (1, 1)), (), "fixed", FixedPoint(1, 1))
+    assert repr(t) == ("OrbitTrace(start=((2,), (1, 1)), steps=(), "
+                       "terminal='fixed', fixed=FixedPoint(family=1, n=1))")
+    for rec in (r, t):
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], None)
+        twin = type(rec)(*rec)
+        assert twin == rec and hash(twin) == hash(rec)
+        assert rec == tuple(rec)
+
+
 def test_trace_orbit_fixtures():
     t = trace_orbit(((6, 1), (5, 5)), "gordon", 3, 3)
     assert t.terminal == "partner"

@@ -2,6 +2,8 @@
 triple encoding and the full maps, template fixed points, and exhaustive
 law sweeps on the small parameter grid."""
 
+import sys
+
 import pytest
 
 from qgordon import harness, partitions, pipelines, series
@@ -319,6 +321,54 @@ def test_canonicalize_extracts_duplicated_steps():
     assert triple_weight(form) == triple_weight(t)
     assert un_transform(t, "OO")[1] == tuple(sorted(
         [c // 2 for c in t.B for _ in (0, 1)] + list(D), reverse=True))
+
+
+def test_ground_lookup_refuses_a_fixed_point():
+    # a FixedPoint is a 2-tuple, the shape of a pair, but no pair
+    for pl, k, a in GRID:
+        ground = pipelines._Ground(pl, k, a)
+        assert not ground.contains(FixedPoint(0, 0))
+        assert not ground.contains(FixedPoint(1, 2))
+        assert ground.contains(((), ()))
+
+
+def test_canonicalize_refuses_triples_that_encode_no_pair():
+    # un_transform refuses the E part, so the triple decodes to no pair;
+    # canonicalization must not drop it and report (2, 1, ())
+    t = ((2,), (), (1,), (99,))
+    with pytest.raises(ConsistencyError):
+        un_transform(t, "OO")
+    with pytest.raises(ParameterError):
+        canonicalize_fixed(t, "OO", 3, 3)
+    assert canonicalize_fixed(t[:3] + ((),), "OO", 3, 3) == (2, 1, ())
+    # the merge leaves only odd parts single in OO, only even ones in OE
+    with pytest.raises(ParameterError):
+        canonicalize_fixed(((2,), (), (2, 1), ()), "OO", 3, 3)
+    with pytest.raises(ParameterError):
+        canonicalize_fixed(((4,), (), (3, 2), ()), "OE", 3, 2)
+    assert canonicalize_fixed(((4,), (), (2,), ()), "OE", 3, 2) == (1, 1, ())
+
+
+def test_matching_needs_no_call_stack_per_path_step():
+    # the EE (4, 4) weight-22 residue has augmenting paths 41 states
+    # deep; with every route cached, the matching must fit in a call
+    # stack 25 frames above the caller's
+    flow = pipelines._Flow("EE", 4, 4)
+    for s in flow.ground.pairs(22):
+        flow.safe(s)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 25)
+    try:
+        flow._match_weight(22)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(flow.match) == 210
+    for u, v in flow.match.items():
+        assert flow.match[v] == u
 
 
 def test_fixed_gf_matches_products():
