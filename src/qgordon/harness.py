@@ -223,7 +223,7 @@ def check_involution_laws(scope: str, k: int, a: int,
             "sweep to weight %d exceeds the cap %d; set RRG_MAX_SWEEP "
             "to raise it" % (N, sweep_cap()))
     ident = "laws_" + scope
-    ground = pipelines._ground(scope, k, a)
+    ground = pipelines._Ground(scope, k, a)
     swept = [0] * (N + 1)
     for w in range(N + 1):
         seen = set()        # partners whose orbit is already checked

@@ -19,9 +19,11 @@ otherwise A's largest part crosses into the middle, except in a blocked
 configuration detected by a chain condition, where either an odd-part
 exchange (EE) or the base involution on halved middle values at reduced
 parameters takes over.  A move is kept only when the routed image routes
-straight back; the remaining handful of configurations per weight class
-is paired off by a deterministic matching over a small library of
-weight-preserving carry moves, each flipping the A-length parity.
+straight back.  The rest, the residue, is paired off by a deterministic
+maximum matching over a small library of symmetric weight-preserving
+carry moves, each flipping the A-length parity.  The matching is built
+one connected component of the residue at a time, reached from the pair
+by its carry moves, so mapping a pair enumerates no weight class.
 
 What survives is (apart from the OO a = 1 sector, where the templates
 degenerate) a two-family sequence of template triples indexed by n, of
@@ -248,7 +250,7 @@ def enumerate_ground(pipeline: str, k: int, a: int, n: int):
     check_pipeline(pipeline, k, a)
     if n < 0:
         raise ParameterError("n must be >= 0, got %r" % (n,))
-    return list(_ground(pipeline, k, a).pairs(n))
+    return list(_Ground(pipeline, k, a).pairs(n))
 
 
 # ------------------------------------------------------------ triple coding
@@ -671,11 +673,10 @@ def _brepl(B, take, give):
 
 def _carry_candidates(state):
     """Weight-preserving moves flipping len(A) by one, in clause and
-    inverse-clause pairs.  An inverse clause does not always fire where
-    its clause did, so a few edges are one-way: ((), (5, 3)) sheds 2
-    into ((2,), (3, 3)), whose inverse clause needs a single 3.
-    _match_weight adds each edge in both directions.  Candidates outside
-    the ground set are the caller's to drop."""
+    inverse-clause pairs.  An inverse clause fires exactly where its
+    clause did, so the moves are symmetric: Y is a candidate of X when X
+    is one of Y.  Candidates outside the ground set are the caller's to
+    drop."""
     A, B = state
     cnt = Counter(B)
     vals = sorted(cnt, reverse=True)
@@ -705,14 +706,14 @@ def _carry_candidates(state):
                     yield (_adel(A, 2), B2)
     # a single part of B sheds 2 into A, and back
     for v in vals:
-        if cnt[v] == 1 and v >= 3:
+        if v >= 3 and (cnt[v] == 1 or cnt[v - 2] == 0):
             A2 = _ains(A, 2)
             B2 = _brepl(B, (v,), (v - 2,))
             if A2 and B2 is not None:
                 yield (A2, B2)
     if 2 in A:
         for v in vals:
-            if cnt[v] == 1:
+            if cnt[v] == 1 or cnt[v + 2] == 0:
                 B2 = _brepl(B, (v,), (v + 2,))
                 if B2 is not None:
                     yield (_adel(A, 2), B2)
@@ -725,7 +726,7 @@ def _carry_candidates(state):
                     yield (A2, B)
     if 2 not in A:
         for x in A:
-            if x >= 4:
+            if x >= 3:
                 A2 = _ains(_adel(A, x), x - 2)
                 if A2:
                     A2 = _ains(A2, 2)
@@ -738,7 +739,7 @@ def _carry_candidates(state):
             if B2 is not None:
                 yield (_adel(A, x), B2)
     for v in vals:
-        if cnt[v] == 1 and v % 4 == 3 and v >= 7:
+        if v % 2 and v >= 3:
             A2 = _ains(A, (v + 1) // 2)
             B2 = _brepl(B, (v,), ((v - 1) // 2,))
             if A2 and B2 is not None:
@@ -798,15 +799,13 @@ def _augment(adj, match, root):
 
 class _Flow:
     """Routing state for one (pipeline, k, a): a route cache, plus a
-    per-weight maximum matching over the carry moves for the residue the
-    route ladder leaves unpaired."""
+    maximum matching over the carry moves for the residue the route
+    ladder leaves unpaired, built one connected component at a time."""
 
     def __init__(self, pipeline, k, a):
         self.pipeline, self.k, self.a = pipeline, k, a
-        self.ground = _Ground(pipeline, k, a)
         self.rcache = {}
-        self.match = {}
-        self.matched_weights = set()
+        self.match = {}     # residue state -> partner, None if unmatched
 
     def route(self, state):
         hit = self.rcache.get(state)
@@ -826,50 +825,46 @@ class _Flow:
         back = self.route(r)
         return None if isinstance(back, FixedPoint) or back != state else r
 
-    def _match_weight(self, w):
-        if w in self.matched_weights:
-            return
-        if w > max(partitions.sweep_cap(), 30):
-            raise ConsistencyError(
-                "pairing the weight-%d residue needs its full weight class; "
-                "set RRG_MAX_SWEEP to at least %d to allow it" % (w, w))
-        self.matched_weights.add(w)
-        residue = [s for s in self.ground.pairs(w) if self.safe(s) is None]
-        adj = {s: set() for s in residue}
-        for s in residue:
-            # the residue is drawn from the ground set, so a candidate
-            # in it is a ground pair
-            for Y in _carry_candidates(s):
-                if Y in adj:
-                    adj[s].add(Y)
-                    adj[Y].add(s)
-        for u in sorted(s for s in residue if len(s[0]) % 2 == 0):
+    def _residue(self, state):
+        """Whether state is a ground pair (every routed state is one)
+        that the route ladder leaves unpaired."""
+        return ((state in self.rcache
+                 or _ground_valid(state, self.pipeline, self.k, self.a))
+                and self.safe(state) is None)
+
+    def _match_component(self, root):
+        """Match the residue states the carry moves reach from root, by
+        augmenting from its even-length states in sorted order.  The moves
+        are symmetric, so no augmenting path leaves a component, and each
+        state gets the partner a matching over its whole weight class
+        would give it."""
+        adj, todo = {}, [root]
+        while todo:
+            s = todo.pop()
+            if s not in adj:
+                adj[s] = {Y for Y in _carry_candidates(s)
+                          if Y in adj or self._residue(Y)}
+                todo += adj[s]
+        for u in sorted(s for s in adj if len(s[0]) % 2 == 0):
             if u not in self.match:
                 _augment(adj, self.match, u)
+        for s in adj:
+            self.match.setdefault(s, None)
 
     def involute(self, state):
         r = self.safe(state)
         if r is not None:
             return r
-        self._match_weight(sum(state[0]) + sum(state[1]))
-        if state in self.match:
-            return self.match[state]
-        if _untemplated(self.pipeline, self.a):
+        if state not in self.match:
+            self._match_component(state)
+        r = self.match[state]
+        if r is None and _untemplated(self.pipeline, self.a):
             # no templates at a = 1: what stays unpaired is fixed
             return FixedPoint(0, 0)
-        return None
+        return r
 
 
 _flow = functools.lru_cache(maxsize=16)(_Flow)
-
-
-def _ground(scope, k, a):
-    """The _Ground of a scope: a pipeline's is its flow's, which the
-    fallback matching reads too, so each weight class is enumerated
-    once; the Gordon map's is a fresh one."""
-    if scope in PIPELINES:
-        return _flow(scope, k, a).ground
-    return _Ground(scope, k, a)
 
 
 def involute_pipeline(pair, pipeline: str, k: int, a: int):
@@ -877,7 +872,8 @@ def involute_pipeline(pair, pipeline: str, k: int, a: int):
     is a fixed configuration.  Partners have the same weight and
     opposite A-length parity, and the map is an involution; family 0
     marks fixed configurations outside the two template families (the
-    weight-0 core, and the whole OO a=1 fixed sector)."""
+    weight-0 core, and the whole OO a=1 fixed sector).  Any ground pair
+    maps, at a cost set by its residue component, not its weight."""
     check_pipeline(pipeline, k, a)
     pair = (tuple(pair[0]), tuple(pair[1]))
     _require_ground(pair, pipeline, k, a)

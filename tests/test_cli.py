@@ -162,12 +162,12 @@ def test_verify_map_failure_reported(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("trace", "--scope", "oe", "--k", "3", "--a", "2", "--pair", "32;"),
     ("trace", "--scope", "oo", "--k", "3", "--a", "3", "--pair", "8,6,4;3"),
+    ("trace", "--scope", "oo", "--k", "3", "--a", "3", "--pair", "8,4;5,2,2"),
 ])
 def test_internal_error_exits_3(capsys, argv):
-    # pipeline pairs the maps cannot pair yet: an internal error, not a
-    # failed verification (1) and not a traceback
+    # the two OO (3, 3) weight-21 states the matching leaves unpaired: an
+    # internal error, not a failed verification (1) and not a traceback
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 3
     assert out == ""
@@ -176,6 +176,29 @@ def test_internal_error_exits_3(capsys, argv):
     assert lines[0].startswith("error: ")
     assert lines[1] == ("qgordon trace --scope %s --k 3 --a %s --pair '%s' "
                         "--format json" % (argv[2], argv[6], argv[8]))
+
+
+def test_trace_pairs_the_residue(capsys):
+    # the route ladder leaves this pair unpaired; the matching pairs it
+    # within its carry component, not its weight class
+    code, out, _ = run(capsys, "trace", "--scope", "oe", "--k", "3",
+                       "--a", "2", "--pair", "32;", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["terminal"] == "partner"
+    assert obj["steps"][0]["config"] == {"A": [], "B": [16, 16]}
+    assert pipelines.involute_pipeline(((), (16, 16)), "OE", 3, 2) == ((32,), ())
+
+
+def test_trace_ignores_the_sweep_cap(capsys, monkeypatch):
+    # a trace is no sweep: a malformed cap must not reach its map
+    monkeypatch.setenv("RRG_MAX_SWEEP", "thirty")
+    code, out, _ = run(capsys, "trace", "--scope", "oe", "--k", "5",
+                       "--a", "4", "--pair", "20;", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["terminal"] == "partner"
+    assert obj["steps"][0]["config"] == {"A": [], "B": [10, 10]}
 
 
 def _assert_exit_3(code, out, err, argv):

@@ -136,7 +136,7 @@ def test_each_ground_enumerates_a_weight_once(monkeypatch, fresh_flows):
 
     monkeypatch.setattr(partitions, "enumerate_family", counted)
     assert harness.check_involution_laws("EE", 4, 4, 21).passed
-    # the sweep and the matching read the flow's one _Ground
+    # the sweep reads its one _Ground; the matching reads none
     assert max(calls.count(n) for n in set(calls)) == 1
     assert len(calls) <= 22
 
@@ -145,11 +145,27 @@ def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
     calls = []
     monkeypatch.setattr(partitions, "enumerate_family",
                         lambda *args: calls.append(args))
+    # a garbage cap: one-pair maps must not read it
+    monkeypatch.setenv("RRG_MAX_SWEEP", "thirty")
     pair = ((10, 8, 5), (5, 4, 4, 4, 4))
     assert pipelines._flow("EE", 6, 6).safe(pair) is not None
     partner = involute_pipeline(pair, "EE", 6, 6)
     assert involute_pipeline(partner, "EE", 6, 6) == pair
     assert harness.trace_orbit(pair, "EE", 6, 6).terminal == "partner"
+    # a pair the route ladder leaves to the matching
+    pair = ((20,), ())
+    assert pipelines._flow("OE", 5, 4).safe(pair) is None
+    partner = involute_pipeline(pair, "OE", 5, 4)
+    assert partner == ((), (10, 10))
+    assert involute_pipeline(partner, "OE", 5, 4) == pair
+    assert harness.trace_orbit(pair, "OE", 5, 4).terminal == "partner"
+    # unset, the default cap of 30 does not bound a one-pair map either
+    monkeypatch.delenv("RRG_MAX_SWEEP")
+    pair = ((60,), ())
+    assert pipelines._flow("OE", 5, 4).safe(pair) is None
+    partner = involute_pipeline(pair, "OE", 5, 4)
+    assert partner == ((), (30, 30))
+    assert involute_pipeline(partner, "OE", 5, 4) == pair
     partner = involute_gordon(((6, 1), (5, 5)), 3, 3)
     assert involute_gordon(partner, 3, 3) == ((6, 1), (5, 5))
     assert harness.trace_orbit(((6, 1), (5, 5)), "gordon", 3, 3).steps
@@ -354,8 +370,8 @@ def test_matching_needs_no_call_stack_per_path_step():
     # deep; with every route cached, the matching must fit in a call
     # stack 25 frames above the caller's
     flow = pipelines._Flow("EE", 4, 4)
-    for s in flow.ground.pairs(22):
-        flow.safe(s)
+    residue = [s for s in pipelines._Ground("EE", 4, 4).pairs(22)
+               if flow.safe(s) is None]
     frame, depth = sys._getframe(), 0
     while frame is not None:
         depth += 1
@@ -363,12 +379,26 @@ def test_matching_needs_no_call_stack_per_path_step():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 25)
     try:
-        flow._match_weight(22)
+        for s in residue:
+            if s not in flow.match:
+                flow._match_component(s)
     finally:
         sys.setrecursionlimit(limit)
-    assert len(flow.match) == 210
-    for u, v in flow.match.items():
-        assert flow.match[v] == u
+    matched = {u: v for u, v in flow.match.items() if v is not None}
+    assert len(matched) == 210
+    for u, v in matched.items():
+        assert matched[v] == u
+
+
+def test_carry_moves_are_symmetric():
+    # every ground candidate of a ground pair lists that pair among its
+    # own candidates, so the matching can stay inside one component
+    for pl, k, a in GRID:
+        for w in range(17):
+            for s in enumerate_ground(pl, k, a, w):
+                for Y in pipelines._carry_candidates(s):
+                    if pipelines._ground_valid(Y, pl, k, a):
+                        assert s in set(pipelines._carry_candidates(Y)), (s, Y)
 
 
 def test_fixed_gf_matches_products():
