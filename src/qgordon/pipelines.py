@@ -23,7 +23,8 @@ straight back.  The rest, the residue, is paired off by a deterministic
 maximum matching over a small library of symmetric weight-preserving
 carry moves, each flipping the A-length parity.  The matching is built
 one connected component of the residue at a time, reached from the pair
-by its carry moves, so mapping a pair enumerates no weight class.
+by its carry moves, so mapping a pair enumerates no weight class; a
+component with more carry candidates than a fixed budget is refused.
 
 What survives is (apart from the OO a = 1 sector, where the templates
 degenerate) a two-family sequence of template triples indexed by n, of
@@ -797,6 +798,11 @@ def _augment(adj, match, root):
                 path.pop()
 
 
+# carry candidates a component build reads before it refuses its pair;
+# components to weight 30 on the pipeline grid read at most 17,322
+_CARRY_BUDGET = 100_000
+
+
 class _Flow:
     """Routing state for one (pipeline, k, a): a route cache, plus a
     maximum matching over the carry moves for the residue the route
@@ -837,13 +843,19 @@ class _Flow:
         augmenting from its even-length states in sorted order.  The moves
         are symmetric, so no augmenting path leaves a component, and each
         state gets the partner a matching over its whole weight class
-        would give it."""
-        adj, todo = {}, [root]
+        would give it.  A component with more than _CARRY_BUDGET carry
+        candidates in all raises ConsistencyError, from any root."""
+        adj, todo, budget = {}, [root], _CARRY_BUDGET
         while todo:
             s = todo.pop()
             if s not in adj:
-                adj[s] = {Y for Y in _carry_candidates(s)
-                          if Y in adj or self._residue(Y)}
+                cands = list(_carry_candidates(s))
+                budget -= len(cands)
+                if budget < 0:
+                    raise ConsistencyError(
+                        "the carry component of %r in %s (k=%d, a=%d) is "
+                        "over budget" % (root, self.pipeline, self.k, self.a))
+                adj[s] = {Y for Y in cands if Y in adj or self._residue(Y)}
                 todo += adj[s]
         for u in sorted(s for s in adj if len(s[0]) % 2 == 0):
             if u not in self.match:
@@ -872,8 +884,10 @@ def involute_pipeline(pair, pipeline: str, k: int, a: int):
     is a fixed configuration.  Partners have the same weight and
     opposite A-length parity, and the map is an involution; family 0
     marks fixed configurations outside the two template families (the
-    weight-0 core, and the whole OO a=1 fixed sector).  Any ground pair
-    maps, at a cost set by its residue component, not its weight."""
+    weight-0 core, and the whole OO a=1 fixed sector).  A pair left to
+    the matching costs its residue component, not its weight class; a
+    component over the carry budget, or one leaving the pair unmatched,
+    raises ConsistencyError."""
     check_pipeline(pipeline, k, a)
     pair = (tuple(pair[0]), tuple(pair[1]))
     _require_ground(pair, pipeline, k, a)

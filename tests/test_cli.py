@@ -164,10 +164,12 @@ def test_verify_map_failure_reported(capsys):
 @pytest.mark.parametrize("argv", [
     ("trace", "--scope", "oo", "--k", "3", "--a", "3", "--pair", "8,6,4;3"),
     ("trace", "--scope", "oo", "--k", "3", "--a", "3", "--pair", "8,4;5,2,2"),
+    ("trace", "--scope", "oe", "--k", "3", "--a", "2", "--pair", "200;"),
 ])
 def test_internal_error_exits_3(capsys, argv):
-    # the two OO (3, 3) weight-21 states the matching leaves unpaired: an
-    # internal error, not a failed verification (1) and not a traceback
+    # the two OO (3, 3) weight-21 states the matching leaves unpaired, and
+    # an OE (3, 2) pair whose residue component is over the carry budget:
+    # an internal error, not a failed verification (1) and not a traceback
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 3
     assert out == ""

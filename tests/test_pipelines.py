@@ -172,6 +172,27 @@ def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
     assert calls == []
 
 
+def test_a_component_over_the_carry_budget_is_refused(monkeypatch,
+                                                      fresh_flows):
+    # OE (3, 2) ((200,), ()) has a residue component that grows without
+    # bound in practice; the build must stop at its budget, not run on
+    read = [0]
+    real = pipelines._carry_candidates
+
+    def counted(state):
+        out = list(real(state))
+        read[0] += len(out)
+        assert read[0] <= 2 * pipelines._CARRY_BUDGET, "build ran on"
+        return out
+
+    monkeypatch.setattr(pipelines, "_carry_candidates", counted)
+    with pytest.raises(ConsistencyError, match=r"\(\(200,\), \(\)\)"):
+        involute_pipeline(((200,), ()), "OE", 3, 2)
+    assert pipelines._CARRY_BUDGET < read[0]
+    # nothing of the refused component is kept as matched
+    assert pipelines._flow("OE", 3, 2).match == {}
+
+
 def test_to_triple_fixtures():
     t = to_triple(((10, 8, 5), (5, 4, 4, 4, 4)), "EE", 6, 6)
     assert t == PartitionTriple((10, 8), (8, 8), (), (10,))
