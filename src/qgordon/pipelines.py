@@ -25,6 +25,9 @@ carry moves, each flipping the A-length parity.  The matching is built
 one connected component of the residue at a time, reached from the pair
 by its carry moves, so mapping a pair enumerates no weight class; a
 component with more carry candidates than a fixed budget is refused.
+Every move keeps the weight, so the routes and matchings are kept per
+weight class, for the last weight mapped only, and a refused pair leaves
+none of its routes behind.
 
 What survives is (apart from the OO a = 1 sector, where the templates
 degenerate) a two-family sequence of template triples indexed by n, of
@@ -804,12 +807,16 @@ _CARRY_BUDGET = 100_000
 
 
 class _Flow:
-    """Routing state for one (pipeline, k, a): a route cache, plus a
-    maximum matching over the carry moves for the residue the route
-    ladder leaves unpaired, built one connected component at a time."""
+    """Routing state for one weight class of one (pipeline, k, a): a
+    route cache, plus a maximum matching over the carry moves for the
+    residue the route ladder leaves unpaired, built one connected
+    component at a time.  Routes and carry moves keep the weight, so no
+    state of another weight enters it; _flow keeps the flows of the last
+    _FLOWS_KEPT weights mapped, and a refused pair leaves its flow as it
+    found it."""
 
-    def __init__(self, pipeline, k, a):
-        self.pipeline, self.k, self.a = pipeline, k, a
+    def __init__(self, pipeline, k, a, weight):
+        self.pipeline, self.k, self.a, self.weight = pipeline, k, a, weight
         self.rcache = {}
         self.match = {}     # residue state -> partner, None if unmatched
 
@@ -864,11 +871,19 @@ class _Flow:
             self.match.setdefault(s, None)
 
     def involute(self, state):
+        kept = len(self.rcache)
         r = self.safe(state)
         if r is not None:
             return r
         if state not in self.match:
-            self._match_component(state)
+            try:
+                self._match_component(state)
+            except ConsistencyError:
+                # a refused build adds no match; drop the routes this
+                # call added, the newest entries of the route cache
+                while len(self.rcache) > kept:
+                    self.rcache.popitem()
+                raise
         r = self.match[state]
         if r is None and _untemplated(self.pipeline, self.a):
             # no templates at a = 1: what stays unpaired is fixed
@@ -876,7 +891,11 @@ class _Flow:
         return r
 
 
-_flow = functools.lru_cache(maxsize=16)(_Flow)
+# a sweep maps its weights one after another, and a pair and its partner
+# share a weight, so the flow of the last weight mapped serves them all:
+# memory is bounded by one weight class, not by every weight swept
+_FLOWS_KEPT = 1
+_flow = functools.lru_cache(maxsize=_FLOWS_KEPT)(_Flow)
 
 
 def involute_pipeline(pair, pipeline: str, k: int, a: int):
@@ -896,7 +915,7 @@ def involute_pipeline(pair, pipeline: str, k: int, a: int):
 
 def _involute_pipeline(pair, pipeline, k, a):
     """involute_pipeline on a ground pair it trusts, given as tuples."""
-    r = _flow(pipeline, k, a).involute(pair)
+    r = _flow(pipeline, k, a, sum(pair[0]) + sum(pair[1])).involute(pair)
     if r is None:
         raise ConsistencyError("no partner and no template match for %r "
                                "in %s (k=%d, a=%d)" % (pair, pipeline, k, a))

@@ -2,6 +2,8 @@
 triple encoding and the full maps, template fixed points, and exhaustive
 law sweeps on the small parameter grid."""
 
+import gc
+import itertools
 import sys
 
 import pytest
@@ -148,13 +150,13 @@ def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
     # a garbage cap: one-pair maps must not read it
     monkeypatch.setenv("RRG_MAX_SWEEP", "thirty")
     pair = ((10, 8, 5), (5, 4, 4, 4, 4))
-    assert pipelines._flow("EE", 6, 6).safe(pair) is not None
+    assert pipelines._flow("EE", 6, 6, 44).safe(pair) is not None
     partner = involute_pipeline(pair, "EE", 6, 6)
     assert involute_pipeline(partner, "EE", 6, 6) == pair
     assert harness.trace_orbit(pair, "EE", 6, 6).terminal == "partner"
     # a pair the route ladder leaves to the matching
     pair = ((20,), ())
-    assert pipelines._flow("OE", 5, 4).safe(pair) is None
+    assert pipelines._flow("OE", 5, 4, 20).safe(pair) is None
     partner = involute_pipeline(pair, "OE", 5, 4)
     assert partner == ((), (10, 10))
     assert involute_pipeline(partner, "OE", 5, 4) == pair
@@ -162,7 +164,7 @@ def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
     # unset, the default cap of 30 does not bound a one-pair map either
     monkeypatch.delenv("RRG_MAX_SWEEP")
     pair = ((60,), ())
-    assert pipelines._flow("OE", 5, 4).safe(pair) is None
+    assert pipelines._flow("OE", 5, 4, 60).safe(pair) is None
     partner = involute_pipeline(pair, "OE", 5, 4)
     assert partner == ((), (30, 30))
     assert involute_pipeline(partner, "OE", 5, 4) == pair
@@ -170,6 +172,36 @@ def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
     assert involute_gordon(partner, 3, 3) == ((6, 1), (5, 5))
     assert harness.trace_orbit(((6, 1), (5, 5)), "gordon", 3, 3).steps
     assert calls == []
+
+
+def test_flows_are_kept_for_the_last_weights_only(fresh_flows):
+    assert harness.check_involution_laws("EE", 4, 4, 21).passed
+    info = pipelines._flow.cache_info()
+    assert info.currsize <= info.maxsize
+    # an evicted flow is freed: the live ones are the cached ones, of
+    # the last weights swept, and hold states of their own weight only
+    gc.collect()
+    flows = [f for f in gc.get_objects() if isinstance(f, pipelines._Flow)]
+    assert len(flows) == info.currsize
+    for f in flows:
+        assert 21 - info.maxsize < f.weight <= 21
+        for A, B in list(f.rcache) + list(f.match):
+            assert sum(A) + sum(B) == f.weight
+
+
+@pytest.mark.parametrize("pl,k,a", [("OE", 5, 4), ("EE", 4, 4)])
+def test_evicting_a_flow_changes_no_partner(pl, k, a, fresh_flows):
+    classes = [enumerate_ground(pl, k, a, w) for w in range(17)]
+    want = {s: pipelines._involute_pipeline(s, pl, k, a)
+            for c in classes for s in c}
+    # one pair of each weight in turn: the flow of a weight is evicted
+    # and built again mid-class, its components matched from new roots
+    pipelines._flow.cache_clear()
+    got = {s: pipelines._involute_pipeline(s, pl, k, a)
+           for row in itertools.zip_longest(*classes)
+           for s in row if s is not None}
+    assert pipelines._flow.cache_info().misses > len(classes)
+    assert got == want
 
 
 def test_a_component_over_the_carry_budget_is_refused(monkeypatch,
@@ -186,11 +218,18 @@ def test_a_component_over_the_carry_budget_is_refused(monkeypatch,
         return out
 
     monkeypatch.setattr(pipelines, "_carry_candidates", counted)
+    # a pair of the same weight the route ladder pairs, so the flow the
+    # refused pair meets is not empty
+    assert involute_pipeline(((150, 50), ()), "OE", 3, 2) == ((50,), (75, 75))
+    flow = pipelines._flow("OE", 3, 2, 200)
+    rcache, match = dict(flow.rcache), dict(flow.match)
+    assert rcache
     with pytest.raises(ConsistencyError, match=r"\(\(200,\), \(\)\)"):
         involute_pipeline(((200,), ()), "OE", 3, 2)
     assert pipelines._CARRY_BUDGET < read[0]
-    # nothing of the refused component is kept as matched
-    assert pipelines._flow("OE", 3, 2).match == {}
+    # nothing of the refused build is kept: no match, and no route
+    assert pipelines._flow("OE", 3, 2, 200) is flow
+    assert flow.rcache == rcache and flow.match == match
 
 
 def test_to_triple_fixtures():
@@ -390,7 +429,7 @@ def test_matching_needs_no_call_stack_per_path_step():
     # the EE (4, 4) weight-22 residue has augmenting paths 41 states
     # deep; with every route cached, the matching must fit in a call
     # stack 25 frames above the caller's
-    flow = pipelines._Flow("EE", 4, 4)
+    flow = pipelines._Flow("EE", 4, 4, 22)
     residue = [s for s in pipelines._Ground("EE", 4, 4).pairs(22)
                if flow.safe(s) is None]
     frame, depth = sys._getframe(), 0
