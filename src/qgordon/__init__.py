@@ -35,7 +35,6 @@ from .pipelines import (
     PartitionTriple,
     canonicalize_fixed,
     enumerate_ground,
-    exceptional_condition,
     in_ground,
     involute_pipeline,
     pipeline_e_factor,

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import series
 from .partitions import ParameterError, _gordon_ok, check_params
-from .series import TruncatedSeries
 
 
 class ConsistencyError(RuntimeError):
@@ -283,26 +283,6 @@ def _map_gamma_inv(A, B, n, k):
     return (newA, (A[0],) + newB)
 
 
-def _template_weight(alpha, beta, family, n):
-    """Weight (alpha*n^2 + beta*n)/2 of the family-1 template with index
-    n, (alpha*n^2 - beta*n)/2 of the family-2 one: the exponents of the
-    theta series sum_n (-1)^n q^((alpha*n^2 + beta*n)/2)."""
-    lin = beta * n if family == 1 else -beta * n
-    return (alpha * n * n + lin) // 2
-
-
-def _template_gf(alpha, beta, N):
-    """Signed generating function of the empty pair and both template
-    families, sign (-1)^n, built from the template weights."""
-    coeffs = [1] + [0] * N
-    for family in (1, 2):
-        n = 1
-        while (w := _template_weight(alpha, beta, family, n)) <= N:
-            coeffs[w] += -1 if n % 2 else 1
-            n += 1
-    return TruncatedSeries(coeffs)
-
-
 def _fixed_pair(family, n, k, a):
     """gordon_fixed_point on input it trusts; at k = 1 (where a = 1) B
     is empty."""
@@ -331,17 +311,12 @@ def gordon_fixed_point(family, n, k, a):
 
 
 def _match_template(pair, k, a):
-    """FixedPoint when the pair equals a template of its weight."""
-    w = sum(pair[0]) + sum(pair[1])
-    if w == 0:
-        return _EMPTY
-    alpha, beta = 2 * k + 1, 2 * (k - a) + 1
+    """FixedPoint when the pair, whose A is not empty, equals a template:
+    the one of index n has n parts in A."""
+    n = len(pair[0])
     for family in (1, 2):
-        n = 1
-        while (t := _template_weight(alpha, beta, family, n)) <= w:
-            if t == w and _fixed_pair(family, n, k, a) == pair:
-                return FixedPoint(family, n)
-            n += 1
+        if _fixed_pair(family, n, k, a) == pair:
+            return FixedPoint(family, n)
     return None
 
 
@@ -395,11 +370,12 @@ def involute_gordon(pair, k, a):
 
 def gordon_fixed_gf(k, a, N):
     """Signed generating function of the fixed configurations: the
-    empty pair plus both template families, sign (-1)^len(A)."""
+    empty pair plus both template families, sign (-1)^len(A), which are
+    the terms of the theta series with alpha = 2k+1, beta = 2(k-a)+1."""
     check_params(k, a)
     if N < 0:
         raise ParameterError("N must be >= 0, got %r" % (N,))
-    return _template_gf(2 * k + 1, 2 * (k - a) + 1, N)
+    return series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N)
 
 
 # --- degenerate single-column case (k = 1), used by the parity

@@ -15,19 +15,19 @@ pairs into doubled parts (the middle), unpaired parts remain single (D);
 the EE pipeline first strips odd parts shared between A and B into a
 sign-carrying partition E of parts 2 mod 4.  On triples, a ladder of
 moves applies: the largest middle part crosses to A when it dominates,
-otherwise A's largest part crosses into the middle, except in a blocked
-configuration detected by a chain condition, where either an odd-part
-exchange (EE) or the base involution on halved middle values at reduced
-parameters takes over.  A move is kept only when the routed image routes
-straight back.  The rest, the residue, is paired off by a deterministic
-maximum matching over a small library of symmetric weight-preserving
-carry moves, each flipping the A-length parity.  The matching is built
-one connected component of the residue at a time, reached from the pair
-by its carry moves, so mapping a pair enumerates no weight class; a
-component with more carry candidates than a fixed budget is refused.
-Every move keeps the weight, so the routes and matchings are kept per
-weight class, for the last weight mapped only, and a refused pair leaves
-none of its routes behind.
+otherwise A's largest part crosses into the middle, and when that image
+leaves the ground set, either an odd-part exchange (EE) or the base
+involution on halved middle values at reduced parameters takes over.  A
+move is kept only when the routed image routes straight back.  The rest,
+the residue, is paired off by a deterministic maximum matching over a
+small library of symmetric weight-preserving carry moves, each flipping
+the A-length parity.  The matching is built one connected component of
+the residue at a time, reached from the pair by its carry moves, so
+mapping a pair enumerates no weight class; a component with more carry
+candidates than a fixed budget is refused.  Every move keeps the
+weight, so the routes and matchings are kept per weight class, for the
+last weight mapped only, and a refused pair leaves none of its routes
+behind.
 
 What survives is (apart from the OO a = 1 sector, where the templates
 degenerate) a two-family sequence of template triples indexed by n, of
@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 
 from . import partitions, series
 from .gordon import (ConsistencyError, FixedPoint, _check_pair, _fixed_pair,
-                     _involute, _involute_k1, _template_gf)
+                     _involute, _involute_k1)
 from .partitions import ParameterError
 from .series import TruncatedSeries
 
@@ -370,55 +370,6 @@ def redistribute(triple, pipeline: str) -> PartitionTriple:
     return PartitionTriple(tuple(A), C, D2, tuple(E))
 
 
-def _mid_split(t, pipeline):
-    """(chain parts, witness parts) seen by the blocked-configuration
-    test: doubled vs unpaired for OO/OE, even vs odd middle for EE."""
-    A, mid, D, E = t
-    if pipeline == "EE":
-        return (tuple(v for v in mid if v % 2 == 0),
-                tuple(v for v in mid if v % 2 == 1))
-    return mid, D
-
-
-def _exceptional(t, pipeline, k, a):
-    """Chain condition blocking the top-level move of A's largest part.
-    False whenever that move is not the one in play (A empty, or the
-    middle part dominates and crosses to A instead)."""
-    A, mid, D, E = t
-    if not A:
-        return False
-    a1 = A[0]
-    if mid and mid[0] > a1:
-        return False
-    merged, left = _mid_split(t, pipeline)
-    lim1 = (k - 1) // 2
-    lim2 = (k - 3) // 2
-
-    def chain(limit, i):
-        if limit < i - 1 or len(merged) < limit:
-            return False
-        return (all(merged[j - 1] == a1 for j in range(1, i))
-                and all(merged[j - 1] == a1 - 2 for j in range(i, limit + 1)))
-
-    if any(chain(lim1, i) for i in range(1, lim1 + 1)):
-        return True
-    lp = _single_parity(pipeline)
-    lset = set(left)
-    witness = any(w % 2 == lp and w in lset
-                  for w in (a1 // 2, a1 // 2 - 1))
-    return (witness and lim2 >= 0
-            and any(chain(lim2, i) for i in range(1, lim1 + 1)))
-
-
-def exceptional_condition(triple, pipeline: str, k: int, a: int) -> bool:
-    """True when the configuration is blocked: moving A's largest part
-    into the middle would not produce a valid partner.  Evaluated on the
-    redistributed form (the encoding is insensitive to redistribution,
-    so a merge-level triple is normalized first)."""
-    check_pipeline(pipeline, k, a)
-    return _exceptional(_normalize(tuple(triple), pipeline), pipeline, k, a)
-
-
 # ------------------------------------------------------- fixed configurations
 
 def _fixed_core(pipeline, family, n, k, a):
@@ -557,18 +508,15 @@ def pipeline_e_factor(pipeline: str, N: int) -> TruncatedSeries:
 
 
 def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
-    """Signed generating function of all fixed configurations: the two
-    template families (sign (-1)^n) times the free-part factor.  The
-    OO a=1 sector has no templates; its fixed set is whatever the
-    involution leaves unpaired, and its generating function is taken in
-    theta form (the exhaustive law check validates it against the swept
-    fixed configurations)."""
+    """Signed generating function of all fixed configurations: the
+    theta series sum_n (-1)^n q^((k+1)n^2 + (k+1-a)n), whose terms are
+    the two template families (sign (-1)^n), times the free-part factor.
+    The OO a=1 sector has no templates; its fixed set is whatever the
+    involution leaves unpaired, and the exhaustive law check validates
+    the same series against the swept fixed configurations."""
     check_pipeline(pipeline, k, a)
-    ef = pipeline_e_factor(pipeline, N)
-    alpha, beta = 2 * (k + 1), 2 * (k + 1 - a)
-    if _untemplated(pipeline, a):
-        return ef * series.theta_sum(alpha, beta, N)
-    return ef * _template_gf(alpha, beta, N)
+    return (pipeline_e_factor(pipeline, N)
+            * series.theta_sum(2 * (k + 1), 2 * (k + 1 - a), N))
 
 
 # ------------------------------------------------------------------ routing
@@ -615,22 +563,28 @@ def _sector_image(t, pipeline, k, a):
     return (tuple(2 * x for x in out[0]), tuple(2 * x for x in out[1]), D, E)
 
 
-def _finish(t2, pipeline, k, a, state):
+def _finish(t2, pipeline, k, a):
+    """The pair a routed triple encodes, None when there is no image or
+    it leaves the ground set.  Every move flips the parity of len(A), so
+    an image is never its own state."""
     if t2 is None:
         return None
     Y = un_transform(t2, pipeline)
-    if Y == state or not _ground_valid(Y, pipeline, k, a):
-        return None
-    return Y
+    return Y if _ground_valid(Y, pipeline, k, a) else None
 
 
-def _blocked_subroute(t, pipeline, k, a, state):
+def _blocked_subroute(t, pipeline, k, a):
     if pipeline == "EE" and (any(x % 2 for x in t[0]) or any(x % 2 for x in t[1])):
-        return _finish(_exchange_image(t), pipeline, k, a, state)
-    return _finish(_sector_image(t, pipeline, k, a), pipeline, k, a, state)
+        return _finish(_exchange_image(t), pipeline, k, a)
+    return _finish(_sector_image(t, pipeline, k, a), pipeline, k, a)
 
 
-def _route_triple(state, t, pipeline, k, a):
+def _route_triple(t, pipeline, k, a):
+    """One rule set for every state, as gordon._blocked decides it for
+    the Gordon map: the middle's top part crosses to A when it dominates,
+    otherwise A's top part crosses into the middle, and when that image
+    leaves the ground set A's top part is blocked and _blocked_subroute
+    runs."""
     f = _fixed_check(t, pipeline, k, a)
     if f is not None:
         return FixedPoint(*f)
@@ -640,16 +594,14 @@ def _route_triple(state, t, pipeline, k, a):
         rest = list(mid)
         rest.remove(mid[0])
         t2 = (tuple(sorted(A + (mid[0],), reverse=True)), tuple(rest), D, E)
-        return _finish(t2, pipeline, k, a, state)
+        return _finish(t2, pipeline, k, a)
     if not A:
         return None
-    if _exceptional(t, pipeline, k, a):
-        return _blocked_subroute(t, pipeline, k, a, state)
     t2 = (A[1:], tuple(sorted(mid + (a1,), reverse=True)), D, E)
-    r = _finish(t2, pipeline, k, a, state)
+    r = _finish(t2, pipeline, k, a)
     if r is not None:
         return r
-    return _blocked_subroute(t, pipeline, k, a, state)
+    return _blocked_subroute(t, pipeline, k, a)
 
 
 # ------------------------------------------------------------- carry moves
@@ -802,7 +754,7 @@ def _augment(adj, match, root):
 
 
 # carry candidates a component build reads before it refuses its pair;
-# components to weight 30 on the pipeline grid read at most 17,322
+# components to weight 30 on the pipeline grid read at most 9,253
 _CARRY_BUDGET = 100_000
 
 
@@ -825,7 +777,7 @@ class _Flow:
         if hit is not None:
             return hit[0]
         t = _normalize(_encode(state, self.pipeline), self.pipeline)
-        res = _route_triple(state, t, self.pipeline, self.k, self.a)
+        res = _route_triple(t, self.pipeline, self.k, self.a)
         self.rcache[state] = (res,)
         return res
 

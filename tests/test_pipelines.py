@@ -17,7 +17,6 @@ from qgordon.pipelines import (
     canonicalize_fixed,
     check_pipeline,
     enumerate_ground,
-    exceptional_condition,
     in_ground,
     inner_params,
     involute_pipeline,
@@ -281,28 +280,6 @@ def test_redistribute_fixture():
         redistribute(PartitionTriple((), (), (), ()), "EE")
 
 
-def test_exceptional_condition_fixtures():
-    assert exceptional_condition(
-        PartitionTriple((10, 8), (8, 8), (), (10,)), "EE", 6, 6)
-    assert exceptional_condition(
-        PartitionTriple((10, 2), (8, 8, 4, 2), (4, 2), ()), "OE", 7, 6)
-    # dominant middle part: the top-level move goes the other way
-    assert not exceptional_condition(
-        PartitionTriple((2,), (8,), (1,), ()), "OO", 3, 3)
-    assert not exceptional_condition(
-        PartitionTriple((), (2,), (), ()), "OO", 3, 3)
-
-
-def test_exceptional_condition_ignores_merge_level():
-    # the test must not depend on whether redistribute ran already
-    for pl, k, a in [("OO", 3, 3), ("OO", 5, 3), ("OE", 3, 2), ("OE", 5, 4)]:
-        for w in range(12):
-            for s in enumerate_ground(pl, k, a, w):
-                t = to_triple(s, pl, k, a)
-                assert exceptional_condition(t, pl, k, a) == \
-                    exceptional_condition(redistribute(t, pl), pl, k, a)
-
-
 def test_involute_worked_chains():
     x = ((10, 8, 5), (5, 4, 4, 4, 4))
     y = ((10, 5), (5, 5, 5, 4, 4, 3, 3))
@@ -426,11 +403,11 @@ def test_canonicalize_refuses_triples_that_encode_no_pair():
 
 
 def test_matching_needs_no_call_stack_per_path_step():
-    # the EE (4, 4) weight-22 residue has augmenting paths 41 states
+    # the EE (4, 4) weight-26 residue has augmenting paths 41 states
     # deep; with every route cached, the matching must fit in a call
     # stack 25 frames above the caller's
-    flow = pipelines._Flow("EE", 4, 4, 22)
-    residue = [s for s in pipelines._Ground("EE", 4, 4).pairs(22)
+    flow = pipelines._Flow("EE", 4, 4, 26)
+    residue = [s for s in pipelines._Ground("EE", 4, 4).pairs(26)
                if flow.safe(s) is None]
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -445,9 +422,29 @@ def test_matching_needs_no_call_stack_per_path_step():
     finally:
         sys.setrecursionlimit(limit)
     matched = {u: v for u, v in flow.match.items() if v is not None}
-    assert len(matched) == 210
+    assert len(matched) == 166
     for u, v in matched.items():
         assert matched[v] == u
+
+
+# states the route ladder leaves to the matching on each grid point, to
+# weight 20; a route rule that pairs more of them lowers its count
+RESIDUE_20 = {
+    ("EE", 2, 2): 0, ("EE", 4, 2): 148, ("EE", 4, 4): 278,
+    ("OO", 3, 1): 213, ("OO", 3, 3): 384, ("OO", 5, 3): 350,
+    ("OO", 5, 5): 396,
+    ("OE", 3, 2): 224, ("OE", 5, 2): 210, ("OE", 5, 4): 282,
+}
+
+
+@pytest.mark.parametrize("pl,k,a", GRID)
+def test_route_ladder_residue(pl, k, a):
+    ground = pipelines._Ground(pl, k, a)
+    unpaired = 0
+    for w in range(21):
+        flow = pipelines._Flow(pl, k, a, w)
+        unpaired += sum(flow.safe(s) is None for s in ground.pairs(w))
+    assert unpaired == RESIDUE_20[(pl, k, a)]
 
 
 def test_carry_moves_are_symmetric():
