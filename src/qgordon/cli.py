@@ -20,7 +20,6 @@ import sys
 # so a --format json call, the common one, loads neither
 
 from . import harness, partitions, pipelines
-from .gordon import gordon_fixed_point
 from .partitions import ParameterError
 
 _IDENTITY_TOKENS = {
@@ -158,17 +157,12 @@ def _cmd_fixed_points(args):
     if max_weight < 0:
         raise ParameterError("--max-weight must be >= 0, got %r"
                              % (max_weight,))
-
-    def template(family, n):     # validates (k, a) for the scope
-        if scope == "gordon":
-            return gordon_fixed_point(family, n, k, a)
-        return pipelines.pipeline_fixed_triple(scope, family, n, k, a)
-
-    found = [(0, 0, 0, template(1, 0))]
+    template = pipelines._SCOPES[scope].template   # validates (k, a)
+    found = [(0, 0, 0, template(1, 0, k, a))]
     for family in (1, 2):
         n = 1
         while True:
-            cfg = template(family, n)
+            cfg = template(family, n, k, a)
             w = sum(map(sum, cfg))
             if w > max_weight:
                 break

@@ -36,7 +36,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import series
-from .partitions import ParameterError, _gordon_ok, check_params
+from .partitions import (_PARITY_MODE, ParameterError, _gordon_ok,
+                         _parity_ok, check_params)
 
 
 class ConsistencyError(RuntimeError):
@@ -73,23 +74,34 @@ class FixedPoint(NamedTuple):
     n: int
 
 
-def _pair_fault(A, B, k, a):
-    """Why (A|B) is not in P_{k,a}, or None when it is."""
-    for i in range(len(A) - 1):
-        if A[i] <= A[i + 1]:
+def _pair_fault(A, B, k, a, parity=None, family="B"):
+    """Why (A|B) is not a ground pair, or None when it is: A strictly
+    decreasing with positive parts, all even when parity is "even", and
+    B in the family (B_{k,a} by default, which makes the ground set
+    P_{k,a}).  One pass over A, then the family test on B."""
+    even = parity == "even"
+    prev = None
+    for x in A:
+        if prev is not None and x >= prev:
             return "A must be strictly decreasing: %r" % (A,)
-    if A and A[-1] < 1:
+        if even and x % 2:
+            return "A must have even parts: %r" % (A,)
+        prev = x
+    if prev is not None and prev < 1:
         return "A must have positive parts: %r" % (A,)
-    if not _gordon_ok(B, k, a):
+    if not _gordon_ok(B, k, a) or not _parity_ok(B, _PARITY_MODE[family]):
         return "B fails the family conditions: %r" % (B,)
     return None
 
 
-def _check_pair(pair, k, a):
-    A, B = pair
-    fault = _pair_fault(A, B, k, a)
+def _check_pair(pair, k, a, parity=None, family="B"):
+    """The pair as a pair of tuples, once _pair_fault finds no fault in
+    it; ParameterError with the fault otherwise."""
+    A, B = pair = (tuple(pair[0]), tuple(pair[1]))
+    fault = _pair_fault(A, B, k, a, parity, family)
     if fault is not None:
         raise ParameterError(fault)
+    return pair
 
 
 def _blocked(a1, B, k, a):
@@ -142,8 +154,7 @@ def _params(A, B, k, i):
 def compute_params(pair, k, a):
     """Class parameters (p, q, r, s, n) of a blocked pair."""
     check_params(k, a)
-    _check_pair(pair, k, a)
-    A, B = pair
+    A, B = _check_pair(pair, k, a)
     if not A or (B and B[0] > A[0]) or not _blocked(A[0], B, k, a):
         raise ParameterError("pair is not blocked; parameters undefined")
     return _params(A, B, k, _witness(A[0], B, k))
@@ -183,8 +194,8 @@ def classify(pair, k, a):
     parts tie up in a blocked configuration, FixedPoint for the empty
     pair."""
     check_params(k, a)
-    _check_pair(pair, k, a)
-    return _classify(pair[0], pair[1], k, a)
+    A, B = _check_pair(pair, k, a)
+    return _classify(A, B, k, a)
 
 
 def _step1(A, B, move):
@@ -195,10 +206,12 @@ def _step1(A, B, move):
 
 def step1_move(pair, k, a):
     """Carry out the step-1 exchange of the top part."""
-    label = classify(pair, k, a)
+    check_params(k, a)
+    A, B = _check_pair(pair, k, a)
+    label = _classify(A, B, k, a)
     if not isinstance(label, Move):
         raise ParameterError("pair is not in a move state")
-    return _step1(pair[0], pair[1], label)
+    return _step1(A, B, label)
 
 
 def _bumped(B, positions):
@@ -344,10 +357,12 @@ def apply_map(pair, k, a):
     """Act on a blocked pair: produce its partner, or a FixedPoint when
     the dispatched map breaks out of the state space and the pair sits
     on a template."""
-    label = classify(pair, k, a)
+    check_params(k, a)
+    A, B = _check_pair(pair, k, a)
+    label = _classify(A, B, k, a)
     if not isinstance(label, UClass):
         raise ParameterError("apply_map needs a blocked pair")
-    return _apply(pair[0], pair[1], k, a, label)
+    return _apply(A, B, k, a, label)
 
 
 def _involute(A, B, k, a):
@@ -364,8 +379,19 @@ def _involute(A, B, k, a):
 def involute_gordon(pair, k, a):
     """Total involution on P_{k,a}: partner pair, or FixedPoint."""
     check_params(k, a)
-    _check_pair(pair, k, a)
-    return _involute(pair[0], pair[1], k, a)
+    A, B = _check_pair(pair, k, a)
+    return _involute(A, B, k, a)
+
+
+def _trace_label(pair, k, a):
+    """An orbit trace's name for the step the map takes on a pair it
+    trusts: move(direction), U(witness,class) or fixed(family,n)."""
+    lab = _classify(pair[0], pair[1], k, a)
+    if isinstance(lab, Move):
+        return "move(%s)" % lab.direction
+    if isinstance(lab, UClass):
+        return "U(%d,%d)" % (lab.i, lab.cls)
+    return "fixed(%d,%d)" % (lab.family, lab.n)
 
 
 def gordon_fixed_gf(k, a, N):
@@ -385,8 +411,7 @@ def _involute_k1(pair):
     """Involution on pairs (A | empty): the classic pentagonal-number
     pairing.  Compare the smallest part p with the staircase prefix q;
     the smaller one is peeled off or spread back."""
-    _check_pair(pair, 1, 1)
-    A, B = pair
+    A, B = pair = _check_pair(pair, 1, 1)
     if not A:
         return _EMPTY
     p = A[-1]

@@ -9,7 +9,10 @@ power-series inversion of the unit-constant factor.  Law sweeps
 enumerate a ground set exhaustively up to a weight bound and assert the
 involution laws configuration by configuration, then match the signed
 count of what stayed fixed against the theta series whose terms are the
-fixed-point templates.
+fixed-point templates.  Every per-scope answer (the (k, a) check, the
+ground predicate, the kernel, the fixed-point series and the name of a
+traced step) is read from the scope table pipelines._SCOPES, so no
+scope is named here.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from functools import reduce
 from typing import NamedTuple
 
 from . import partitions, pipelines, series
-from .gordon import (ConsistencyError, FixedPoint, Move, UClass, classify,
-                     gordon_fixed_gf)
+from .gordon import ConsistencyError, FixedPoint
 from .partitions import ParameterError, sweep_cap
 from .series import TruncatedSeries
 
@@ -140,7 +142,7 @@ def check_identity(identity: str, k: int, a: int, N: int,
         raise ParameterError("mode must be cross or invert, got %r" % (mode,))
     scope = _IDENTITIES[identity][0]
     if scope is not None:
-        pipelines._SCOPES[scope].check(k, a)
+        _scope_rules(scope, k, a)
     if N < 0:
         raise ParameterError("N must be >= 0, got %r" % (N,))
     lhs, rhs = _identity_sides(identity, k, a, N, mode)
@@ -152,11 +154,15 @@ def check_identity(identity: str, k: int, a: int, N: int,
         first_discrepancy=disc, elapsed=time.monotonic() - t0)
 
 
-def _scope_fixed_series(scope, k, a, N):
-    """The theta-form series the swept signed fixed counts must equal."""
-    if scope == "gordon":
-        return gordon_fixed_gf(k, a, N)
-    return pipelines.pipeline_fixed_gf(scope, k, a, N)
+def _scope_rules(scope, k, a):
+    """The scope's row of the scope table, once the scope name and its
+    (k, a) are checked."""
+    if scope not in SCOPES:
+        raise ParameterError("scope must be one of %r, got %r"
+                             % (SCOPES, scope))
+    rules = pipelines._SCOPES[scope]
+    rules.check(k, a)
+    return rules
 
 
 def _orbit(rules, member, pair, w, k, a):
@@ -207,11 +213,7 @@ def check_involution_laws(scope: str, k: int, a: int,
     enumeration order, or the first differing coefficient when only the
     series comparison fails."""
     t0 = time.monotonic()
-    if scope not in SCOPES:
-        raise ParameterError("scope must be one of %r, got %r"
-                             % (SCOPES, scope))
-    rules = pipelines._SCOPES[scope]
-    rules.check(k, a)
+    rules = _scope_rules(scope, k, a)
     if N < 0:
         raise ParameterError("N must be >= 0, got %r" % (N,))
     if N > sweep_cap():
@@ -236,7 +238,7 @@ def check_involution_laws(scope: str, k: int, a: int,
             else:
                 seen.add(out)
     got = TruncatedSeries(swept)
-    want = _scope_fixed_series(scope, k, a, N)
+    want = rules.fixed_gf(k, a, N)
     n = series.first_discrepancy(got, want)
     if n is not None:
         return VerificationReport(
@@ -247,37 +249,16 @@ def check_involution_laws(scope: str, k: int, a: int,
                               elapsed=time.monotonic() - t0)
 
 
-def _gordon_label(pair, k, a):
-    lab = classify(pair, k, a)
-    if isinstance(lab, Move):
-        return "move(%s)" % lab.direction
-    if isinstance(lab, UClass):
-        return "U(%d,%d)" % (lab.i, lab.cls)
-    return "fixed(%d,%d)" % (lab.family, lab.n)
-
-
 def trace_orbit(config, scope: str, k: int, a: int) -> OrbitTrace:
     """Follow a configuration through the involution: one step to its
     partner and one step back, or none if it is fixed.  The orbit is
-    checked as a sweep checks it; a broken law raises ConsistencyError,
-    and what the map raises propagates."""
-    if scope not in SCOPES:
-        raise ParameterError("scope must be one of %r, got %r"
-                             % (SCOPES, scope))
-    rules = pipelines._SCOPES[scope]
-    rules.check(k, a)
-    pair = (tuple(config[0]), tuple(config[1]))
-    rules.ground(pair, k, a)
-
-    def member(out):
-        try:
-            rules.ground(out, k, a)
-        except ParameterError:
-            return False
-        return True
-
-    out, fault, error = _orbit(rules, member, pair, sum(pair[0]) + sum(pair[1]),
-                               k, a)
+    checked as a sweep checks it, except that the partner is checked
+    with the ground predicate; a broken law raises ConsistencyError, and
+    what the map raises propagates."""
+    rules = _scope_rules(scope, k, a)
+    pair = rules.ground(config, k, a)
+    out, fault, error = _orbit(rules, lambda p: rules.fault(p, k, a) is None,
+                               pair, sum(pair[0]) + sum(pair[1]), k, a)
     if error is not None:
         raise error
     if fault is not None:
@@ -286,9 +267,5 @@ def trace_orbit(config, scope: str, k: int, a: int) -> OrbitTrace:
                                % (law, pair, cfg, image))
     if isinstance(out, FixedPoint):
         return OrbitTrace(start=pair, steps=(), terminal="fixed", fixed=out)
-    if scope == "gordon":
-        steps = ((_gordon_label(pair, k, a), out),
-                 (_gordon_label(out, k, a), pair))
-    else:
-        steps = ((scope, out), (scope, pair))
+    steps = ((rules.label(pair, k, a), out), (rules.label(out, k, a), pair))
     return OrbitTrace(start=pair, steps=steps, terminal="partner")

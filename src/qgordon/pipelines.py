@@ -54,7 +54,8 @@ from typing import Callable, NamedTuple
 
 from . import partitions, series
 from .gordon import (ConsistencyError, FixedPoint, _check_pair, _fixed_pair,
-                     _involute, _involute_k1)
+                     _involute, _involute_k1, _pair_fault, _trace_label,
+                     gordon_fixed_gf, gordon_fixed_point)
 from .partitions import ParameterError
 from .series import TruncatedSeries
 
@@ -71,27 +72,45 @@ _E_FACTORS = {"EE": (2, 4, 1), "OO": (1, 2, -1), "OE": (2, 2, -1)}
 
 
 class _Scope(NamedTuple):
-    """A ground set and its map, as the law sweeps and orbit traces use
-    them: the two validations raise ParameterError, and the kernel maps
-    a ground pair it trusts to its partner or a FixedPoint."""
+    """Every per-scope fact the law sweeps, orbit traces and command line
+    read.  The ground set is two facts, the parity allowed for A's
+    distinct parts and B's family, and its predicate is derived from
+    them: fault gives the reason a pair is outside it, ground raises it.
+    The validating entries (check, template) raise ParameterError; the
+    kernel (involute) maps a ground pair it trusts to its partner or a
+    FixedPoint."""
     parity: str | None      # parity of the distinct parts of A
     family: str             # family of B
     check: Callable         # (k, a) -> None
-    ground: Callable        # (pair, k, a) -> None
     involute: Callable      # (pair, k, a) -> image, trusting its input
+    fixed_gf: Callable      # (k, a, N) -> signed fixed-point series
+    template: Callable      # (family, n, k, a) -> fixed configuration
+    label: Callable         # (pair, k, a) -> name of an orbit trace step
+
+    def fault(self, pair, k, a):
+        """Why pair is outside the ground set, or None when it is in it."""
+        return _pair_fault(pair[0], pair[1], k, a, self.parity, self.family)
+
+    def ground(self, pair, k, a):
+        """The ground pair as a pair of tuples, or ParameterError."""
+        return _check_pair(pair, k, a, self.parity, self.family)
 
 
 def _pipeline_scope(pipeline, parity, family):
-    return _Scope(parity, family,
-                  lambda k, a: check_pipeline(pipeline, k, a),
-                  lambda pair, k, a: _require_ground(pair, pipeline, k, a),
-                  lambda pair, k, a: _involute_pipeline(pair, pipeline, k, a))
+    return _Scope(
+        parity, family,
+        lambda k, a: check_pipeline(pipeline, k, a),
+        lambda pair, k, a: _involute_pipeline(pair, pipeline, k, a),
+        lambda k, a, N: pipeline_fixed_gf(pipeline, k, a, N),
+        lambda f, n, k, a: pipeline_fixed_triple(pipeline, f, n, k, a),
+        lambda pair, k, a: pipeline)
 
 
 # "gordon" is the Gordon map on P_{k,a}, which the law sweeps run alike
 _SCOPES = {
-    "gordon": _Scope(None, "B", partitions.check_params, _check_pair,
-                     lambda pair, k, a: _involute(pair[0], pair[1], k, a)),
+    "gordon": _Scope(None, "B", partitions.check_params,
+                     lambda pair, k, a: _involute(pair[0], pair[1], k, a),
+                     gordon_fixed_gf, gordon_fixed_point, _trace_label),
     "EE": _pipeline_scope("EE", None, "W"),
     "OO": _pipeline_scope("OO", "even", "W"),
     "OE": _pipeline_scope("OE", "even", "Wbar"),
@@ -173,25 +192,7 @@ def in_ground(pair, pipeline: str, k: int, a: int) -> bool:
 
 
 def _ground_valid(pair, pipeline, k, a):
-    A, B = pair
-    ground = _SCOPES[pipeline]
-    even_only = ground.parity == "even"
-    prev = None
-    for x in A:
-        if x <= 0 or (prev is not None and x >= prev):
-            return False
-        if even_only and x % 2:
-            return False
-        prev = x
-    if not partitions._gordon_ok(B, k, a):
-        return False
-    return partitions._parity_ok(B, partitions._PARITY_MODE[ground.family])
-
-
-def _require_ground(pair, pipeline, k, a):
-    if not _ground_valid(pair, pipeline, k, a):
-        raise ParameterError("pair outside the %s ground set for (k=%d, a=%d): %r"
-                             % (pipeline, k, a, pair))
+    return _SCOPES[pipeline].fault(pair, k, a) is None
 
 
 class _Ground:
@@ -319,8 +320,8 @@ def to_triple(pair, pipeline: str, k: int, a: int) -> PartitionTriple:
     into E (EE only), then equal parts of B merge pairwise into doubled
     middle parts, unpaired parts staying single."""
     check_pipeline(pipeline, k, a)
-    _require_ground(pair, pipeline, k, a)
-    return PartitionTriple(*_encode(pair, pipeline))
+    return PartitionTriple(*_encode(_SCOPES[pipeline].ground(pair, k, a),
+                                    pipeline))
 
 
 def un_transform(triple, pipeline: str) -> tuple:
@@ -860,9 +861,8 @@ def involute_pipeline(pair, pipeline: str, k: int, a: int):
     component over the carry budget, or one leaving the pair unmatched,
     raises ConsistencyError."""
     check_pipeline(pipeline, k, a)
-    pair = (tuple(pair[0]), tuple(pair[1]))
-    _require_ground(pair, pipeline, k, a)
-    return _involute_pipeline(pair, pipeline, k, a)
+    return _involute_pipeline(_SCOPES[pipeline].ground(pair, k, a),
+                              pipeline, k, a)
 
 
 def _involute_pipeline(pair, pipeline, k, a):

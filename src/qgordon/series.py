@@ -9,7 +9,7 @@ denominators are checked in cross-multiplied form.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, index, sub
 
 from . import partitions
 
@@ -17,7 +17,9 @@ from . import partitions
 class TruncatedSeries:
     """A power series in q truncated at exponent N.
 
-    coeffs holds exact ints c_0..c_N.  Binary operations require equal
+    coeffs holds exact ints c_0..c_N; the constructor takes integers only
+    (operator.index), so a float or a string raises TypeError instead of
+    being rounded or parsed.  Binary operations require equal
     truncations; mixing them silently would let a short series masquerade
     as exact at higher order.
     """
@@ -25,7 +27,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, truncation=None):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = list(map(index, coeffs))
         if truncation is not None:
             if truncation < 0:
                 raise ValueError("truncation must be >= 0")
@@ -48,15 +50,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, truncation):
         return cls([1], truncation)
-
-    @classmethod
-    def monomial(cls, coefficient, exponent, truncation):
-        c = [0] * (truncation + 1)
-        if 0 <= exponent <= truncation:
-            c[exponent] = coefficient
-        elif exponent < 0:
-            raise ValueError("negative exponent")
-        return cls(c)
 
     def coefficient(self, n):
         if not 0 <= n <= self.truncation:

@@ -314,6 +314,10 @@ def test_trace_out_of_ground(capsys):
     code, _, err = run(capsys, "trace", "--scope", "gordon", "--k", "2",
                        "--a", "2", "--pair", "6,1;2,1,1")
     assert code == 2 and err.startswith("error:")
+    # a pipeline pair gets the reason the one ground predicate gives
+    code, out, err = run(capsys, "trace", "--scope", "oo", "--k", "3",
+                         "--a", "3", "--pair", "5;")
+    assert (code, out, err) == (2, "", "error: A must have even parts: (5,)\n")
 
 
 def test_fixed_points_gordon(capsys):

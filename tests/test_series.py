@@ -41,6 +41,10 @@ def test_constructor_and_accessors():
         s.coefficient(5)
     with pytest.raises(ValueError):
         TruncatedSeries([1, 2, 3], truncation=1)
+    # integers only: a float is not rounded and a string is not parsed
+    for bad in ([0.5, 1.9, 2], ["3"], [1, 2.0]):
+        with pytest.raises(TypeError):
+            TruncatedSeries(bad)
 
 
 def test_mul_fixed_cases():
