@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from itertools import accumulate, groupby
+from math import isqrt
 from operator import add
 
 FAMILIES = ("A", "B", "W", "Wbar")
@@ -230,7 +231,11 @@ def family_counts(family: str, k: int, a: int, limit: int):
     sizes (f_j + f_{j+1} <= k-1) and the parity filter is per size.
     Each step works on whole weight rows: the row of multiplicity f at
     size s is the sum of the rows whose previous multiplicity is at most
-    k-1-f, shifted up by f*s.
+    k-1-f, shifted up by f*s.  A row is one int of nb-byte slots, one per
+    weight: a sum of rows is one addition, a shift one shift and mask.
+    An entry counts distinct partitions of its weight, so it is at most
+    p(limit) < exp(pi*sqrt(2*limit/3)) (Apostol, Introduction to Analytic
+    Number Theory, Thm 14.5), under 4*isqrt(limit) + 4 bits: no carries.
     """
     check_params(k, a)
     if limit < 0:
@@ -242,33 +247,37 @@ def family_counts(family: str, k: int, a: int, limit: int):
     if family not in _PARITY_MODE:
         raise ParameterError("unknown family %r" % (family,))
     mode = _PARITY_MODE[family]
-    width = limit + 1
-    zero = [0] * width
-    # cur[c][w]: assignments of multiplicities to sizes > s with the size
-    # s+1 multiplicity equal to c and weight w so far; rows are never
-    # mutated, so they may be shared
-    cur = [[1] + [0] * limit] + [zero] * (k - 1)
+    bits = 8 * _slot_bytes(limit)
+    mask = (1 << bits * (limit + 1)) - 1
+    # cur[c]: assignments of multiplicities to sizes > s with the size
+    # s+1 multiplicity equal to c, packed by weight so far
+    cur = [1] + [0] * (k - 1)
     for s in range(limit, 0, -1):
-        # pre[m][w]: the same, summed over size s+1 multiplicities c <= m
-        pre = [cur[0]]
-        for row in cur[1:]:
-            pre.append(pre[-1] if row is zero
-                       else list(map(add, pre[-1], row)))
+        # pre[m]: the same, summed over size s+1 multiplicities c <= m
+        pre = list(accumulate(cur))
         top = k - 1 if s > 1 else a - 1
         odd_ok = not _needs_even(s, mode)
         nxt = [pre[k - 1]]
         for f in range(1, k):
             shift = f * s
             if f > top or shift > limit or (f % 2 and not odd_ok):
-                nxt.append(zero)
+                nxt.append(0)
             else:
-                nxt.append([0] * shift + pre[k - 1 - f][:width - shift])
+                nxt.append((pre[k - 1 - f] << bits * shift) & mask)
         cur = nxt
-    counts = cur[0]
-    for row in cur[1:]:
-        if row is not zero:
-            counts = list(map(add, counts, row))
-    return counts
+    return _unpack(sum(cur), bits // 8, limit + 1)
+
+
+def _slot_bytes(limit):
+    """Bytes per slot that hold any count of partitions of <= limit."""
+    return (4 * isqrt(limit) + 4) // 8 + 1
+
+
+def _unpack(x, nb, n):
+    """The n slots of nb bytes of a nonnegative int x, lowest first."""
+    raw = x.to_bytes(nb * n, "little")
+    return [int.from_bytes(raw[i:i + nb], "little")
+            for i in range(0, nb * n, nb)]
 
 
 def count_family(family: str, k: int, a: int, n: int) -> int:

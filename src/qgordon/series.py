@@ -99,27 +99,23 @@ class TruncatedSeries:
         # borrow between slots, so it unpacks as c_i + X/2
         bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
         prod = (_pack(a, nb) * _pack(b, nb) + bias) & ((1 << (8 * nb * n)) - 1)
-        raw = prod.to_bytes(nb * n, "little")
-        return TruncatedSeries([int.from_bytes(raw[i:i + nb], "little") - half
-                                for i in range(0, nb * n, nb)])
+        return TruncatedSeries([c - half
+                                for c in partitions._unpack(prod, nb, n)])
 
     __rmul__ = __mul__
 
     def invert_unit(self):
-        """Series t with self * t = 1 (mod q^{N+1}); requires c_0 = +-1."""
+        """Series t with self * t = 1 (mod q^{N+1}); requires c_0 = +-1.
+        t_m = -c_0 * sum c_j t_{m-j} over the nonzero c_j, 1 <= j <= m,
+        collected once: the denominators inverted, like (q;q)_inf, are
+        sparse."""
         c0 = self.coeffs[0]
         if c0 not in (1, -1):
             raise ValueError("constant term must be +1 or -1, got %r" % (c0,))
-        n = self.truncation
-        out = [0] * (n + 1)
-        out[0] = c0
-        for m in range(1, n + 1):
-            s = 0
-            for j in range(1, m + 1):
-                cj = self.coeffs[j]
-                if cj:
-                    s += cj * out[m - j]
-            out[m] = -c0 * s
+        terms = [(j, -c0 * c) for j, c in enumerate(self.coeffs) if c][1:]
+        out = [c0] * len(self.coeffs)
+        for m in range(1, len(out)):
+            out[m] = sum([c * out[m - j] for j, c in terms if j <= m])
         return TruncatedSeries(out)
 
     def is_zero(self):

@@ -97,6 +97,54 @@ def triple_loop_counts(family, k, a, limit):
     return [sum(cur[c][w] for c in range(k)) for w in range(limit + 1)]
 
 
+def list_row_counts(family, k, a, limit):
+    """The B/W/Wbar counting DP on list rows, one list of ints per
+    multiplicity (test oracle for the packed rows at depth, where a slot
+    is many bytes wide)."""
+    mode = partitions._PARITY_MODE[family]
+    width = limit + 1
+    zero = [0] * width
+    cur = [[1] + [0] * limit] + [zero] * (k - 1)
+    for s in range(limit, 0, -1):
+        pre = [cur[0]]
+        for row in cur[1:]:
+            pre.append(pre[-1] if row is zero
+                       else list(map(add, pre[-1], row)))
+        top = k - 1 if s > 1 else a - 1
+        odd_ok = not partitions._needs_even(s, mode)
+        nxt = [pre[k - 1]]
+        for f in range(1, k):
+            shift = f * s
+            if f > top or shift > limit or (f % 2 and not odd_ok):
+                nxt.append(zero)
+            else:
+                nxt.append([0] * shift + pre[k - 1 - f][:width - shift])
+        cur = nxt
+    counts = cur[0]
+    for row in cur[1:]:
+        if row is not zero:
+            counts = list(map(add, counts, row))
+    return counts
+
+
+def pentagonal_p(limit):
+    """p(0..limit) by Euler's pentagonal number recurrence."""
+    p = [1] + [0] * limit
+    for n in range(1, limit + 1):
+        total, j = 0, 1
+        while True:
+            g = j * (3 * j - 1) // 2
+            if g > n:
+                break
+            sign = 1 if j % 2 else -1
+            total += sign * p[n - g]
+            if g + j <= n:
+                total += sign * p[n - g - j]
+            j += 1
+        p[n] = total
+    return p
+
+
 def test_is_gordon_fixed_cases():
     assert partitions.is_gordon((3, 1, 1), 3, 3)
     assert not partitions.is_gordon((2, 2, 1), 3, 3)
@@ -192,6 +240,24 @@ def test_family_counts_match_triple_loop(family):
                 got = partitions.family_counts(family, k, a, limit)
                 want = triple_loop_counts(family, k, a, limit)
                 assert got == want, (family, k, a, limit)
+
+
+@pytest.mark.parametrize("family", ["B", "W", "Wbar"])
+def test_packed_rows_match_list_rows_at_depth(family):
+    # at limit 600 a slot is 13 bytes wide, at 300 it is 9
+    for k in range(2, 6):
+        for a in sorted({1, (k + 1) // 2, k}):
+            for limit in (300, 600):
+                got = partitions.family_counts(family, k, a, limit)
+                assert got == list_row_counts(family, k, a, limit), \
+                    (family, k, a, limit)
+
+
+def test_slot_holds_every_partition_count():
+    p = pentagonal_p(5000)
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[100] == 190569292
+    for n, pn in enumerate(p):
+        assert pn.bit_length() < 8 * partitions._slot_bytes(n), n
 
 
 def test_count_family_uses_the_dp(monkeypatch):

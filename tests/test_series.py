@@ -126,6 +126,50 @@ def test_invert_unit():
         TruncatedSeries([2, 1]).invert_unit()
 
 
+def dense_inverse(c):
+    """The inversion recurrence over every j, zero or not (test oracle)."""
+    c0 = c[0]
+    out = [0] * len(c)
+    out[0] = c0
+    for m in range(1, len(c)):
+        s = 0
+        for j in range(1, m + 1):
+            if c[j]:
+                s += c[j] * out[m - j]
+        out[m] = -c0 * s
+    return out
+
+
+@st.composite
+def gappy_units(draw):
+    # runs of zeros between terms, as in the sparse denominators
+    n = draw(st.integers(min_value=0, max_value=80))
+    term = st.one_of(st.just(0), st.just(0), st.integers(-9, 9), big)
+    tail = draw(st.lists(term, min_size=n, max_size=n))
+    gap = draw(st.integers(min_value=0, max_value=n))
+    tail[:gap] = [0] * gap
+    return [draw(st.sampled_from([1, -1]))] + tail
+
+
+@settings(max_examples=150)
+@given(gappy_units())
+def test_invert_unit_matches_dense_loop(c):
+    assert coeffs(TruncatedSeries(c).invert_unit()) == dense_inverse(c)
+
+
+def test_invert_unit_bench_denominators():
+    # (q;q)_inf, (q^2;q^2)_inf and (-q;q^2)_inf (q;q)_inf at q^600 have
+    # 40, 28 and 18 nonzero coefficients of 601
+    N = 600
+    for d, nonzero in ((series.poch_inf(1, 1, N), 40),
+                       (series.poch_inf(2, 2, N), 28),
+                       (series.poch_inf(1, 2, N, -1)
+                        * series.poch_inf(1, 1, N), 18)):
+        assert sum(1 for c in d.coeffs if c) == nonzero
+        assert coeffs(d.invert_unit()) == dense_inverse(d.coeffs)
+        assert coeffs((-d).invert_unit()) == dense_inverse((-d).coeffs)
+
+
 @settings(max_examples=40)
 @given(small_series, st.sampled_from([1, -1]))
 def test_invert_unit_roundtrip(s, c0):
