@@ -23,6 +23,11 @@ family" test is decided locally: B is already in the family and a_1 is
 at least its largest part, so only the new top window and the count of
 ones can break, and both are read off in O(1).
 
+The fixed points of the involution are exactly the template pairs, so a
+blocked pair is matched against the templates before any map runs, and
+every other blocked pair has a partner in P_{k,a}: the maps build it
+without checking it, and the law sweeps and orbit traces check it.
+
 Public functions validate their input (parameters and pair) once.  The
 ``_``-prefixed kernels trust it: their pair is a member of P_{k,a} with
 k >= 2 and 1 <= a <= k, and they never re-validate.  Each public entry
@@ -41,8 +46,8 @@ from .partitions import (_PARITY_MODE, ParameterError, _gordon_ok,
 
 
 class ConsistencyError(RuntimeError):
-    """A map produced an invalid configuration on a pair that matches no
-    fixed-point template; indicates a genuine rule inconsistency."""
+    """A pipeline map found no partner for a pair that is no fixed
+    configuration, or an orbit broke a law of the involution."""
 
 
 class Move(NamedTuple):
@@ -215,31 +220,23 @@ def step1_move(pair, k, a):
 
 
 def _bumped(B, positions):
-    """Add 1 to the parts at the given 1-based positions, smallest
-    position first; a position one past the current end appends a new
-    part 1; anything further is a structural failure (None)."""
+    """Add 1 to the parts at the given ascending 1-based positions; a
+    position past the current end appends a new part 1."""
     out = list(B)
-    for pos in sorted(positions):
+    for pos in positions:
         if pos <= len(out):
             out[pos - 1] += 1
-        elif pos == len(out) + 1:
-            out.append(1)
         else:
-            return None
+            out.append(1)
     return tuple(out)
 
 
 def _dropped(B, positions):
-    """Subtract 1 at the given 1-based positions; returns None if a
-    position is absent.  Trailing zeros are stripped; interior zeros are
-    left for the validity check to reject."""
+    """Subtract 1 at the given 1-based positions, each of which holds a
+    part of at least 2 on a pair that is no template."""
     out = list(B)
     for pos in positions:
-        if pos > len(out):
-            return None
         out[pos - 1] -= 1
-    while out and out[-1] == 0:
-        out.pop()
     return tuple(out)
 
 
@@ -251,49 +248,31 @@ def _map_alpha(A, B, n, k):
 
 def _map_alpha_inv(A, B, n, k):
     # increment the first n parts of A and drop the last part (= n)
-    if len(A) <= n:
-        return None
     return (tuple(x + 1 for x in A[:n]) + A[n:-1], B)
 
 
 def _map_beta(A, B, n, k, i):
     # drop the smallest part of A (= n); bump B at i, i+(k-1), ...
-    newB = _bumped(B, [i + j * (k - 1) for j in range(n)])
-    if newB is None:
-        return None
-    return (A[:-1], newB)
+    return (A[:-1], _bumped(B, [i + j * (k - 1) for j in range(n)]))
 
 
 def _map_beta_inv(A, B, n, k, i):
     # append n to A; un-bump B at i-1, i-1+(k-1), ...
-    newB = _dropped(B, [i - 1 + j * (k - 1) for j in range(n)])
-    if newB is None:
-        return None
-    return (A + (n,), newB)
+    return (A + (n,), _dropped(B, [i - 1 + j * (k - 1) for j in range(n)]))
 
 
 def _map_gamma(A, B, n, k):
     # move b_1 unchanged on top of A, decrementing the first n parts of
     # the old A; bump the shortened B along the k-1 grid
-    if not B or len(A) < n:
-        return None
     newA = (B[0],) + tuple(x - 1 for x in A[:n]) + A[n:]
-    newB = _bumped(B[1:], [(j + 1) * (k - 1) for j in range(n)])
-    if newB is None:
-        return None
-    return (newA, newB)
+    return (newA, _bumped(B[1:], [(j + 1) * (k - 1) for j in range(n)]))
 
 
 def _map_gamma_inv(A, B, n, k):
     # inverse: remove a_1, increment the next n parts of A; un-bump B
     # along the k-1 grid and put a_1 back on top of B
-    if len(A) < n + 1:
-        return None
     newA = tuple(x + 1 for x in A[1:n + 1]) + A[n + 1:]
-    newB = _dropped(B, [j * (k - 1) for j in range(1, n + 1)])
-    if newB is None:
-        return None
-    return (newA, (A[0],) + newB)
+    return (newA, (A[0],) + _dropped(B, [j * (k - 1) for j in range(1, n + 1)]))
 
 
 def _fixed_pair(family, n, k, a):
@@ -324,55 +303,49 @@ def gordon_fixed_point(family, n, k, a):
 
 
 def _match_template(pair, k, a):
-    """FixedPoint when the pair, whose A is not empty, equals a template:
-    the one of index n has n parts in A."""
+    """FixedPoint when the pair, whose A is not empty, equals a template,
+    None otherwise: the one of index n has n parts in A, and the top part
+    of its A is 2n in family 1 and 2n - 1 in family 2."""
     n = len(pair[0])
-    for family in (1, 2):
-        if _fixed_pair(family, n, k, a) == pair:
-            return FixedPoint(family, n)
+    family = 2 * n + 1 - pair[0][0]
+    if family in (1, 2) and _fixed_pair(family, n, k, a) == pair:
+        return FixedPoint(family, n)
     return None
 
 
 def _apply(A, B, k, a, label):
+    """The partner of a blocked pair that is no template: the map its
+    class dispatches to, which lands in P_{k,a}."""
     i, cls, n = label.i, label.cls, label.params.n
     if cls == 1:
-        out = _map_alpha_inv(A, B, n, k) if i == k else _map_beta(A, B, n, k, i)
-    elif cls == 2:
-        out = _map_alpha(A, B, n, k) if i == 1 else _map_beta_inv(A, B, n, k, i)
-    elif cls == 3:
-        out = _map_gamma_inv(A, B, n, k)
-    else:
-        out = _map_gamma(A, B, n, k)
-    if out is not None and _pair_fault(out[0], out[1], k, a) is None:
-        return out
-    fixed = _match_template((A, B), k, a)
-    if fixed is None:
-        raise ConsistencyError(
-            "map output invalid and pair matches no template: %r (k=%d a=%d)"
-            % ((A, B), k, a))
-    return fixed
+        return _map_alpha_inv(A, B, n, k) if i == k else _map_beta(A, B, n, k, i)
+    if cls == 2:
+        return _map_alpha(A, B, n, k) if i == 1 else _map_beta_inv(A, B, n, k, i)
+    if cls == 3:
+        return _map_gamma_inv(A, B, n, k)
+    return _map_gamma(A, B, n, k)
 
 
 def apply_map(pair, k, a):
-    """Act on a blocked pair: produce its partner, or a FixedPoint when
-    the dispatched map breaks out of the state space and the pair sits
-    on a template."""
+    """Act on a blocked pair: FixedPoint when it is a template, which is
+    decided before any map runs, and its partner otherwise."""
     check_params(k, a)
     A, B = _check_pair(pair, k, a)
     label = _classify(A, B, k, a)
     if not isinstance(label, UClass):
         raise ParameterError("apply_map needs a blocked pair")
-    return _apply(A, B, k, a, label)
+    return _match_template((A, B), k, a) or _apply(A, B, k, a, label)
 
 
 def _involute(A, B, k, a):
-    """involute_gordon on a pair it trusts: classified once, then moved
-    or mapped."""
+    """involute_gordon on a pair it trusts: classified once, then moved,
+    or, when blocked, matched against the templates and mapped if it is
+    none of them."""
     label = _classify(A, B, k, a)
     if isinstance(label, Move):
         return _step1(A, B, label)
     if isinstance(label, UClass):
-        return _apply(A, B, k, a, label)
+        return _match_template((A, B), k, a) or _apply(A, B, k, a, label)
     return label
 
 
@@ -384,14 +357,12 @@ def involute_gordon(pair, k, a):
 
 
 def _trace_label(pair, k, a):
-    """An orbit trace's name for the step the map takes on a pair it
-    trusts: move(direction), U(witness,class) or fixed(family,n)."""
+    """An orbit trace's name for the step the map takes on a pair of a
+    partner orbit, which it trusts: move(direction) or U(witness,class)."""
     lab = _classify(pair[0], pair[1], k, a)
     if isinstance(lab, Move):
         return "move(%s)" % lab.direction
-    if isinstance(lab, UClass):
-        return "U(%d,%d)" % (lab.i, lab.cls)
-    return "fixed(%d,%d)" % (lab.family, lab.n)
+    return "U(%d,%d)" % (lab.i, lab.cls)
 
 
 def gordon_fixed_gf(k, a, N):
@@ -408,18 +379,14 @@ def gordon_fixed_gf(k, a, N):
 # --- pipelines after their halving step; B must be empty there
 
 def _involute_k1(pair):
-    """Involution on pairs (A | empty): the classic pentagonal-number
-    pairing.  Compare the smallest part p with the staircase prefix q;
-    the smaller one is peeled off or spread back."""
-    A, B = pair = _check_pair(pair, 1, 1)
+    """Involution on pairs (A | ()) it trusts, A a tuple of distinct
+    parts: the classic pentagonal-number pairing.  A template is fixed;
+    otherwise compare the smallest part p with the staircase prefix q,
+    and the smaller one is peeled off or spread back."""
+    A = pair[0]
     if not A:
         return _EMPTY
     p = A[-1]
     n = min(p, _staircase_prefix(A))
-    out = _map_alpha_inv(A, B, n, 1) if p == n else _map_alpha(A, B, n, 1)
-    if out is not None and _pair_fault(out[0], out[1], 1, 1) is None:
-        return out
-    fixed = _match_template(pair, 1, 1)
-    if fixed is None:
-        raise ConsistencyError("invalid single-column state: %r" % (A,))
-    return fixed
+    return _match_template(pair, 1, 1) or (
+        _map_alpha_inv(A, (), n, 1) if p == n else _map_alpha(A, (), n, 1))

@@ -18,6 +18,7 @@ scope is named here.
 from __future__ import annotations
 
 import operator
+import os
 import time
 from collections import Counter
 from functools import reduce
@@ -25,10 +26,21 @@ from typing import NamedTuple
 
 from . import partitions, pipelines, series
 from .gordon import ConsistencyError, FixedPoint
-from .partitions import ParameterError, sweep_cap
+from .partitions import ParameterError
 from .series import TruncatedSeries
 
 SCOPES = tuple(pipelines._SCOPES)
+
+
+def sweep_cap() -> int:
+    """Weight cap for exhaustive sweeps: RRG_MAX_SWEEP, or 30 when it is
+    unset.  A value that is not an integer is a ParameterError."""
+    value = os.environ.get("RRG_MAX_SWEEP", "30")
+    try:
+        return int(value)
+    except ValueError:
+        raise ParameterError("RRG_MAX_SWEEP must be an integer, got %r"
+                             % (value,)) from None
 
 
 class VerificationReport(NamedTuple):
@@ -216,10 +228,11 @@ def check_involution_laws(scope: str, k: int, a: int,
     rules = _scope_rules(scope, k, a)
     if N < 0:
         raise ParameterError("N must be >= 0, got %r" % (N,))
-    if N > sweep_cap():
+    cap = sweep_cap()
+    if N > cap:
         raise ParameterError(
             "sweep to weight %d exceeds the cap %d; set RRG_MAX_SWEEP "
-            "to raise it" % (N, sweep_cap()))
+            "to raise it" % (N, cap))
     ident = "laws_" + scope
     ground = pipelines._Ground(scope, k, a)
     swept = [0] * (N + 1)

@@ -16,7 +16,6 @@ adjacent part sizes, which is what the counting DP below uses.
 
 from __future__ import annotations
 
-import os
 from itertools import accumulate, groupby
 from math import isqrt
 from operator import add
@@ -37,17 +36,6 @@ def check_params(k: int, a: int) -> None:
         raise ParameterError("k must be >= 2, got %r" % (k,))
     if not 1 <= a <= k:
         raise ParameterError("need 1 <= a <= k, got a=%r k=%r" % (a, k))
-
-
-def sweep_cap() -> int:
-    """Weight cap for exhaustive sweeps: RRG_MAX_SWEEP, or 30 when it is
-    unset.  A value that is not an integer is a ParameterError."""
-    value = os.environ.get("RRG_MAX_SWEEP", "30")
-    try:
-        return int(value)
-    except ValueError:
-        raise ParameterError("RRG_MAX_SWEEP must be an integer, got %r"
-                             % (value,)) from None
 
 
 def is_gordon(parts, k: int, a: int) -> bool:

@@ -523,13 +523,12 @@ def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
 # ------------------------------------------------------------------ routing
 
 def _exchange_image(t):
-    """Odd-part exchange between A and the middle (EE): the larger of
-    the two largest odd parts crosses to the other side."""
+    """Odd-part exchange between A and the middle (EE), one of which has
+    an odd part: the larger of the two largest odd parts crosses to the
+    other side."""
     A, mid, D, E = t
     oa = max((x for x in A if x % 2), default=0)
     oc = max((x for x in mid if x % 2), default=0)
-    if not oa and not oc:
-        return None
     if oa > oc:
         A2 = tuple(x for x in A if x != oa)
         mid2 = tuple(sorted(mid + (oa,), reverse=True))
@@ -618,10 +617,9 @@ def _adel(A, x):
 
 
 def _brepl(B, take, give):
+    """B with the parts take, each of which it has, replaced by give."""
     out = list(B)
     for v in take:
-        if v not in out:
-            return None
         out.remove(v)
     out += give
     out.sort(reverse=True)
@@ -640,40 +638,32 @@ def _carry_candidates(state):
     # a pair in B fuses to a doubled part of A, and back
     for v in vals:
         if cnt[v] >= 2:
-            A2, B2 = _ains(A, 2 * v), _brepl(B, (v, v), ())
-            if A2 and B2 is not None:
-                yield (A2, B2)
+            A2 = _ains(A, 2 * v)
+            if A2:
+                yield (A2, _brepl(B, (v, v), ()))
     for x in A:
         if x % 2 == 0:
-            B2 = _brepl(B, (), (x // 2, x // 2))
-            if B2 is not None:
-                yield (_adel(A, x), B2)
+            yield (_adel(A, x), _brepl(B, (), (x // 2, x // 2)))
     # a pair in B sheds 2 into A, and back
     for v in vals:
         if cnt[v] >= 2 and v >= 2:
             A2 = _ains(A, 2)
-            B2 = _brepl(B, (v, v), (v - 1, v - 1))
-            if A2 and B2 is not None:
-                yield (A2, B2)
+            if A2:
+                yield (A2, _brepl(B, (v, v), (v - 1, v - 1)))
     if 2 in A:
         for v in vals:
             if cnt[v] >= 2:
-                B2 = _brepl(B, (v, v), (v + 1, v + 1))
-                if B2 is not None:
-                    yield (_adel(A, 2), B2)
+                yield (_adel(A, 2), _brepl(B, (v, v), (v + 1, v + 1)))
     # a single part of B sheds 2 into A, and back
     for v in vals:
         if v >= 3 and (cnt[v] == 1 or cnt[v - 2] == 0):
             A2 = _ains(A, 2)
-            B2 = _brepl(B, (v,), (v - 2,))
-            if A2 and B2 is not None:
-                yield (A2, B2)
+            if A2:
+                yield (A2, _brepl(B, (v,), (v - 2,)))
     if 2 in A:
         for v in vals:
             if cnt[v] == 1 or cnt[v + 2] == 0:
-                B2 = _brepl(B, (v,), (v + 2,))
-                if B2 is not None:
-                    yield (_adel(A, 2), B2)
+                yield (_adel(A, 2), _brepl(B, (v,), (v + 2,)))
     # the part 2 of A melts into another part of A, and back
     if 2 in A:
         for x in A:
@@ -692,15 +682,12 @@ def _carry_candidates(state):
     # a part x of A and x-1 of B fuse to 2x-1 in B, and back
     for x in A:
         if cnt[x - 1] >= 1:
-            B2 = _brepl(B, (x - 1,), (2 * x - 1,))
-            if B2 is not None:
-                yield (_adel(A, x), B2)
+            yield (_adel(A, x), _brepl(B, (x - 1,), (2 * x - 1,)))
     for v in vals:
         if v % 2 and v >= 3:
             A2 = _ains(A, (v + 1) // 2)
-            B2 = _brepl(B, (v,), ((v - 1) // 2,))
-            if A2 and B2 is not None:
-                yield (A2, B2)
+            if A2:
+                yield (A2, _brepl(B, (v,), ((v - 1) // 2,)))
     # one copy of a B part crosses whole to A, and back
     for v in vals:
         A2 = _ains(A, v)

@@ -71,6 +71,9 @@ def test_count_needs_one_weight_flag(capsys):
     code, _, err = run(capsys, "count", "--family", "B", "--k", "2",
                        "--a", "2", "--n", "3", "--truncate", "5")
     assert code == 2
+    code, _, err = run(capsys, "count", "--family", "B", "--k", "2",
+                       "--a", "2", "--truncate", "-1")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_enumerate_json(capsys):
@@ -351,6 +354,9 @@ def test_fixed_points_pipeline_triples(capsys):
 def test_fixed_points_a1_rejected(capsys):
     code, _, err = run(capsys, "fixed-points", "--scope", "oo", "--k", "3",
                        "--a", "1", "--max-weight", "10")
+    assert code == 2 and err.startswith("error:")
+    code, _, err = run(capsys, "fixed-points", "--scope", "gordon",
+                       "--k", "3", "--a", "3", "--max-weight", "-1")
     assert code == 2 and err.startswith("error:")
 
 

@@ -1,17 +1,20 @@
 """Tests for the pair involution: worked fixtures, template fixed
 points, and exhaustive law sweeps on a small grid."""
 
+import random
+
 import pytest
 
-from qgordon import partitions, series
+from qgordon import gordon, partitions, series
 from qgordon.gordon import (
     ClassParams,
-    ConsistencyError,
     FixedPoint,
     Move,
     UClass,
     _blocked,
+    _fixed_pair,
     _involute_k1,
+    _pair_fault,
     apply_map,
     classify,
     compute_params,
@@ -212,8 +215,84 @@ def test_single_column_engine():
             else:
                 assert _involute_k1(out) == (A, ())
     assert fixed == list(series.theta_sum(3, 1, 20).coeffs)
-    with pytest.raises(ParameterError):
-        _involute_k1(((3,), (1,)))
+
+
+def test_templates_are_fixed_before_any_map_runs(monkeypatch):
+    # a template is recognised as itself, so no map is tried on it
+    calls = []
+
+    def recorder(name):
+        real = getattr(gordon, name)
+
+        def wrapped(*args):
+            calls.append((name, args))
+            return real(*args)
+        monkeypatch.setattr(gordon, name, wrapped)
+
+    for name in ("_apply", "_map_alpha", "_map_alpha_inv"):
+        recorder(name)
+    for n in range(1, 13):
+        for family in (1, 2):
+            want = FixedPoint(family, n)
+            assert _involute_k1(_fixed_pair(family, n, 1, 1)) == want
+            for k in range(2, 7):
+                for a in range(1, k + 1):
+                    pair = gordon_fixed_point(family, n, k, a)
+                    assert involute_gordon(pair, k, a) == want
+                    assert apply_map(pair, k, a) == want
+    assert calls == []
+
+
+def blocked_pair(rng, k, a, w):
+    """A seeded blocked pair of weight w: the top k-1 parts of B are T
+    and T-1 (T at least once), the top part of A is T, or T+1 when B's
+    top k-1 parts all equal T, and the other parts of both sides are
+    drawn at random below them."""
+    while True:
+        T = rng.randint(3, max(3, w // k))
+        top = rng.randint(1, k - 1)
+        mult = {T: top, T - 1: k - 1 - top}
+        a1 = T + (top == k - 1 and rng.random() < 0.5)
+        left = w - a1 - T * top - (T - 1) * (k - 1 - top)
+        if left < 0:
+            continue
+        budget = rng.randint(0, left)
+        for v in range(T - 2, 0, -1):
+            room = k - 1 - mult[v + 1] if v > 1 else min(a - 1, k - 1 - mult[2])
+            mult[v] = rng.randint(0, max(0, min(room, budget // v)))
+            budget -= v * mult[v]
+        B = tuple(v for v in sorted(mult, reverse=True) for _ in range(mult[v]))
+        rest = w - a1 - sum(B)
+        if rest > a1 * (a1 - 1) // 2:
+            continue
+        A = [a1]
+        for v in range(a1 - 1, 0, -1):
+            # take v when the parts below v cannot make up the rest alone
+            if rest > v * (v - 1) // 2 or (v <= rest and rng.random() < 0.5):
+                A.append(v)
+                rest -= v
+        return (tuple(A), B)
+
+
+def test_blocked_pairs_at_high_weight():
+    # the maps build an image without checking it, so check it here, far
+    # above the weights the exhaustive sweeps reach
+    rng = random.Random(7)
+    for k in range(2, 7):
+        for w in (40, 80, 200):
+            for _ in range(60):
+                a = rng.randint(1, k)
+                pair = blocked_pair(rng, k, a, w)
+                assert sum(pair[0]) + sum(pair[1]) == w
+                assert isinstance(classify(pair, k, a), UClass), pair
+                out = involute_gordon(pair, k, a)
+                if isinstance(out, FixedPoint):
+                    assert gordon_fixed_point(*out, k, a) == pair
+                    continue
+                assert _pair_fault(out[0], out[1], k, a) is None, (pair, out)
+                assert sum(out[0]) + sum(out[1]) == w
+                assert (len(out[0]) - len(pair[0])) % 2 == 1
+                assert involute_gordon(out, k, a) == pair
 
 
 def test_list_pairs_map_as_tuple_pairs():

@@ -298,6 +298,8 @@ def test_sweep_cap(monkeypatch):
     assert sweep_cap() == 30
     with pytest.raises(ParameterError):
         check_involution_laws("gordon", 3, 3, 31)
+    with pytest.raises(ParameterError):
+        check_involution_laws("gordon", 3, 3, -1)
     monkeypatch.setenv("RRG_MAX_SWEEP", "34")
     assert sweep_cap() == 34
     monkeypatch.setenv("RRG_MAX_SWEEP", "not a number")

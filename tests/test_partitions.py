@@ -338,6 +338,12 @@ def test_parameter_errors():
         partitions.count_family("X", 3, 3, 4)
     with pytest.raises(partitions.ParameterError):
         partitions.count_family("B", 3, 3, -1)
+    with pytest.raises(partitions.ParameterError):
+        partitions.enumerate_family("B", 3, 3, -1)
+    with pytest.raises(partitions.ParameterError):
+        partitions.enumerate_distinct(-1)
+    with pytest.raises(partitions.ParameterError):
+        partitions.family_counts("B", 3, 3, -1)
 
 
 def test_inv_one_minus_residue_classes_match_blocks():

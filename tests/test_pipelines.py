@@ -87,6 +87,8 @@ def test_enumerate_ground_counts():
                 for wa in range(w + 1))
             assert got == want
     assert enumerate_ground("EE", 2, 2, 0) == [((), ())]
+    with pytest.raises(ParameterError):
+        enumerate_ground("EE", 2, 2, -1)
 
 
 SCOPE_GRID = ([("gordon", k, a) for k in (2, 3, 4) for a in range(1, k + 1)]
@@ -331,6 +333,8 @@ def test_fixed_templates():
         pipeline_fixed_triple("EE", 3, 1, 4, 4)
     with pytest.raises(ParameterError):
         pipeline_fixed_triple("EE", 0, 2, 4, 4)
+    with pytest.raises(ParameterError):
+        pipeline_fixed_triple("EE", 1, -1, 4, 4)
 
 
 def test_fixed_templates_are_fixed():

@@ -41,6 +41,12 @@ def test_constructor_and_accessors():
         s.coefficient(5)
     with pytest.raises(ValueError):
         TruncatedSeries([1, 2, 3], truncation=1)
+    with pytest.raises(ValueError):
+        TruncatedSeries([])
+    with pytest.raises(ValueError):
+        TruncatedSeries([1], -1)
+    with pytest.raises(TypeError):
+        s + [1]
     # integers only: a float is not rounded and a string is not parsed
     for bad in ([0.5, 1.9, 2], ["3"], [1, 2.0]):
         with pytest.raises(TypeError):
@@ -183,6 +189,8 @@ def test_poch_inf_fixed_cases():
     assert series.poch_inf(5, 4, 4) == TruncatedSeries.one(4)
     with pytest.raises(ValueError):
         series.poch_inf(0, 1, 4)
+    with pytest.raises(ValueError):
+        series.poch_inf(1, 1, 4, sign=2)
 
 
 def factor_by_factor_poch(a, m, N, sign=1):
@@ -259,6 +267,10 @@ def test_theta_fixed_cases():
     assert series.theta_sum(7, 1, 0) == TruncatedSeries.one(0)
     with pytest.raises(ValueError):
         series.theta_sum(2, 1, 5)  # odd alpha+beta
+    with pytest.raises(ValueError):
+        series.theta_sum(0, 0, 5)  # alpha not positive
+    with pytest.raises(ValueError):
+        series.theta_sum(1, 3, 5)  # a negative exponent
 
 
 def test_theta_matches_triple_product():
@@ -300,8 +312,10 @@ def test_restricted_gf():
     (lambda: gordon_fixed_gf(3, 3, -1), ParameterError),
     (lambda: pipeline_fixed_gf("EE", 2, 2, -1), ParameterError),
     (lambda: pipeline_e_factor("OO", -2), ParameterError),
+    (lambda: series.multisum_rrg(3, 3, -1), ValueError),
+    (lambda: series.family_gf("B", 3, 3, -1), ValueError),
 ], ids=["poch_inf", "theta_sum", "gordon_fixed_gf", "pipeline_fixed_gf",
-        "pipeline_e_factor"])
+        "pipeline_e_factor", "multisum_rrg", "family_gf"])
 def test_negative_truncation_rejected(build, error):
     with pytest.raises(error) as info:
         build()
