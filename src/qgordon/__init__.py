@@ -21,7 +21,6 @@ from .series import (
     theta_sum,
 )
 from .gordon import (
-    ConsistencyError,
     FixedPoint,
     Move,
     UClass,
@@ -32,6 +31,7 @@ from .gordon import (
 )
 from .pipelines import (
     PIPELINES,
+    ConsistencyError,
     PartitionTriple,
     canonicalize_fixed,
     enumerate_ground,

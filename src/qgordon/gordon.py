@@ -45,11 +45,6 @@ from .partitions import (_PARITY_MODE, ParameterError, _gordon_ok,
                          _parity_ok, check_params)
 
 
-class ConsistencyError(RuntimeError):
-    """A pipeline map found no partner for a pair that is no fixed
-    configuration, or an orbit broke a law of the involution."""
-
-
 class Move(NamedTuple):
     """Step-1 outcome: the top part crosses between A and B."""
     direction: str  # "b_to_a" or "a_to_b"

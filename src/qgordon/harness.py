@@ -25,8 +25,9 @@ from functools import reduce
 from typing import NamedTuple
 
 from . import partitions, pipelines, series
-from .gordon import ConsistencyError, FixedPoint
+from .gordon import FixedPoint
 from .partitions import ParameterError
+from .pipelines import ConsistencyError
 from .series import TruncatedSeries
 
 SCOPES = tuple(pipelines._SCOPES)

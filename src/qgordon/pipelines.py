@@ -10,16 +10,21 @@ conditions plus a multiplicity-parity restriction:
 * OE (k odd, a even): A has distinct even parts, B in Wbar_{k,a}
   (every odd part occurs an even number of times).
 
-Each pipeline encodes a pair as a triple: equal parts of B merge in
-pairs into doubled parts (the middle), unpaired parts remain single (D);
-the EE pipeline first strips odd parts shared between A and B into a
-sign-carrying partition E of parts 2 mod 4.  On triples, a ladder of
-moves applies: the largest middle part crosses to A when it dominates,
-otherwise A's largest part crosses into the middle, and when that image
-leaves the ground set, either an odd-part exchange (EE) or the base
-involution on halved middle values at reduced parameters takes over.  A
-move is kept only when the routed image routes straight back.  The rest,
-the residue, is paired off by a deterministic maximum matching over a
+EE maps as a product: B splits into O, its parts of odd multiplicity
+(distinct and odd, as W pairs up its even parts), and G, half its
+pairs, in B_{k/2,a/2}, so that B = O + G + G (Andrews, "Parity in
+partition identities", 2010).  When A's odd parts differ from O, the
+largest part of the difference crosses between A and B; otherwise the
+base involution at (k/2, a/2) acts on A's even parts halved and on G.
+
+OO and OE encode a pair as a triple: equal parts of B merge in pairs
+into doubled parts (the middle), unpaired parts remain single (D).  On
+triples, a ladder of moves applies: the largest middle part crosses to
+A when it dominates, otherwise A's largest part crosses into the
+middle, and when that image leaves the ground set the base involution
+on halved middle values at reduced parameters takes over.  A move is
+kept only when the routed image routes straight back.  The rest, the
+residue, is paired off by a deterministic maximum matching over a
 small library of symmetric weight-preserving carry moves, each flipping
 the A-length parity.  The matching is built one connected component of
 the residue at a time, reached from the pair by its carry moves, so
@@ -53,13 +58,18 @@ from itertools import groupby
 from typing import Callable, NamedTuple
 
 from . import partitions, series
-from .gordon import (ConsistencyError, FixedPoint, _check_pair, _fixed_pair,
-                     _involute, _involute_k1, _pair_fault, _trace_label,
-                     gordon_fixed_gf, gordon_fixed_point)
+from .gordon import (FixedPoint, _check_pair, _fixed_pair, _involute,
+                     _involute_k1, _pair_fault, _trace_label, gordon_fixed_gf,
+                     gordon_fixed_point)
 from .partitions import ParameterError
 from .series import TruncatedSeries
 
 PIPELINES = ("EE", "OO", "OE")
+
+
+class ConsistencyError(RuntimeError):
+    """A pipeline map found no partner for a pair that is no fixed
+    configuration, or an orbit broke a law of the involution."""
 
 # the parities of (k, a) each pipeline needs (0 even, 1 odd), as worded
 # in its error message
@@ -96,11 +106,13 @@ class _Scope(NamedTuple):
         return _check_pair(pair, k, a, self.parity, self.family)
 
 
-def _pipeline_scope(pipeline, parity, family):
+def _pipeline_scope(pipeline, parity, family, involute=None):
+    """A pipeline's row; its kernel is the route ladder unless given."""
     return _Scope(
         parity, family,
         lambda k, a: check_pipeline(pipeline, k, a),
-        lambda pair, k, a: _involute_pipeline(pair, pipeline, k, a),
+        involute or (lambda pair, k, a: _involute_pipeline(pair, pipeline,
+                                                           k, a)),
         lambda k, a, N: pipeline_fixed_gf(pipeline, k, a, N),
         lambda f, n, k, a: pipeline_fixed_triple(pipeline, f, n, k, a),
         lambda pair, k, a: pipeline)
@@ -111,7 +123,8 @@ _SCOPES = {
     "gordon": _Scope(None, "B", partitions.check_params,
                      lambda pair, k, a: _involute(pair[0], pair[1], k, a),
                      gordon_fixed_gf, gordon_fixed_point, _trace_label),
-    "EE": _pipeline_scope("EE", None, "W"),
+    "EE": _pipeline_scope("EE", None, "W",
+                          lambda pair, k, a: _involute_ee(pair, k, a)),
     "OO": _pipeline_scope("OO", "even", "W"),
     "OE": _pipeline_scope("OE", "even", "Wbar"),
 }
@@ -520,25 +533,36 @@ def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
             * series.theta_sum(2 * (k + 1), 2 * (k + 1 - a), N))
 
 
+# ---------------------------------------------------------------- EE product
+
+def _half_involute(Ah, Bh, kk, aa):
+    """The base involution at reduced parameters on a halved pair it
+    trusts: the Gordon kernel, or at kk = 1 the k = 1 pairing (Bh empty)."""
+    return _involute(Ah, Bh, kk, aa) if kk >= 2 else _involute_k1((Ah, Bh))
+
+
+def _involute_ee(pair, k, a):
+    """The EE map on a ground pair it trusts, the product the module
+    docstring states; a FixedPoint of the base involution is returned as
+    it is, and its partner (Ah, G') joins as (O + 2 Ah, O + G' + G')."""
+    A, B = pair
+    C, O = _merge_pairs(B)
+    odd = set(O).symmetric_difference(x for x in A if x % 2)
+    if odd:
+        x = max(odd)
+        if x in A:
+            return (_adel(A, x), _brepl(B, (), (x,)))
+        return (_ains(A, x), _brepl(B, (x,), ()))
+    out = _half_involute(tuple(x // 2 for x in A if x % 2 == 0),
+                         tuple(c // 2 for c in C), k // 2, a // 2)
+    if isinstance(out, FixedPoint):
+        return out
+    Ah, G = out
+    return (tuple(sorted(O + tuple(2 * x for x in Ah), reverse=True)),
+            tuple(sorted(O + G + G, reverse=True)))
+
+
 # ------------------------------------------------------------------ routing
-
-def _exchange_image(t):
-    """Odd-part exchange between A and the middle (EE), one of which has
-    an odd part: the larger of the two largest odd parts crosses to the
-    other side."""
-    A, mid, D, E = t
-    oa = max((x for x in A if x % 2), default=0)
-    oc = max((x for x in mid if x % 2), default=0)
-    if oa > oc:
-        A2 = tuple(x for x in A if x != oa)
-        mid2 = tuple(sorted(mid + (oa,), reverse=True))
-    else:
-        mid2 = list(mid)
-        mid2.remove(oc)
-        mid2 = tuple(mid2)
-        A2 = tuple(sorted(A + (oc,), reverse=True))
-    return (A2, mid2, D, E)
-
 
 def _sector_image(t, pipeline, k, a):
     """Base involution at the reduced parameters on halved values; None
@@ -547,17 +571,11 @@ def _sector_image(t, pipeline, k, a):
     kk, aa = inner_params(pipeline, k, a)
     Ah = tuple(x // 2 for x in A)
     Bh = tuple(x // 2 for x in mid)
-    if kk >= 2:
-        if aa < 1 or not partitions._gordon_ok(Bh, kk, aa):
-            return None
-        # the kernel may trust (Ah, Bh): A is a ground-set A with even
-        # parts, so Ah is strictly decreasing and positive, and Bh has
-        # just passed the family test at 1 <= aa <= kk
-        out = _involute(Ah, Bh, kk, aa)
-    else:
-        if Bh != ():
-            return None
-        out = _involute_k1((Ah, ()))
+    # in scope when Bh is empty at kk = 1, or in B_{kk,aa} above it; the
+    # kernel then trusts (Ah, Bh), Ah being halved from even distinct A
+    if (Bh if kk < 2 else aa < 1 or not partitions._gordon_ok(Bh, kk, aa)):
+        return None
+    out = _half_involute(Ah, Bh, kk, aa)
     if isinstance(out, FixedPoint):
         return None
     return (tuple(2 * x for x in out[0]), tuple(2 * x for x in out[1]), D, E)
@@ -573,17 +591,11 @@ def _finish(t2, pipeline, k, a):
     return Y if _ground_valid(Y, pipeline, k, a) else None
 
 
-def _blocked_subroute(t, pipeline, k, a):
-    if pipeline == "EE" and (any(x % 2 for x in t[0]) or any(x % 2 for x in t[1])):
-        return _finish(_exchange_image(t), pipeline, k, a)
-    return _finish(_sector_image(t, pipeline, k, a), pipeline, k, a)
-
-
 def _route_triple(t, pipeline, k, a):
     """One rule set for every state, as gordon._blocked decides it for
     the Gordon map: the middle's top part crosses to A when it dominates,
     otherwise A's top part crosses into the middle, and when that image
-    leaves the ground set A's top part is blocked and _blocked_subroute
+    leaves the ground set A's top part is blocked and the sector map
     runs."""
     f = _fixed_check(t, pipeline, k, a)
     if f is not None:
@@ -601,7 +613,7 @@ def _route_triple(t, pipeline, k, a):
     r = _finish(t2, pipeline, k, a)
     if r is not None:
         return r
-    return _blocked_subroute(t, pipeline, k, a)
+    return _finish(_sector_image(t, pipeline, k, a), pipeline, k, a)
 
 
 # ------------------------------------------------------------- carry moves
@@ -695,21 +707,6 @@ def _carry_candidates(state):
             yield (A2, _brepl(B, (v,), ()))
     for x in A:
         yield (_adel(A, x), _brepl(B, (), (x,)))
-    # a glued odd pair (v in both A and B) absorbs into another A part
-    for v in A:
-        if v % 2 and cnt[v] >= 1:
-            for x in A:
-                if x != v:
-                    A2 = _ains(_adel(_adel(A, x), v), x + 2 * v)
-                    if A2:
-                        yield (A2, _brepl(B, (v,), ()))
-    for p in A:
-        for v in range(1, (p - 1) // 2 + 1, 2):
-            x = p - 2 * v
-            if x >= 1 and x != v and v not in A and x not in A:
-                A2 = _ains(_ains(_adel(A, p), v), x)
-                if A2:
-                    yield (A2, _brepl(B, (), (v,)))
 
 
 def _augment(adj, match, root):
@@ -742,7 +739,7 @@ def _augment(adj, match, root):
 
 
 # carry candidates a component build reads before it refuses its pair;
-# components to weight 30 on the pipeline grid read at most 9,253
+# components to weight 30 on the OO and OE grid read at most 7,553
 _CARRY_BUDGET = 100_000
 
 
@@ -848,17 +845,18 @@ def involute_pipeline(pair, pipeline: str, k: int, a: int):
     is a fixed configuration.  Partners have the same weight and
     opposite A-length parity, and the map is an involution; family 0
     marks fixed configurations outside the two template families (the
-    weight-0 core, and the whole OO a=1 fixed sector).  A pair left to
-    the matching costs its residue component, not its weight class; a
-    component over the carry budget, or one leaving the pair unmatched,
-    raises ConsistencyError."""
+    weight-0 core, and the whole OO a=1 fixed sector).  EE maps as a
+    product; an OO or OE pair left to the matching costs its residue
+    component, not its weight class, and a component over the carry
+    budget, or one leaving the pair unmatched, raises ConsistencyError."""
     check_pipeline(pipeline, k, a)
-    return _involute_pipeline(_SCOPES[pipeline].ground(pair, k, a),
-                              pipeline, k, a)
+    scope = _SCOPES[pipeline]
+    return scope.involute(scope.ground(pair, k, a), k, a)
 
 
 def _involute_pipeline(pair, pipeline, k, a):
-    """involute_pipeline on a ground pair it trusts, given as tuples."""
+    """The OO and OE kernel: the route ladder, then the matching, on a
+    ground pair it trusts, given as tuples."""
     r = _flow(pipeline, k, a, sum(pair[0]) + sum(pair[1])).involute(pair)
     if r is None:
         raise ConsistencyError("no partner and no template match for %r "

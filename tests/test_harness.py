@@ -5,7 +5,7 @@ laws-imply-identity meta-test."""
 import pytest
 
 from qgordon import harness, partitions, pipelines, series
-from qgordon.gordon import ConsistencyError, FixedPoint
+from qgordon.gordon import FixedPoint
 from qgordon.harness import (
     IDENTITIES,
     SCOPES,
@@ -17,6 +17,7 @@ from qgordon.harness import (
     trace_orbit,
 )
 from qgordon.partitions import ParameterError
+from qgordon.pipelines import ConsistencyError
 
 GORDON_MAP = pipelines._SCOPES["gordon"].involute
 

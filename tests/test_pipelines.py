@@ -4,14 +4,17 @@ law sweeps on the small parameter grid."""
 
 import gc
 import itertools
+import random
 import sys
 
 import pytest
+from test_gordon import blocked_pair
 
 from qgordon import harness, partitions, pipelines, series
-from qgordon.gordon import ConsistencyError, FixedPoint, involute_gordon
+from qgordon.gordon import FixedPoint, UClass, classify, involute_gordon
 from qgordon.partitions import ParameterError
 from qgordon.pipelines import (
+    ConsistencyError,
     PartitionTriple,
     canonical_fixed_form,
     canonicalize_fixed,
@@ -134,7 +137,7 @@ def test_each_ground_enumerates_a_weight_once(monkeypatch, fresh_flows):
         return real(family, k, a, n)
 
     monkeypatch.setattr(partitions, "enumerate_family", counted)
-    assert harness.check_involution_laws("EE", 4, 4, 21).passed
+    assert harness.check_involution_laws("OE", 5, 4, 21).passed
     # the sweep reads its one _Ground; the matching reads none
     assert max(calls.count(n) for n in set(calls)) == 1
     assert len(calls) <= 22
@@ -147,8 +150,8 @@ def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
     # a garbage cap: one-pair maps must not read it
     monkeypatch.setenv("RRG_MAX_SWEEP", "thirty")
     pair = ((10, 8, 5), (5, 4, 4, 4, 4))
-    assert pipelines._flow("EE", 6, 6, 44).safe(pair) is not None
     partner = involute_pipeline(pair, "EE", 6, 6)
+    assert partner == ((10, 5), (5, 5, 5, 4, 4, 3, 3))
     assert involute_pipeline(partner, "EE", 6, 6) == pair
     assert harness.trace_orbit(pair, "EE", 6, 6).terminal == "partner"
     # a pair the route ladder leaves to the matching
@@ -172,7 +175,7 @@ def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
 
 
 def test_flows_are_kept_for_the_last_weights_only(fresh_flows):
-    assert harness.check_involution_laws("EE", 4, 4, 21).passed
+    assert harness.check_involution_laws("OO", 5, 5, 21).passed
     info = pipelines._flow.cache_info()
     assert info.currsize <= info.maxsize
     # an evicted flow is freed: the live ones are the cached ones, of
@@ -186,7 +189,7 @@ def test_flows_are_kept_for_the_last_weights_only(fresh_flows):
             assert sum(A) + sum(B) == f.weight
 
 
-@pytest.mark.parametrize("pl,k,a", [("OE", 5, 4), ("EE", 4, 4)])
+@pytest.mark.parametrize("pl,k,a", [("OE", 5, 4), ("OO", 5, 5)])
 def test_evicting_a_flow_changes_no_partner(pl, k, a, fresh_flows):
     classes = [enumerate_ground(pl, k, a, w) for w in range(17)]
     want = {s: pipelines._involute_pipeline(s, pl, k, a)
@@ -414,11 +417,11 @@ def test_canonicalize_refuses_triples_that_encode_no_pair():
 
 
 def test_matching_needs_no_call_stack_per_path_step():
-    # the EE (4, 4) weight-26 residue has augmenting paths 41 states
+    # the OE (3, 2) weight-24 residue has augmenting paths 52 states
     # deep; with every route cached, the matching must fit in a call
     # stack 25 frames above the caller's
-    flow = pipelines._Flow("EE", 4, 4, 26)
-    residue = [s for s in pipelines._Ground("EE", 4, 4).pairs(26)
+    flow = pipelines._Flow("OE", 3, 2, 24)
+    residue = [s for s in pipelines._Ground("OE", 3, 2).pairs(24)
                if flow.safe(s) is None]
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -438,17 +441,17 @@ def test_matching_needs_no_call_stack_per_path_step():
         assert matched[v] == u
 
 
-# states the route ladder leaves to the matching on each grid point, to
-# weight 20; a route rule that pairs more of them lowers its count
+# states the route ladder leaves to the matching on each OO and OE grid
+# point, to weight 20; a route rule that pairs more of them lowers its
+# count (EE maps as a product, with no ladder)
 RESIDUE_20 = {
-    ("EE", 2, 2): 0, ("EE", 4, 2): 148, ("EE", 4, 4): 278,
     ("OO", 3, 1): 213, ("OO", 3, 3): 384, ("OO", 5, 3): 350,
     ("OO", 5, 5): 396,
     ("OE", 3, 2): 224, ("OE", 5, 2): 210, ("OE", 5, 4): 282,
 }
 
 
-@pytest.mark.parametrize("pl,k,a", GRID)
+@pytest.mark.parametrize("pl,k,a", RESIDUE_20)
 def test_route_ladder_residue(pl, k, a):
     ground = pipelines._Ground(pl, k, a)
     unpaired = 0
@@ -461,12 +464,114 @@ def test_route_ladder_residue(pl, k, a):
 def test_carry_moves_are_symmetric():
     # every ground candidate of a ground pair lists that pair among its
     # own candidates, so the matching can stay inside one component
-    for pl, k, a in GRID:
+    for pl, k, a in RESIDUE_20:
         for w in range(17):
             for s in enumerate_ground(pl, k, a, w):
                 for Y in pipelines._carry_candidates(s):
                     if pipelines._ground_valid(Y, pl, k, a):
                         assert s in set(pipelines._carry_candidates(Y)), (s, Y)
+
+
+EE_POINTS = [(k, a) for k in (2, 4, 6, 8) for a in range(2, k + 1, 2)]
+
+
+def test_ee_split_and_join():
+    # B in W_{k,a} splits into O, its parts of odd multiplicity, distinct
+    # and odd, and G, half its pairs, in B_{k/2,a/2}; O + G + G is B, so
+    # |W_{k,a}(n)| is the convolution of the distinct-odd counts with
+    # the B_{k/2,a/2} counts at n/2
+    N = 30
+    odd = [len(partitions.enumerate_distinct(n, "odd")) for n in range(N + 1)]
+    for k, a in EE_POINTS:
+        kk, aa = k // 2, a // 2
+        half = (partitions.family_counts("B", kk, aa, N // 2) if kk >= 2
+                else [1] + [0] * (N // 2))
+        for n in range(N + 1):
+            W = partitions.enumerate_family("W", k, a, n)
+            for B in W:
+                C, O = pipelines._merge_pairs(B)
+                G = tuple(c // 2 for c in C)
+                assert len(set(O)) == len(O) and all(v % 2 for v in O), B
+                assert partitions._gordon_ok(G, kk, aa), B
+                assert tuple(sorted(O + G + G, reverse=True)) == B
+            assert len(W) == sum(odd[n - 2 * j] * half[j]
+                                 for j in range(n // 2 + 1)), (k, a, n)
+
+
+def _odd_parts(rng, budget):
+    """Seeded distinct odd parts summing to at most budget."""
+    parts = []
+    for v in range(budget - 1 + budget % 2, 0, -2):
+        if v <= budget and rng.random() < 0.3:
+            parts.append(v)
+            budget -= v
+    return tuple(parts)
+
+
+def _distinct_parts(rng, n):
+    """A seeded partition of n into distinct parts."""
+    parts = []
+    for v in range(n, 0, -1):
+        # take v when the parts below v cannot make up the rest alone
+        if n > v * (v - 1) // 2 or (v <= n and rng.random() < 0.3):
+            parts.append(v)
+            n -= v
+    return tuple(parts)
+
+
+def test_ee_pairs_at_high_weight():
+    # the EE map builds an image without checking it, so check it here,
+    # far above the weights the exhaustive sweeps reach.  A pair is built
+    # from its factors: B joins a distinct odd O with the G of a halved
+    # pair (Ah, G), blocked at (k/2, a/2) when k >= 4, and A's odd parts
+    # are O (the Gordon factor acts) or, for about half the pairs, drawn
+    # apart from it (the toggle acts)
+    rng = random.Random(7)
+    blocked = 0
+    for k, a in [(2, 2), (4, 2), (4, 4), (6, 4)]:
+        kk, aa = k // 2, a // 2
+        for w in (40, 80, 200):
+            for _ in range(40):
+                O = _odd_parts(rng, rng.randint(0, w // 4))
+                Ao = O if rng.random() < 0.5 else _odd_parts(rng, w // 4)
+                rest = w - sum(O) - sum(Ao)
+                if rest % 2:
+                    Ao = O
+                    rest = w - 2 * sum(O)
+                if kk >= 2:
+                    Ah, G = blocked_pair(rng, kk, aa, rest // 2)
+                    assert isinstance(classify((Ah, G), kk, aa), UClass)
+                    blocked += Ao == O
+                else:
+                    Ah, G = _distinct_parts(rng, rest // 2), ()
+                pair = (tuple(sorted(Ao + tuple(2 * x for x in Ah),
+                                     reverse=True)),
+                        tuple(sorted(O + G + G, reverse=True)))
+                assert in_ground(pair, "EE", k, a), pair
+                assert sum(pair[0]) + sum(pair[1]) == w
+                out = involute_pipeline(pair, "EE", k, a)
+                if isinstance(out, FixedPoint):
+                    t = to_triple(pair, "EE", k, a)
+                    assert canonicalize_fixed(t, "EE", k, a)[:2] == out
+                    continue
+                assert in_ground(out, "EE", k, a), (pair, out)
+                assert sum(out[0]) + sum(out[1]) == w
+                assert (len(out[0]) - len(pair[0])) % 2 == 1
+                assert involute_pipeline(out, "EE", k, a) == pair
+    assert blocked > 100
+
+
+def test_ee_reaches_no_ladder_and_no_matching(monkeypatch):
+    # EE maps as a product: no flow is built, no state routed, and no
+    # carry move read
+    calls = []
+    for name in ("_flow", "_route_triple", "_carry_candidates"):
+        real = getattr(pipelines, name)
+        monkeypatch.setattr(pipelines, name,
+                            lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    assert harness.check_involution_laws("EE", 4, 4, 21).passed
+    assert calls == []
 
 
 def test_fixed_gf_is_the_signed_template_sum():
