@@ -332,23 +332,23 @@ def apply_map(pair, k, a):
     return _match_template((A, B), k, a) or _apply(A, B, k, a, label)
 
 
-def _involute(A, B, k, a):
-    """involute_gordon on a pair it trusts: classified once, then moved,
-    or, when blocked, matched against the templates and mapped if it is
-    none of them."""
+def _involute(pair, k, a):
+    """involute_gordon on a pair of tuples it trusts: classified once,
+    then moved, or, when blocked, matched against the templates and
+    mapped if it is none of them."""
+    A, B = pair
     label = _classify(A, B, k, a)
     if isinstance(label, Move):
         return _step1(A, B, label)
     if isinstance(label, UClass):
-        return _match_template((A, B), k, a) or _apply(A, B, k, a, label)
+        return _match_template(pair, k, a) or _apply(A, B, k, a, label)
     return label
 
 
 def involute_gordon(pair, k, a):
     """Total involution on P_{k,a}: partner pair, or FixedPoint."""
     check_params(k, a)
-    A, B = _check_pair(pair, k, a)
-    return _involute(A, B, k, a)
+    return _involute(_check_pair(pair, k, a), k, a)
 
 
 def _trace_label(pair, k, a):

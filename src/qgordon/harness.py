@@ -86,6 +86,14 @@ def _walked_gf(family, k, a, N):
     return TruncatedSeries([counts[n] for n in range(N + 1)])
 
 
+def _family_b_at_q2(k, a, N):
+    """B_{k,a}(q^2) truncated at N; at k = 1 B holds only the empty
+    partition."""
+    if k < 2:
+        return TruncatedSeries.one(N)
+    return series.dilate(series.family_gf("B", k, a, N // 2), 2, N)
+
+
 # product rearrangement feeding the EE pipeline; it is also the one the
 # OO pipeline uses, under the id prelude_oo
 _PRELUDE_EE = (None, lambda k, a, N: (
@@ -106,6 +114,12 @@ _IDENTITIES = {
     "thm13": ("EE", lambda k, a, N: (
         series.family_gf("W", k, a, N), _poch(N, (2, 2)),
         _poch(N, (1, 2, -1)) * _jtp(2 * k + 2, a, N))),
+    # W family, k and a even, split as the EE map splits it: a member is
+    # its parts of odd multiplicity, distinct and odd, plus a doubled
+    # member of B_{k/2,a/2}, which is empty at k = 2
+    "ee_split": ("EE", lambda k, a, N: (
+        series.family_gf("W", k, a, N), None,
+        _poch(N, (1, 2, -1)) * _family_b_at_q2(k // 2, a // 2, N))),
     # W family, k and a odd
     "thm14": ("OO", lambda k, a, N: (
         series.family_gf("W", k, a, N), _poch(N, (1, 1)),
@@ -178,34 +192,28 @@ def _scope_rules(scope, k, a):
     return rules
 
 
-def _orbit(rules, member, pair, w, k, a):
-    """Map a ground pair of weight w through a scope's kernel and check
-    the laws of its orbit: a partner keeps the weight, flips the sign,
-    lies in the ground set (member(partner) is true) and maps back.
-    Returns (image, fault, error): fault is the first law broken, as
-    (law, configuration, image), or None.  A kernel that raises breaks
-    law "map" on the configuration it was given, with no image, and
-    error is what it raised; a partner outside the ground set breaks law
-    "map" on itself, with error None."""
+def _image_fault(pair, out, w, member):
+    """The first law that out, the image of a ground pair of weight w
+    that is no FixedPoint, breaks as its partner, as (law, configuration,
+    image), or None when it breaks none: a partner keeps the weight,
+    flips the sign and lies in the ground set (member(out) is true).  An
+    image whose weight or sign cannot be read (None, an int, a 1-tuple)
+    breaks law "map" on the configuration it came from, with no image,
+    as a kernel that raises does; a partner outside the ground set, or
+    one member cannot decide, breaks law "map" on itself."""
     try:
-        out = rules.involute(pair, k, a)
-    except Exception as exc:
-        return None, ("map", pair, None), exc
-    if isinstance(out, FixedPoint):
-        return out, None, None
-    if sum(out[0]) + sum(out[1]) != w:
-        return out, ("weight", pair, out), None
-    if (len(pair[0]) + len(out[0])) % 2 == 0:
-        return out, ("sign", pair, out), None
-    if not member(out):
-        return out, ("map", out, None), None
+        if sum(out[0]) + sum(out[1]) != w:
+            return "weight", pair, out
+        if (len(pair[0]) + len(out[0])) % 2 == 0:
+            return "sign", pair, out
+    except Exception:
+        return "map", pair, None
     try:
-        back = rules.involute(out, k, a)
-    except Exception as exc:
-        return out, ("map", out, None), exc
-    if isinstance(back, FixedPoint) or back != pair:
-        return out, ("involution", pair, out), None
-    return out, None, None
+        if member(out):
+            return None
+    except Exception:
+        pass
+    return "map", out, None
 
 
 def check_involution_laws(scope: str, k: int, a: int,
@@ -216,12 +224,15 @@ def check_involution_laws(scope: str, k: int, a: int,
     fixed-point generating function, a theta series.
 
     The sweep generates its ground set, so it maps through the scope's
-    trusting kernel, and checks each partner it is handed by lookup in
-    the weight classes it enumerates, not by the ground predicate.  Each
-    orbit is mapped once from each side: a configuration is mapped, its
-    partner is checked and mapped back, and the partner is then skipped
-    when the enumeration reaches it, since its laws are the same facts.
-    A map that raises is a failing law "map" with no image, not an
+    trusting kernel.  Each weight class is built once, as a dict from
+    pair to "not yet checked" in enumeration order, and a partner's
+    membership in the ground set is one lookup in it, not the ground
+    predicate.  Each orbit is mapped once from each side: a
+    configuration is mapped, its partner is looked up, marked checked and
+    mapped back, and the partner is then skipped when the enumeration
+    reaches it, since its laws are the same facts.  An image that is no
+    partner is worded by _image_fault, in the order weight, sign, map.  A
+    map that raises is a failing law "map" with no image, not an
     exception.  The report carries the first violating configuration in
     enumeration order, or the first differing coefficient when only the
     series comparison fails."""
@@ -235,22 +246,43 @@ def check_involution_laws(scope: str, k: int, a: int,
             "sweep to weight %d exceeds the cap %d; set RRG_MAX_SWEEP "
             "to raise it" % (N, cap))
     ident = "laws_" + scope
-    ground = pipelines._Ground(scope, k, a)
+    involute = rules.involute
+    ground = pipelines._Ground(scope, k, a, N)
     swept = [0] * (N + 1)
+    fault = None
     for w in range(N + 1):
-        seen = set()        # partners whose orbit is already checked
-        for cfg in ground.pairs(w):
-            if cfg in seen:
+        cls = dict.fromkeys(ground.pairs(w), True)
+        for cfg, todo in cls.items():
+            if not todo:    # the partner of a configuration checked
                 continue
-            out, fault, _ = _orbit(rules, ground.contains, cfg, w, k, a)
-            if fault is not None:
-                return VerificationReport(ident, (k, a), N, "fail",
-                                          counterexample=fault,
-                                          elapsed=time.monotonic() - t0)
-            if isinstance(out, FixedPoint):
+            try:
+                out = involute(cfg, k, a)
+            except Exception:
+                fault = "map", cfg, None
+                break
+            try:
+                member = out in cls
+            except Exception:
+                member = False
+            if member and (len(cfg[0]) + len(out[0])) % 2:
+                cls[out] = False
+                try:
+                    back = involute(out, k, a)
+                except Exception:
+                    fault = "map", out, None
+                    break
+                if back != cfg:
+                    fault = "involution", cfg, out
+                    break
+            elif isinstance(out, FixedPoint):
                 swept[w] += -1 if len(cfg[0]) % 2 else 1
             else:
-                seen.add(out)
+                fault = _image_fault(cfg, out, w, cls.__contains__)
+                break
+        if fault is not None:
+            return VerificationReport(ident, (k, a), N, "fail",
+                                      counterexample=fault,
+                                      elapsed=time.monotonic() - t0)
     got = TruncatedSeries(swept)
     want = rules.fixed_gf(k, a, N)
     n = series.first_discrepancy(got, want)
@@ -271,15 +303,16 @@ def trace_orbit(config, scope: str, k: int, a: int) -> OrbitTrace:
     what the map raises propagates."""
     rules = _scope_rules(scope, k, a)
     pair = rules.ground(config, k, a)
-    out, fault, error = _orbit(rules, lambda p: rules.fault(p, k, a) is None,
-                               pair, sum(pair[0]) + sum(pair[1]), k, a)
-    if error is not None:
-        raise error
+    out = rules.involute(pair, k, a)
+    if isinstance(out, FixedPoint):
+        return OrbitTrace(start=pair, steps=(), terminal="fixed", fixed=out)
+    fault = _image_fault(pair, out, sum(pair[0]) + sum(pair[1]),
+                         lambda p: rules.fault(p, k, a) is None)
+    if fault is None and rules.involute(out, k, a) != pair:
+        fault = "involution", pair, out
     if fault is not None:
         law, cfg, image = fault
         raise ConsistencyError("%s law fails on the orbit of %r: %r -> %r"
                                % (law, pair, cfg, image))
-    if isinstance(out, FixedPoint):
-        return OrbitTrace(start=pair, steps=(), terminal="fixed", fixed=out)
     steps = ((rules.label(pair, k, a), out), (rules.label(out, k, a), pair))
     return OrbitTrace(start=pair, steps=steps, terminal="partner")

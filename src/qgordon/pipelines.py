@@ -88,7 +88,7 @@ class _Scope(NamedTuple):
     them: fault gives the reason a pair is outside it, ground raises it.
     The validating entries (check, template) raise ParameterError; the
     kernel (involute) maps a ground pair it trusts to its partner or a
-    FixedPoint."""
+    FixedPoint.  The table, _SCOPES, stands after the kernels it names."""
     parity: str | None      # parity of the distinct parts of A
     family: str             # family of B
     check: Callable         # (k, a) -> None
@@ -104,30 +104,6 @@ class _Scope(NamedTuple):
     def ground(self, pair, k, a):
         """The ground pair as a pair of tuples, or ParameterError."""
         return _check_pair(pair, k, a, self.parity, self.family)
-
-
-def _pipeline_scope(pipeline, parity, family, involute=None):
-    """A pipeline's row; its kernel is the route ladder unless given."""
-    return _Scope(
-        parity, family,
-        lambda k, a: check_pipeline(pipeline, k, a),
-        involute or (lambda pair, k, a: _involute_pipeline(pair, pipeline,
-                                                           k, a)),
-        lambda k, a, N: pipeline_fixed_gf(pipeline, k, a, N),
-        lambda f, n, k, a: pipeline_fixed_triple(pipeline, f, n, k, a),
-        lambda pair, k, a: pipeline)
-
-
-# "gordon" is the Gordon map on P_{k,a}, which the law sweeps run alike
-_SCOPES = {
-    "gordon": _Scope(None, "B", partitions.check_params,
-                     lambda pair, k, a: _involute(pair[0], pair[1], k, a),
-                     gordon_fixed_gf, gordon_fixed_point, _trace_label),
-    "EE": _pipeline_scope("EE", None, "W",
-                          lambda pair, k, a: _involute_ee(pair, k, a)),
-    "OO": _pipeline_scope("OO", "even", "W"),
-    "OE": _pipeline_scope("OE", "even", "Wbar"),
-}
 
 
 def _require_pipeline(pipeline):
@@ -210,30 +186,36 @@ def _ground_valid(pair, pipeline, k, a):
 
 class _Ground:
     """Weight classes of one ground set, streamed from the distinct-part
-    lists of A and the family lists of B, each weight of which is
-    enumerated once, on first use.  Each list is kept as a dict, an
-    ordered set: it iterates in enumeration order and answers membership
-    by lookup."""
+    lists of A and the family lists of B.  The B lists come from walks
+    of the family bucketed by weight: the first walk covers weights up to
+    top, or up to the weight asked for when that is higher, and a later
+    one only the weights above those walked, so a sweep that gives its
+    top weight walks the family once.  A walk yields each weight's
+    members in enumerate_family's order, and each A list is
+    enumerate_distinct's, so pairs() keeps that order."""
 
-    def __init__(self, scope, k, a):
+    def __init__(self, scope, k, a, top=0):
         ground = _SCOPES[scope]
         self.parity, self.family = ground.parity, ground.family
-        self.k, self.a = k, a
-        self.As, self.Bs = {}, {}
+        self.k, self.a, self.top = k, a, top
+        self.As, self.Bs = {}, []
 
     def _A(self, wa):
         As = self.As.get(wa)
         if As is None:
-            As = self.As[wa] = dict.fromkeys(
-                partitions.enumerate_distinct(wa, self.parity))
+            As = self.As[wa] = partitions.enumerate_distinct(wa, self.parity)
         return As
 
     def _B(self, wb):
-        Bs = self.Bs.get(wb)
-        if Bs is None:
-            Bs = self.Bs[wb] = dict.fromkeys(
-                partitions.enumerate_family(self.family, self.k, self.a, wb))
-        return Bs
+        Bs = self.Bs
+        if wb >= len(Bs):
+            hi = max(wb, self.top)
+            lo = len(Bs)
+            Bs.extend([] for _ in range(lo, hi + 1))
+            for B in partitions._walk_family(self.family, self.k, self.a,
+                                             lo, hi):
+                Bs[sum(B)].append(B)
+        return Bs[wb]
 
     def pairs(self, w):
         """The pairs of weight w, A-weight descending."""
@@ -246,29 +228,13 @@ class _Ground:
                 for B in Bs:
                     yield (A, B)
 
-    def contains(self, pair):
-        """Ground membership by lookup in the weight classes of A and B,
-        which are built on first use as pairs() builds them; a sweep asks
-        only once the weight law holds, so it builds no class above the
-        swept weight.  False, never an exception, for anything but a pair
-        of tuples in the ground set (lists, unhashable parts, another
-        arity)."""
-        if type(pair) is not tuple or len(pair) != 2:
-            return False
-        A, B = pair
-        try:
-            wa, wb = sum(A), sum(B)
-            return wa >= 0 and wb >= 0 and A in self._A(wa) and B in self._B(wb)
-        except TypeError:
-            return False
-
 
 def enumerate_ground(pipeline: str, k: int, a: int, n: int):
     """All ground-set pairs of weight exactly n, A-weight descending."""
     check_pipeline(pipeline, k, a)
     if n < 0:
         raise ParameterError("n must be >= 0, got %r" % (n,))
-    return list(_Ground(pipeline, k, a).pairs(n))
+    return list(_Ground(pipeline, k, a, n).pairs(n))
 
 
 # ------------------------------------------------------------ triple coding
@@ -535,10 +501,11 @@ def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
 
 # ---------------------------------------------------------------- EE product
 
-def _half_involute(Ah, Bh, kk, aa):
+def _half_involute(pair, kk, aa):
     """The base involution at reduced parameters on a halved pair it
-    trusts: the Gordon kernel, or at kk = 1 the k = 1 pairing (Bh empty)."""
-    return _involute(Ah, Bh, kk, aa) if kk >= 2 else _involute_k1((Ah, Bh))
+    trusts: the Gordon kernel, or at kk = 1 the k = 1 pairing (its B
+    empty)."""
+    return _involute(pair, kk, aa) if kk >= 2 else _involute_k1(pair)
 
 
 def _involute_ee(pair, k, a):
@@ -553,13 +520,37 @@ def _involute_ee(pair, k, a):
         if x in A:
             return (_adel(A, x), _brepl(B, (), (x,)))
         return (_ains(A, x), _brepl(B, (x,), ()))
-    out = _half_involute(tuple(x // 2 for x in A if x % 2 == 0),
-                         tuple(c // 2 for c in C), k // 2, a // 2)
+    out = _half_involute((tuple(x // 2 for x in A if x % 2 == 0),
+                          tuple(c // 2 for c in C)), k // 2, a // 2)
     if isinstance(out, FixedPoint):
         return out
     Ah, G = out
     return (tuple(sorted(O + tuple(2 * x for x in Ah), reverse=True)),
             tuple(sorted(O + G + G, reverse=True)))
+
+
+# -------------------------------------------------------------- scope table
+
+def _pipeline_scope(pipeline, parity, family, involute=None):
+    """A pipeline's row; its kernel is the route ladder unless given."""
+    return _Scope(
+        parity, family,
+        lambda k, a: check_pipeline(pipeline, k, a),
+        involute or (lambda pair, k, a: _involute_pipeline(pair, pipeline,
+                                                           k, a)),
+        lambda k, a, N: pipeline_fixed_gf(pipeline, k, a, N),
+        lambda f, n, k, a: pipeline_fixed_triple(pipeline, f, n, k, a),
+        lambda pair, k, a: pipeline)
+
+
+# "gordon" is the Gordon map on P_{k,a}, which the law sweeps run alike
+_SCOPES = {
+    "gordon": _Scope(None, "B", partitions.check_params, _involute,
+                     gordon_fixed_gf, gordon_fixed_point, _trace_label),
+    "EE": _pipeline_scope("EE", None, "W", _involute_ee),
+    "OO": _pipeline_scope("OO", "even", "W"),
+    "OE": _pipeline_scope("OE", "even", "Wbar"),
+}
 
 
 # ------------------------------------------------------------------ routing
@@ -575,7 +566,7 @@ def _sector_image(t, pipeline, k, a):
     # kernel then trusts (Ah, Bh), Ah being halved from even distinct A
     if (Bh if kk < 2 else aa < 1 or not partitions._gordon_ok(Bh, kk, aa)):
         return None
-    out = _half_involute(Ah, Bh, kk, aa)
+    out = _half_involute((Ah, Bh), kk, aa)
     if isinstance(out, FixedPoint):
         return None
     return (tuple(2 * x for x in out[0]), tuple(2 * x for x in out[1]), D, E)

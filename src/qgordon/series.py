@@ -274,6 +274,18 @@ def multisum_rrg(k, a, N):
     return TruncatedSeries(acc)
 
 
+def dilate(s, m, N):
+    """The series s(q^m) truncated at N; s must reach q^(N // m)."""
+    if m < 1 or N < 0:
+        raise ValueError("need m >= 1 and N >= 0, got m=%r N=%r" % (m, N))
+    if s.truncation < N // m:
+        raise ValueError("s is truncated at %d, below %d"
+                         % (s.truncation, N // m))
+    out = [0] * (N + 1)
+    out[::m] = s.coeffs[:N // m + 1]
+    return TruncatedSeries(out)
+
+
 def family_gf(family, k, a, N):
     """Series whose coefficient of q^n is count_family(family, k, a, n)."""
     if N < 0:

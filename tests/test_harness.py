@@ -65,7 +65,8 @@ def test_identity_grid_both_modes():
         assert check_identity(ident, k, a, 25, mode="invert").passed
     # every id at every (k, a) its parameter rules accept, k <= 5; the
     # ids whose sides do not depend on the mode run in both modes too
-    parity = {"thm13": (0, 0), "thm14": (1, 1), "thm15": (1, 0)}
+    parity = {"thm13": (0, 0), "thm14": (1, 1), "thm15": (1, 0),
+              "ee_split": (0, 0)}
     for ident in IDENTITIES:
         for k in range(2, 6):
             for a in range(1, k + 1):
@@ -74,6 +75,15 @@ def test_identity_grid_both_modes():
                 for mode in ("cross", "invert"):
                     r = check_identity(ident, k, a, 40, mode=mode)
                     assert r.passed, (ident, k, a, mode, r.first_discrepancy)
+
+
+def test_ee_split_deep():
+    # W_{k,a} = (-q;q^2)_inf B_{k/2,a/2}(q^2), the split the EE map runs on
+    for k, a in [(4, 4), (6, 2)]:
+        r = check_identity("ee_split", k, a, 300)
+        assert r.passed, (k, a, r.first_discrepancy)
+    with pytest.raises(ParameterError):
+        check_identity("ee_split", 5, 4, 10)    # k must be even
 
 
 def test_prelude_relations():
@@ -293,6 +303,36 @@ def test_any_map_exception_is_a_failing_report(monkeypatch):
     patch_map(monkeypatch, deep_image)
     r = check_involution_laws("gordon", k, a, 9)
     assert r.counterexample == ("map", partner, None)
+
+
+@pytest.mark.parametrize("image", [None, ((6,),), 7],
+                         ids=["None", "1-tuple", "int"])
+def test_image_that_is_no_pair_is_a_failing_report(monkeypatch, image):
+    # weight and sign cannot be read on such an image, so the mapped
+    # configuration breaks law "map", as if the kernel had raised
+    k, a = 3, 2
+    cfg, _ = _first_partners(k, a, 5)
+
+    def stray(pair, k, a):
+        return image if pair == cfg else GORDON_MAP(pair, k, a)
+
+    patch_map(monkeypatch, stray)
+    r = check_involution_laws("gordon", k, a, 5)
+    assert r.status == "fail"
+    assert r.counterexample == ("map", cfg, None)
+    patch_map(monkeypatch, lambda pair, k, a: image)
+    with pytest.raises(ConsistencyError, match="map law"):
+        trace_orbit(((6, 1), (5, 5)), "gordon", 3, 3)
+
+
+def test_list_image_breaks_the_sign_law(monkeypatch):
+    # a list holding the configuration's own sides has its weight and
+    # its sign: the sign law is the first one it breaks
+    patch_map(monkeypatch, lambda pair, k, a: list(pair))
+    r = check_involution_laws("gordon", 3, 2, 5)
+    assert r.counterexample == ("sign", ((), ()), [(), ()])
+    with pytest.raises(ConsistencyError, match="sign law"):
+        trace_orbit(((6, 1), (5, 5)), "gordon", 3, 3)
 
 
 def test_sweep_cap(monkeypatch):

@@ -102,22 +102,46 @@ def _predicate(scope, pair, k, a):
     return pipelines._SCOPES[scope].fault(pair, k, a) is None
 
 
+def _in_class(cls, pair):
+    """Membership as a law sweep decides it for an image: one lookup in
+    the weight class it built, and no member when the lookup raises."""
+    try:
+        return pair in cls
+    except Exception:
+        return False
+
+
 def test_ground_contains_agrees_with_the_predicate():
+    # the sweep's class membership is the ground predicate at that weight
     for scope, k, a in SCOPE_GRID:
-        ground = pipelines._Ground(scope, k, a)
+        ground = pipelines._Ground(scope, k, a, 14)
         for w in range(15):
-            for A, B in pipelines._Ground(scope, k, a).pairs(w):
-                assert ground.contains((A, B))
+            cls = dict.fromkeys(ground.pairs(w), True)
+            for A, B in cls:
+                assert _in_class(cls, (A, B))
                 assert _predicate(scope, (A, B), k, a)
                 # well-formed pairs, mostly non-members: unsorted B, a
                 # zero part, a repeated A part, an odd A part
                 for bad in [(A, B[::-1]), (A, B + (0,)), (A + (0,), B),
                             (A + A[-1:], B), (A + (1,), B)]:
-                    assert ground.contains(bad) == _predicate(scope, bad, k, a)
+                    assert _in_class(cls, bad) == (
+                        sum(bad[0]) + sum(bad[1]) == w
+                        and _predicate(scope, bad, k, a))
                 # malformed: lists, unhashable parts, another arity
                 for bad in [(list(A), B), (A, list(B)), [A, B], (A, B, ()),
                             (A + ([1],), B), (A,), None]:
-                    assert not ground.contains(bad)
+                    assert not _in_class(cls, bad)
+
+
+def test_ground_classes_follow_enumerate_family():
+    # one bucketed walk gives each weight's B list in enumerate_family's
+    # order, which decides the counterexample a sweep reports first
+    for scope, k, a in SCOPE_GRID:
+        ground = pipelines._Ground(scope, k, a, 20)
+        family = pipelines._SCOPES[scope].family
+        for n in range(21):
+            assert ground._B(n) == partitions.enumerate_family(family, k, a, n)
+        assert len(ground.Bs) == 21
 
 
 @pytest.fixture
@@ -129,18 +153,21 @@ def fresh_flows():
 
 
 def test_each_ground_enumerates_a_weight_once(monkeypatch, fresh_flows):
-    calls = []
-    real = partitions.enumerate_family
+    walks, lists = [], []
+    real = partitions._walk_family
 
-    def counted(family, k, a, n):
-        calls.append(n)
-        return real(family, k, a, n)
+    def counted(family, k, a, lo, hi):
+        walks.append((family, k, a, lo, hi))
+        return real(family, k, a, lo, hi)
 
-    monkeypatch.setattr(partitions, "enumerate_family", counted)
+    monkeypatch.setattr(partitions, "_walk_family", counted)
+    monkeypatch.setattr(partitions, "enumerate_family",
+                        lambda *args: lists.append(args))
     assert harness.check_involution_laws("OE", 5, 4, 21).passed
-    # the sweep reads its one _Ground; the matching reads none
-    assert max(calls.count(n) for n in set(calls)) == 1
-    assert len(calls) <= 22
+    # the sweep walks the family once, to its top weight, and enumerates
+    # no weight on its own; the matching reads neither
+    assert walks == [("Wbar", 5, 4, 0, 21)]
+    assert lists == []
 
 
 def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
@@ -394,9 +421,11 @@ def test_ground_lookup_refuses_a_fixed_point():
     # a FixedPoint is a 2-tuple, the shape of a pair, but no pair
     for pl, k, a in GRID:
         ground = pipelines._Ground(pl, k, a)
-        assert not ground.contains(FixedPoint(0, 0))
-        assert not ground.contains(FixedPoint(1, 2))
-        assert ground.contains(((), ()))
+        for w in (0, 3):
+            cls = dict.fromkeys(ground.pairs(w), True)
+            assert not _in_class(cls, FixedPoint(0, 0))
+            assert not _in_class(cls, FixedPoint(1, 2))
+            assert _in_class(cls, ((), ())) == (w == 0)
 
 
 def test_canonicalize_refuses_triples_that_encode_no_pair():

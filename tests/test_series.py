@@ -359,6 +359,19 @@ def test_family_gf_matches_enumeration():
             assert gf.coefficient(n) == len(partitions.enumerate_family(family, 3, 2, n))
 
 
+def test_dilate():
+    s = TruncatedSeries([1, 2, 3, 4])
+    assert series.dilate(s, 2, 6).coeffs == [1, 0, 2, 0, 3, 0, 4]
+    assert series.dilate(s, 3, 7).coeffs == [1, 0, 0, 2, 0, 0, 3, 0]
+    assert series.dilate(s, 1, 2).coeffs == [1, 2, 3]
+    # (q;q)_inf at q^2 is (q^2;q^2)_inf
+    assert (series.dilate(series.poch_inf(1, 1, 20), 2, 40)
+            == series.poch_inf(2, 2, 40))
+    for m, N in [(2, 8), (0, 4), (2, -1)]:
+        with pytest.raises(ValueError):
+            series.dilate(s, m, N)
+
+
 def test_first_discrepancy():
     a = TruncatedSeries([1, 2, 3, 4])
     b = TruncatedSeries([1, 2, 0, 4])
