@@ -22,15 +22,9 @@ import sys
 from . import harness, partitions, pipelines
 from .partitions import ParameterError
 
-_IDENTITY_TOKENS = {
-    "rrg": "rrg_counts",
-    "ebf": "ebf",
-    "thm13": "thm13",
-    "thm14": "thm14",
-    "thm15": "thm15",
-    "multisum": "multisum",
-    "jtp": "jtp_instance",
-}
+# every identity by its own id, plus two short aliases
+_IDENTITY_TOKENS = {**{i: i for i in harness.IDENTITIES},
+                    "rrg": "rrg_counts", "jtp": "jtp_instance"}
 
 _SCOPE_TOKENS = {scope.lower(): scope for scope in harness.SCOPES}
 

@@ -38,7 +38,10 @@ What survives is (apart from the OO a = 1 sector, where the templates
 degenerate) a two-family sequence of template triples indexed by n, of
 weights (k+1)n^2 +- (k+1-a)n, each carrying a free partition E, so the
 signed generating function of the fixed configurations is a theta
-series times a fixed product factor.
+series times a fixed product factor.  A triple is fixed when
+gordon._match_template finds a template in its halved core, (A, middle)
+at (k/2, a/2), and, for OO/OE, its D is the staircase under that
+template plus the free parts, read in one pass.
 
 The pipelines differ in three stated facts: the parities of (k, a)
 (_PARITY_RULES), the ground set, A's part parity and B's family
@@ -59,8 +62,8 @@ from typing import Callable, NamedTuple
 
 from . import partitions, series
 from .gordon import (FixedPoint, _check_pair, _fixed_pair, _involute,
-                     _involute_k1, _pair_fault, _trace_label, gordon_fixed_gf,
-                     gordon_fixed_point)
+                     _involute_k1, _match_template, _pair_fault, _trace_label,
+                     gordon_fixed_gf, gordon_fixed_point)
 from .partitions import ParameterError
 from .series import TruncatedSeries
 
@@ -185,20 +188,18 @@ def _ground_valid(pair, pipeline, k, a):
 
 
 class _Ground:
-    """Weight classes of one ground set, streamed from the distinct-part
-    lists of A and the family lists of B.  The B lists come from walks
-    of the family bucketed by weight: the first walk covers weights up to
-    top, or up to the weight asked for when that is higher, and a later
-    one only the weights above those walked, so a sweep that gives its
-    top weight walks the family once.  A walk yields each weight's
-    members in enumerate_family's order, and each A list is
-    enumerate_distinct's, so pairs() keeps that order."""
+    """Weight classes up to top of one ground set, streamed from the
+    distinct-part lists of A and the family lists of B.  The B lists come
+    from one walk of the family to top, bucketed by weight; a walk yields
+    each weight's members in enumerate_family's order, and each A list
+    is enumerate_distinct's, so pairs() keeps that order."""
 
-    def __init__(self, scope, k, a, top=0):
+    def __init__(self, scope, k, a, top):
         ground = _SCOPES[scope]
-        self.parity, self.family = ground.parity, ground.family
-        self.k, self.a, self.top = k, a, top
-        self.As, self.Bs = {}, []
+        self.parity = ground.parity
+        self.As, self.Bs = {}, [[] for _ in range(top + 1)]
+        for B in partitions._walk_family(ground.family, k, a, 0, top):
+            self.Bs[sum(B)].append(B)
 
     def _A(self, wa):
         As = self.As.get(wa)
@@ -206,24 +207,13 @@ class _Ground:
             As = self.As[wa] = partitions.enumerate_distinct(wa, self.parity)
         return As
 
-    def _B(self, wb):
-        Bs = self.Bs
-        if wb >= len(Bs):
-            hi = max(wb, self.top)
-            lo = len(Bs)
-            Bs.extend([] for _ in range(lo, hi + 1))
-            for B in partitions._walk_family(self.family, self.k, self.a,
-                                             lo, hi):
-                Bs[sum(B)].append(B)
-        return Bs[wb]
-
     def pairs(self, w):
-        """The pairs of weight w, A-weight descending."""
+        """The pairs of weight w, at most top, A-weight descending."""
         for wa in range(w, -1, -1):
             As = self._A(wa)
             if not As:
                 continue
-            Bs = self._B(w - wa)
+            Bs = self.Bs[w - wa]
             for A in As:
                 for B in Bs:
                     yield (A, B)
@@ -285,15 +275,6 @@ def _rho(C, D, pipeline):
     return tuple(keep), tuple(sorted(D + tuple(moved), reverse=True))
 
 
-def _normalize(t, pipeline):
-    """Redistributed form of a triple (identity for EE)."""
-    A, mid, D, E = t
-    if pipeline == "EE":
-        return t
-    C, D = _rho(mid, D, pipeline)
-    return (A, C, D, E)
-
-
 def to_triple(pair, pipeline: str, k: int, a: int) -> PartitionTriple:
     """Encode a ground pair: shared odd parts of A and B leave pairwise
     into E (EE only), then equal parts of B merge pairwise into doubled
@@ -352,19 +333,6 @@ def redistribute(triple, pipeline: str) -> PartitionTriple:
 
 # ------------------------------------------------------- fixed configurations
 
-def _fixed_core(pipeline, family, n, k, a):
-    """(A, middle) of the fixed template: the base fixed pair at the
-    reduced parameters with every part doubled."""
-    Ah, Bh = _fixed_pair(family, n, *inner_params(pipeline, k, a))
-    return (tuple(2 * x for x in Ah), tuple(2 * x for x in Bh))
-
-
-def _top(A):
-    """Top of the base template under a fixed core with parts A (A's top
-    part is that top doubled); 0 for the empty core."""
-    return A[0] // 2 if A else 0
-
-
 def _staircase(pipeline, top):
     """Canonical D of a fixed triple whose base template tops out at
     top: the single-parity sizes up to top (EE triples carry no D)."""
@@ -374,45 +342,51 @@ def _staircase(pipeline, top):
     return tuple(v for v in range(top, 0, -1) if v % 2 == p)
 
 
-def _staircase_compat(D, pipeline, top):
-    """D equals the staircase with each step once or twice, plus
-    distinct extra parts above top (the free parts to extract)."""
-    if pipeline == "EE":
-        return not D
-    cnt = Counter(D)
-    return (all(cnt[v] in (1, 2) for v in _staircase(pipeline, top))
-            and all(m == 1 for v, m in cnt.items() if v > top))
+def _free_parts(D, pipeline, top):
+    """The free parts of an OO/OE fixed triple's D, descending: the parts
+    above top and one copy of each step taken twice.  None unless D is
+    the staircase up to top, each step once or twice, plus distinct
+    parts above top; one pass over D decides both."""
+    steps = iter(_staircase(pipeline, top))
+    free = []
+    for v, run in groupby(sorted(D, reverse=True)):
+        m = len(tuple(run))
+        if v > top:
+            if m > 1:
+                return None
+        elif v != next(steps, None) or m > 2:
+            return None
+        elif m == 1:
+            continue
+        free.append(v)
+    return None if next(steps, None) else tuple(free)
 
 
 def _fixed_check(t, pipeline, k, a):
-    """(family, n) when the redistributed triple is fixed, else None.
-    The weight-0 core reports as (0, 0); the OO a=1 sector has no
-    template parametrization and always reports None here."""
+    """(family, n, free parts) when the redistributed triple is fixed,
+    else None.  gordon._match_template decides (A, middle), all even,
+    halved at the reduced parameters; the weight-0 core reports as
+    (0, 0).  The free parts are E for EE, whose D must be empty, and
+    otherwise _free_parts of D under the template's top.  The OO a=1
+    sector has no template parametrization and always reports None."""
     if _untemplated(pipeline, a):
         return None
     A, mid, D, E = t
-    n = len(A)
-    if n == 0:
-        if mid == () and _staircase_compat(D, pipeline, 0):
-            return (0, 0)
+    if not A:
+        f = None if mid else (0, 0)
+    elif any(x % 2 for x in A) or any(x % 2 for x in mid):
         return None
-    # the base template tops out at 2n in family 1 and 2n - 1 in family 2
-    for family, top in ((1, 2 * n), (2, 2 * n - 1)):
-        if (A[0] == 2 * top and (A, mid) == _fixed_core(pipeline, family, n, k, a)
-                and _staircase_compat(D, pipeline, top)):
-            return (family, n)
-    return None
-
-
-def _extract_free(t, pipeline):
-    """Free parts of a fixed triple: extras above the staircase plus one
-    copy of each duplicated step (EE: the E component itself)."""
-    A, mid, D, E = t
+    else:
+        f = _match_template((tuple(x // 2 for x in A),
+                             tuple(x // 2 for x in mid)),
+                            *inner_params(pipeline, k, a))
+    if f is None:
+        return None
     if pipeline == "EE":
-        return tuple(E)
-    top = _top(A)
-    return tuple(v for v, m in sorted(Counter(D).items(), reverse=True)
-                 if v > top or m == 2)
+        free = None if D else tuple(E)
+    else:
+        free = _free_parts(D, pipeline, A[0] // 2 if A else 0)
+    return None if free is None else (*f, free)
 
 
 def pipeline_fixed_triple(pipeline: str, family: int, n: int,
@@ -429,8 +403,10 @@ def pipeline_fixed_triple(pipeline: str, family: int, n: int,
     if family not in (0, 1, 2) or (family == 0 and n != 0):
         raise ParameterError("family must be 1 or 2 (0 only for n = 0), "
                              "got %r" % (family,))
-    A, mid = _fixed_core(pipeline, family, n, k, a)
-    return PartitionTriple(A, mid, _staircase(pipeline, _top(A)), ())
+    Ah, Bh = _fixed_pair(family, n, *inner_params(pipeline, k, a))
+    return PartitionTriple(tuple(2 * x for x in Ah),
+                           tuple(2 * x for x in Bh),
+                           _staircase(pipeline, Ah[0] if Ah else 0), ())
 
 
 def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
@@ -445,17 +421,17 @@ def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
     if _untemplated(pipeline, a):
         raise ParameterError("fixed configurations at a = 1 carry no "
                              "template index")
-    t = _normalize(tuple(triple), pipeline)
-    D, E = t[2:]
-    if pipeline != "EE" and (E or any(v % 2 != _single_parity(pipeline)
-                                      for v in D)):
-        raise ParameterError("triple encodes no %s pair: %r"
-                             % (pipeline, triple))
-    res = _fixed_check(t, pipeline, k, a)
+    A, mid, D, E = triple
+    if pipeline != "EE":
+        mid, D = _rho(mid, D, pipeline)
+        if E or any(v % 2 != _single_parity(pipeline) for v in D):
+            raise ParameterError("triple encodes no %s pair: %r"
+                                 % (pipeline, triple))
+    res = _fixed_check((A, mid, D, E), pipeline, k, a)
     if res is None:
         raise ParameterError("triple is not a fixed configuration: %r"
                              % (triple,))
-    return res + (_extract_free(t, pipeline),)
+    return res
 
 
 def canonical_fixed_form(pipeline: str, family: int, n: int, E,
@@ -590,7 +566,7 @@ def _route_triple(t, pipeline, k, a):
     runs."""
     f = _fixed_check(t, pipeline, k, a)
     if f is not None:
-        return FixedPoint(*f)
+        return FixedPoint(*f[:2])
     A, mid, D, E = t
     a1 = A[0] if A else 0
     if mid and mid[0] > a1:
@@ -754,8 +730,9 @@ class _Flow:
         hit = self.rcache.get(state)
         if hit is not None:
             return hit[0]
-        t = _normalize(_encode(state, self.pipeline), self.pipeline)
-        res = _route_triple(t, self.pipeline, self.k, self.a)
+        A, C, D, E = _encode(state, self.pipeline)
+        res = _route_triple((A, *_rho(C, D, self.pipeline), E),
+                            self.pipeline, self.k, self.a)
         self.rcache[state] = (res,)
         return res
 

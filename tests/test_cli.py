@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qgordon import cli, pipelines, series
+from qgordon import cli, harness, pipelines, series
 from qgordon.series import TruncatedSeries
 
 
@@ -115,6 +115,19 @@ def test_verify_identity_tokens_map(capsys):
                            "--format", "json")
         assert code == 0
         assert json.loads(out)["identity"] == internal
+
+
+def test_verify_accepts_every_identity_id(capsys):
+    # the tokens come from harness.IDENTITIES, so no identity is left
+    # out; each runs at (k, a) of its scope's parities
+    params = {"OO": ("3", "3"), "OE": ("3", "2")}
+    for identity in harness.IDENTITIES:
+        k, a = params.get(harness._IDENTITIES[identity][0], ("4", "4"))
+        code, out, _ = run(capsys, "verify", "--identity", identity,
+                           "--k", k, "--a", a, "--truncate", "12",
+                           "--format", "json")
+        assert code == 0, identity
+        assert json.loads(out)["identity"] == identity
 
 
 def test_verify_scope_sweep(capsys):

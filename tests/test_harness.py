@@ -166,8 +166,9 @@ def test_involution_laws_series_failure(monkeypatch):
 def _four_call_sweep(k, a, N, involute):
     """The first law counterexample of a Gordon sweep that maps every
     configuration and maps its image back, partners included."""
+    ground = pipelines._Ground("gordon", k, a, N)
     for w in range(N + 1):
-        for cfg in pipelines._Ground("gordon", k, a).pairs(w):
+        for cfg in ground.pairs(w):
             out = involute(cfg, k, a)
             if isinstance(out, FixedPoint):
                 continue
@@ -183,7 +184,7 @@ def _four_call_sweep(k, a, N, involute):
 def _first_partners(k, a, w):
     """(cfg, partner) of the first configuration of weight w in sweep
     order that has a partner."""
-    for cfg in pipelines._Ground("gordon", k, a).pairs(w):
+    for cfg in pipelines._Ground("gordon", k, a, w).pairs(w):
         out = GORDON_MAP(cfg, k, a)
         if not isinstance(out, FixedPoint):
             return cfg, out
@@ -383,8 +384,9 @@ def test_trace_orbit_fixtures():
 
 def test_trace_orbit_weight_constant():
     for scope, k, a in [("gordon", 3, 2), ("EE", 4, 2), ("OO", 3, 3)]:
+        ground = pipelines._Ground(scope, k, a, 8)
         for w in range(9):
-            for cfg in pipelines._Ground(scope, k, a).pairs(w):
+            for cfg in ground.pairs(w):
                 t = trace_orbit(cfg, scope, k, a)
                 for _, stop in t.steps:
                     assert sum(stop[0]) + sum(stop[1]) == w

@@ -140,7 +140,7 @@ def test_ground_classes_follow_enumerate_family():
         ground = pipelines._Ground(scope, k, a, 20)
         family = pipelines._SCOPES[scope].family
         for n in range(21):
-            assert ground._B(n) == partitions.enumerate_family(family, k, a, n)
+            assert ground.Bs[n] == partitions.enumerate_family(family, k, a, n)
         assert len(ground.Bs) == 21
 
 
@@ -415,12 +415,37 @@ def test_canonicalize_extracts_duplicated_steps():
     assert triple_weight(form) == triple_weight(t)
     assert un_transform(t, "OO")[1] == tuple(sorted(
         [c // 2 for c in t.B for _ in (0, 1)] + list(D), reverse=True))
+    # a D given out of order gives its free parts in descending order
+    assert canonicalize_fixed(((2,), (), (1, 1, 9), ()), "OO", 3, 3) == (
+        2, 1, (9, 1))
+
+
+def test_fixed_set_agrees_with_the_map():
+    # a ground pair canonicalizes exactly when the map reports it fixed,
+    # with the same index; an EE pair with an odd part of A below its
+    # top, such as (2, 2) ((6, 5), ()), is no fixed configuration
+    fixed = 0
+    for pl, k, a in GRID:
+        if pl == "OO" and a == 1:
+            continue
+        for w in range(17):
+            for s in enumerate_ground(pl, k, a, w):
+                out = involute_pipeline(s, pl, k, a)
+                try:
+                    res = canonicalize_fixed(to_triple(s, pl, k, a), pl, k, a)
+                except ParameterError:
+                    assert not isinstance(out, FixedPoint), s
+                    continue
+                assert isinstance(out, FixedPoint), s
+                assert res[:2] == tuple(out), s
+                fixed += 1
+    assert fixed == 413
 
 
 def test_ground_lookup_refuses_a_fixed_point():
     # a FixedPoint is a 2-tuple, the shape of a pair, but no pair
     for pl, k, a in GRID:
-        ground = pipelines._Ground(pl, k, a)
+        ground = pipelines._Ground(pl, k, a, 3)
         for w in (0, 3):
             cls = dict.fromkeys(ground.pairs(w), True)
             assert not _in_class(cls, FixedPoint(0, 0))
@@ -450,7 +475,7 @@ def test_matching_needs_no_call_stack_per_path_step():
     # deep; with every route cached, the matching must fit in a call
     # stack 25 frames above the caller's
     flow = pipelines._Flow("OE", 3, 2, 24)
-    residue = [s for s in pipelines._Ground("OE", 3, 2).pairs(24)
+    residue = [s for s in pipelines._Ground("OE", 3, 2, 24).pairs(24)
                if flow.safe(s) is None]
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -482,7 +507,7 @@ RESIDUE_20 = {
 
 @pytest.mark.parametrize("pl,k,a", RESIDUE_20)
 def test_route_ladder_residue(pl, k, a):
-    ground = pipelines._Ground(pl, k, a)
+    ground = pipelines._Ground(pl, k, a, 20)
     unpaired = 0
     for w in range(21):
         flow = pipelines._Flow(pl, k, a, w)
