@@ -173,7 +173,12 @@ def _classify(A, B, k, a):
         return _B_TO_A
     if not _blocked(a1, B, k, a):
         return _A_TO_B
-    i = _witness(a1, B, k)
+    return _uclass(A, B, k)
+
+
+def _uclass(A, B, k):
+    """The class of a blocked pair, which it trusts to be one."""
+    i = _witness(A[0], B, k)
     params = _params(A, B, k, i)
     n = params.n
     if params.p == n:
@@ -333,16 +338,19 @@ def apply_map(pair, k, a):
 
 
 def _involute(pair, k, a):
-    """involute_gordon on a pair of tuples it trusts: classified once,
-    then moved, or, when blocked, matched against the templates and
-    mapped if it is none of them."""
+    """involute_gordon on a pair of tuples it trusts: the step-1 moves
+    are decided inline, as _classify decides them; a blocked pair is
+    matched against the templates, and classed and mapped if it is none
+    of them."""
     A, B = pair
-    label = _classify(A, B, k, a)
-    if isinstance(label, Move):
-        return _step1(A, B, label)
-    if isinstance(label, UClass):
-        return _match_template(pair, k, a) or _apply(A, B, k, a, label)
-    return label
+    if not A:
+        return ((B[0],), B[1:]) if B else _EMPTY
+    a1 = A[0]
+    if B and B[0] > a1:
+        return ((B[0],) + A, B[1:])
+    if not _blocked(a1, B, k, a):
+        return (A[1:], (a1,) + B)
+    return _match_template(pair, k, a) or _apply(A, B, k, a, _uclass(A, B, k))
 
 
 def involute_gordon(pair, k, a):

@@ -238,20 +238,23 @@ def family_counts(family: str, k: int, a: int, limit: int):
     bits = 8 * _slot_bytes(limit)
     mask = (1 << bits * (limit + 1)) - 1
     # cur[c]: assignments of multiplicities to sizes > s with the size
-    # s+1 multiplicity equal to c, packed by weight so far
-    cur = [1] + [0] * (k - 1)
+    # s+1 multiplicity equal to c, packed by weight so far; a multiplicity
+    # above L = min(k - 1, limit) weighs more than limit, so its row is 0
+    # and is not kept
+    L = min(k - 1, limit)
+    cur = [1] + [0] * L
     for s in range(limit, 0, -1):
         # pre[m]: the same, summed over size s+1 multiplicities c <= m
         pre = list(accumulate(cur))
         top = k - 1 if s > 1 else a - 1
         odd_ok = not _needs_even(s, mode)
-        nxt = [pre[k - 1]]
-        for f in range(1, k):
+        nxt = [pre[L]]
+        for f in range(1, L + 1):
             shift = f * s
             if f > top or shift > limit or (f % 2 and not odd_ok):
                 nxt.append(0)
             else:
-                nxt.append((pre[k - 1 - f] << bits * shift) & mask)
+                nxt.append((pre[min(k - 1 - f, L)] << bits * shift) & mask)
         cur = nxt
     return _unpack(sum(cur), bits // 8, limit + 1)
 

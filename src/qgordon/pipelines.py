@@ -180,10 +180,6 @@ def triple_sign(triple, pipeline: str) -> int:
 def in_ground(pair, pipeline: str, k: int, a: int) -> bool:
     """Membership test for the pipeline's ground set."""
     check_pipeline(pipeline, k, a)
-    return _ground_valid(pair, pipeline, k, a)
-
-
-def _ground_valid(pair, pipeline, k, a):
     return _SCOPES[pipeline].fault(pair, k, a) is None
 
 
@@ -231,10 +227,10 @@ def enumerate_ground(pipeline: str, k: int, a: int, n: int):
 
 def _merge_pairs(parts):
     """Pair equal parts of a weakly decreasing sequence once: (doubled
-    parts, unpaired leftovers), both descending, one pass over its runs."""
+    parts, unpaired leftovers), both descending, one count per size."""
     merged, left = [], []
-    for v, run in groupby(parts):
-        m = len(tuple(run))
+    for v in dict.fromkeys(parts):
+        m = parts.count(v)
         merged += [2 * v] * (m // 2)
         if m % 2:
             left.append(v)
@@ -311,10 +307,17 @@ def un_transform(triple, pipeline: str) -> tuple:
     if E:
         raise ConsistencyError("%s triples carry no E component before "
                                "canonicalization: %r" % (pipeline, triple))
+    if any(c % 2 for c in mid):
+        raise ConsistencyError("middle parts must be even: %r" % (triple,))
+    return _join(triple)
+
+
+def _join(triple):
+    """un_transform of an OO/OE triple it trusts: E empty and every
+    middle part even."""
+    A, mid, D, E = triple
     B = list(D)
     for c in mid:
-        if c % 2:
-            raise ConsistencyError("middle parts must be even: %r" % (triple,))
         B.extend([c // 2, c // 2])
     return (tuple(A), tuple(sorted(B, reverse=True)))
 
@@ -374,7 +377,9 @@ def _fixed_check(t, pipeline, k, a):
     A, mid, D, E = t
     if not A:
         f = None if mid else (0, 0)
-    elif any(x % 2 for x in A) or any(x % 2 for x in mid):
+    elif (A[0] not in (4 * len(A), 4 * len(A) - 2)
+          or any(x % 2 for x in A) or any(x % 2 for x in mid)):
+        # a template of index n = len(A) tops out at 2n or 2n - 1 halved
         return None
     else:
         f = _match_template((tuple(x // 2 for x in A),
@@ -548,39 +553,41 @@ def _sector_image(t, pipeline, k, a):
     return (tuple(2 * x for x in out[0]), tuple(2 * x for x in out[1]), D, E)
 
 
-def _finish(t2, pipeline, k, a):
-    """The pair a routed triple encodes, None when there is no image or
-    it leaves the ground set.  Every move flips the parity of len(A), so
-    an image is never its own state."""
-    if t2 is None:
-        return None
-    Y = un_transform(t2, pipeline)
-    return Y if _ground_valid(Y, pipeline, k, a) else None
-
-
-def _route_triple(t, pipeline, k, a):
+def _route_triple(state, pipeline, k, a):
     """One rule set for every state, as gordon._blocked decides it for
-    the Gordon map: the middle's top part crosses to A when it dominates,
+    the Gordon map, read on the redistributed triple of the ground pair
+    state: the middle's top part crosses to A when it dominates,
     otherwise A's top part crosses into the middle, and when that image
     leaves the ground set A's top part is blocked and the sector map
-    runs."""
+    runs.  The two crossings change B by two equal parts, so their
+    images are tested locally; the sector image is tested in full.
+    Every move flips the parity of len(A), so an image is never its own
+    state."""
+    A, B = state
+    mid, D = _rho(*_merge_pairs(B), pipeline)
+    t = (A, mid, D, ())
     f = _fixed_check(t, pipeline, k, a)
     if f is not None:
         return FixedPoint(*f[:2])
-    A, mid, D, E = t
     a1 = A[0] if A else 0
     if mid and mid[0] > a1:
-        rest = list(mid)
-        rest.remove(mid[0])
-        t2 = (tuple(sorted(A + (mid[0],), reverse=True)), tuple(rest), D, E)
-        return _finish(t2, pipeline, k, a)
+        # B loses two parts v, so no multiplicity grows, and A gains an
+        # even part above its top: the image is a ground pair
+        i = B.index(mid[0] // 2)
+        return ((mid[0],) + A, B[:i] + B[i + 2:])
     if not A:
         return None
-    t2 = (A[1:], tuple(sorted(mid + (a1,), reverse=True)), D, E)
-    r = _finish(t2, pipeline, k, a)
-    if r is not None:
-        return r
-    return _finish(_sector_image(t, pipeline, k, a), pipeline, k, a)
+    # B gains two parts v: the windows (v-1, v) and (v, v+1) and the
+    # count of ones are all that can break
+    v, c = a1 // 2, B.count
+    if c(v) + 2 + max(c(v - 1), c(v + 1)) < k and (v > 1 or c(1) + 2 < a):
+        return (A[1:], tuple(sorted(B + (v, v), reverse=True)))
+    t2 = _sector_image(t, pipeline, k, a)
+    if t2 is None:
+        return None
+    Y = _join(t2)
+    scope = _SCOPES[pipeline]
+    return None if _pair_fault(*Y, k, a, scope.parity, scope.family) else Y
 
 
 # ------------------------------------------------------------- carry moves
@@ -722,6 +729,7 @@ class _Flow:
 
     def __init__(self, pipeline, k, a, weight):
         self.pipeline, self.k, self.a, self.weight = pipeline, k, a, weight
+        self.scope = _SCOPES[pipeline]
         self.rcache = {}
         self.match = {}     # residue state -> partner, None if unmatched
         self.refused = {}   # root of a refused build -> its message
@@ -730,9 +738,7 @@ class _Flow:
         hit = self.rcache.get(state)
         if hit is not None:
             return hit[0]
-        A, C, D, E = _encode(state, self.pipeline)
-        res = _route_triple((A, *_rho(C, D, self.pipeline), E),
-                            self.pipeline, self.k, self.a)
+        res = _route_triple(state, self.pipeline, self.k, self.a)
         self.rcache[state] = (res,)
         return res
 
@@ -748,8 +754,10 @@ class _Flow:
     def _residue(self, state):
         """Whether state is a ground pair (every routed state is one)
         that the route ladder leaves unpaired."""
+        g = self.scope
         return ((state in self.rcache
-                 or _ground_valid(state, self.pipeline, self.k, self.a))
+                 or _pair_fault(*state, self.k, self.a, g.parity,
+                                g.family) is None)
                 and self.safe(state) is None)
 
     def _match_component(self, root):

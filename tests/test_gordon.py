@@ -135,6 +135,31 @@ def test_blocked_is_membership_of_the_extended_b():
     assert cases == 47980
 
 
+def test_inline_step1_agrees_with_classify():
+    # the kernel decides the step-1 moves without classifying; every pair
+    # of P_{k,a} must get what _classify then _step1 (and step1_move)
+    # give it, and a blocked pair what apply_map gives it
+    counts = {"b_to_a": 0, "a_to_b": 0, "blocked": 0, "empty": 0}
+    for k in range(2, 7):
+        for a in range(1, k + 1):
+            for w in range(17):
+                for pair in pairs_of_weight(k, a, w):
+                    out = gordon._involute(pair, k, a)
+                    label = gordon._classify(*pair, k, a)
+                    if isinstance(label, Move):
+                        assert out == gordon._step1(*pair, label), (pair, k, a)
+                        assert out == step1_move(pair, k, a)
+                        counts[label.direction] += 1
+                    elif isinstance(label, UClass):
+                        assert out == apply_map(pair, k, a), (pair, k, a)
+                        counts["blocked"] += 1
+                    else:
+                        assert out == label == FixedPoint(0, 0)
+                        counts["empty"] += 1
+    assert counts == {"b_to_a": 34041, "a_to_b": 34041, "blocked": 1108,
+                      "empty": 20}
+
+
 def test_fixed_point_templates():
     assert gordon_fixed_point(1, 1, 3, 3) == ((2,), (1, 1))
     assert gordon_fixed_point(2, 1, 3, 3) == ((1,), (1, 1))

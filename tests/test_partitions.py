@@ -6,6 +6,7 @@ so they can act as oracles for the optimized enumerators and DP counts.
 """
 
 import random
+import time
 from operator import add
 
 import pytest
@@ -240,6 +241,19 @@ def test_family_counts_match_triple_loop(family):
                 got = partitions.family_counts(family, k, a, limit)
                 want = triple_loop_counts(family, k, a, limit)
                 assert got == want, (family, k, a, limit)
+
+
+@pytest.mark.parametrize("family", ["B", "W", "Wbar"])
+def test_family_counts_at_huge_k(family):
+    # below weight 31 no window of k = 40 can fill, so a larger k counts
+    # the same; the DP keeps only the multiplicities a weight can reach,
+    # so k = 10^6 costs what k = 40 does, not time linear in k
+    for a in (1, 3, 31):
+        t0 = time.perf_counter()
+        got = partitions.family_counts(family, 10 ** 6, a, 30)
+        assert time.perf_counter() - t0 < 0.5
+        assert got == partitions.family_counts(family, 40, a, 30)
+        assert got == triple_loop_counts(family, 40, a, 30), (family, a)
 
 
 @pytest.mark.parametrize("family", ["B", "W", "Wbar"])

@@ -10,7 +10,7 @@ import sys
 import pytest
 from test_gordon import blocked_pair
 
-from qgordon import harness, partitions, pipelines, series
+from qgordon import gordon, harness, partitions, pipelines, series
 from qgordon.gordon import FixedPoint, UClass, classify, involute_gordon
 from qgordon.partitions import ParameterError
 from qgordon.pipelines import (
@@ -515,6 +515,40 @@ def test_route_ladder_residue(pl, k, a):
     assert unpaired == RESIDUE_20[(pl, k, a)]
 
 
+def test_ladder_local_tests_equal_the_ground_predicate(monkeypatch):
+    # the two crossings change B by two equal parts and are tested
+    # locally: an up-move image is a ground pair, and a down-move image
+    # is taken exactly when it is one.  With no sector image, a down move
+    # the local test refuses routes to None
+    monkeypatch.setattr(pipelines, "_sector_image", lambda *args: None)
+    counts = {"up": 0, "down": 0, "out": 0}
+    for pl, k, a in [("OO", k, a) for k in (3, 5, 7) for a in range(1, k + 1, 2)] \
+            + [("OE", k, a) for k in (3, 5, 7) for a in range(2, k + 1, 2)]:
+        scope = pipelines._SCOPES[pl]
+        ground = pipelines._Ground(pl, k, a, 20)
+        for w in range(21):
+            for A, B in ground.pairs(w):
+                out = pipelines._route_triple((A, B), pl, k, a)
+                if isinstance(out, FixedPoint):
+                    continue
+                mid, D = pipelines._rho(*pipelines._merge_pairs(B), pl)
+                a1 = A[0] if A else 0
+                if mid and mid[0] > a1:
+                    Y = un_transform(((mid[0],) + A, mid[1:], D, ()), pl)
+                    assert out == Y, (pl, k, a, A, B)
+                    assert gordon._pair_fault(*out, k, a, scope.parity,
+                                              scope.family) is None
+                    counts["up"] += 1
+                elif A:
+                    Y = un_transform((A[1:], tuple(sorted(
+                        mid + (a1,), reverse=True)), D, ()), pl)
+                    ok = gordon._pair_fault(*Y, k, a, scope.parity,
+                                            scope.family) is None
+                    assert out == (Y if ok else None), (pl, k, a, A, B)
+                    counts["down" if ok else "out"] += 1
+    assert counts == {"up": 5624, "down": 8512, "out": 1414}
+
+
 def test_carry_moves_are_symmetric():
     # every ground candidate of a ground pair lists that pair among its
     # own candidates, so the matching can stay inside one component
@@ -522,7 +556,7 @@ def test_carry_moves_are_symmetric():
         for w in range(17):
             for s in enumerate_ground(pl, k, a, w):
                 for Y in pipelines._carry_candidates(s):
-                    if pipelines._ground_valid(Y, pl, k, a):
+                    if in_ground(Y, pl, k, a):
                         assert s in set(pipelines._carry_candidates(Y)), (s, Y)
 
 
