@@ -158,32 +158,27 @@ def enumerate_distinct(n: int, part_parity: str | None = None):
     if part_parity not in (None, "even", "odd"):
         raise ParameterError("part_parity must be None, 'even' or 'odd', "
                              "got %r" % (part_parity,))
-    out = []
-    prefix = []
+    return list(_walk_distinct(part_parity, n))
 
-    def ok(size):
-        if part_parity == "even":
-            return size % 2 == 0
-        if part_parity == "odd":
-            return size % 2 == 1
-        return True
 
-    def rec(size, remaining):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        # distinct parts <= size sum to at most size+(size-1)+...+1
-        if size <= 0 or remaining > size * (size + 1) // 2:
-            return
-        for s in range(min(size, remaining), 0, -1):
-            if not ok(s):
-                continue
-            prefix.append(s)
-            rec(s - 1, remaining - s)
-            prefix.pop()
+def _walk_distinct(parity, n):
+    """The strictly decreasing partitions of n with every part of the
+    given parity ("even", "odd", or None for any part), in descending
+    lexicographic order.  Trusts its input."""
+    step, odd = (1 if parity is None else 2), parity == "odd"
 
-    rec(n, n)
-    return out
+    def rec(prefix, top, rest):
+        # prefix leaves rest for distinct parts <= top; once rest - s tops
+        # s(s-1)/2, the most the parts below s make, smaller s fare worse
+        if not rest:
+            yield prefix
+        first = min(top, rest)
+        for s in range(first - (first - odd) % step, 0, -step):
+            if rest - s > s * (s - 1) // 2:
+                break
+            yield from rec(prefix + (s,), s - 1, rest - s)
+
+    return rec((), n, n)
 
 
 def _inv_one_minus(c, s):

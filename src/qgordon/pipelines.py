@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from itertools import groupby
+from itertools import chain, groupby, product
 from typing import Callable, NamedTuple
 
 from . import partitions, series
@@ -184,35 +184,24 @@ def in_ground(pair, pipeline: str, k: int, a: int) -> bool:
 
 
 class _Ground:
-    """Weight classes up to top of one ground set, streamed from the
-    distinct-part lists of A and the family lists of B.  The B lists come
-    from one walk of the family to top, bucketed by weight; a walk yields
-    each weight's members in enumerate_family's order, and each A list
-    is enumerate_distinct's, so pairs() keeps that order."""
+    """Weight classes up to top of one ground set, joined by product from
+    trusting walks in their public enumerators' order: A from one
+    _walk_distinct per weight, B from one _walk_family to top, bucketed
+    by weight.  product takes the tuple buckets without a copy."""
 
     def __init__(self, scope, k, a, top):
         ground = _SCOPES[scope]
-        self.parity = ground.parity
-        self.As, self.Bs = {}, [[] for _ in range(top + 1)]
+        self.As = tuple(tuple(partitions._walk_distinct(ground.parity, w))
+                        for w in range(top + 1))
+        Bs = [[] for _ in range(top + 1)]
         for B in partitions._walk_family(ground.family, k, a, 0, top):
-            self.Bs[sum(B)].append(B)
-
-    def _A(self, wa):
-        As = self.As.get(wa)
-        if As is None:
-            As = self.As[wa] = partitions.enumerate_distinct(wa, self.parity)
-        return As
+            Bs[sum(B)].append(B)
+        self.Bs = tuple(map(tuple, Bs))
 
     def pairs(self, w):
         """The pairs of weight w, at most top, A-weight descending."""
-        for wa in range(w, -1, -1):
-            As = self._A(wa)
-            if not As:
-                continue
-            Bs = self.Bs[w - wa]
-            for A in As:
-                for B in Bs:
-                    yield (A, B)
+        return chain.from_iterable(product(self.As[wa], self.Bs[w - wa])
+                                   for wa in range(w, -1, -1))
 
 
 def enumerate_ground(pipeline: str, k: int, a: int, n: int):

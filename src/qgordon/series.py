@@ -270,7 +270,8 @@ def multisum_rrg(k, a, N):
             rec(j - 1, Nj, e2, prod)
             nj += 1
 
-    rec(k - 1, 0, 0, [1] + [0] * N)
+    # n_j >= 1 makes N_1..N_j >= 1, adding >= j: levels above N are 0
+    rec(min(k - 1, N), 0, 0, [1] + [0] * N)
     return TruncatedSeries(acc)
 
 

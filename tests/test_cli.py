@@ -117,6 +117,14 @@ def test_verify_identity_tokens_map(capsys):
         assert json.loads(out)["identity"] == internal
 
 
+def test_verify_multisum_large_k(capsys):
+    # the sum's walk is as deep as min(k - 1, N), not k - 1 levels
+    for k in ("990", "1500"):
+        code, out, _ = run(capsys, "verify", "--identity", "multisum",
+                           "--k", k, "--a", "3", "--truncate", "40")
+        assert code == 0 and out.startswith("pass")
+
+
 def test_verify_accepts_every_identity_id(capsys):
     # the tokens come from harness.IDENTITIES, so no identity is left
     # out; each runs at (k, a) of its scope's parities

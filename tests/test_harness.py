@@ -86,6 +86,12 @@ def test_ee_split_deep():
         check_identity("ee_split", 5, 4, 10)    # k must be even
 
 
+def test_multisum_large_k():
+    # every level above the truncation has n_j = 0, so the sum's walk
+    # recurses min(k - 1, N) levels, not k - 1
+    assert check_identity("multisum", 1500, 3, 40).passed
+
+
 def test_prelude_relations():
     for ident in ("prelude_ee", "prelude_oo", "prelude_oe"):
         r = check_identity(ident, 0, 0, 60)

@@ -7,6 +7,7 @@ so they can act as oracles for the optimized enumerators and DP counts.
 
 import random
 import time
+from itertools import combinations
 from operator import add
 
 import pytest
@@ -331,6 +332,20 @@ def test_enumerate_distinct():
         got = partitions.enumerate_distinct(n)
         want = [p for p in gen_partitions(n) if len(set(p)) == len(p)]
         assert got == want
+    # every parity to n = 24, against subsets of the allowed sizes: a
+    # descending size list gives descending tuples, and at most six
+    # distinct parts fit under 25 (1 + 2 + ... + 7 = 28)
+    for parity in (None, "even", "odd"):
+        sizes = [s for s in range(24, 0, -1)
+                 if parity is None or s % 2 == (parity == "odd")]
+        want = [[] for _ in range(25)]
+        for r in range(7):
+            for c in combinations(sizes, r):
+                if sum(c) <= 24:
+                    want[sum(c)].append(c)
+        for n in range(25):
+            assert (partitions.enumerate_distinct(n, parity)
+                    == sorted(want[n], reverse=True))
 
 
 def test_enumerate_distinct_rejects_unknown_parity():

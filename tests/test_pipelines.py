@@ -135,13 +135,17 @@ def test_ground_contains_agrees_with_the_predicate():
 
 def test_ground_classes_follow_enumerate_family():
     # one bucketed walk gives each weight's B list in enumerate_family's
-    # order, which decides the counterexample a sweep reports first
+    # order, and one walk per weight each A list in enumerate_distinct's;
+    # that order decides the counterexample a sweep reports first
     for scope, k, a in SCOPE_GRID:
         ground = pipelines._Ground(scope, k, a, 20)
         family = pipelines._SCOPES[scope].family
+        parity = pipelines._SCOPES[scope].parity
         for n in range(21):
-            assert ground.Bs[n] == partitions.enumerate_family(family, k, a, n)
-        assert len(ground.Bs) == 21
+            assert (list(ground.Bs[n])
+                    == partitions.enumerate_family(family, k, a, n))
+            assert list(ground.As[n]) == partitions.enumerate_distinct(n, parity)
+        assert len(ground.Bs) == len(ground.As) == 21
 
 
 @pytest.fixture
@@ -160,13 +164,23 @@ def test_each_ground_enumerates_a_weight_once(monkeypatch, fresh_flows):
         walks.append((family, k, a, lo, hi))
         return real(family, k, a, lo, hi)
 
+    real_distinct = partitions._walk_distinct
+
+    def counted_distinct(parity, n):
+        walks.append((parity, n))
+        return real_distinct(parity, n)
+
     monkeypatch.setattr(partitions, "_walk_family", counted)
-    monkeypatch.setattr(partitions, "enumerate_family",
-                        lambda *args: lists.append(args))
+    monkeypatch.setattr(partitions, "_walk_distinct", counted_distinct)
+    for name in ("enumerate_family", "enumerate_distinct"):
+        monkeypatch.setattr(partitions, name,
+                            lambda *args, name=name: lists.append(name))
     assert harness.check_involution_laws("OE", 5, 4, 21).passed
-    # the sweep walks the family once, to its top weight, and enumerates
-    # no weight on its own; the matching reads neither
-    assert walks == [("Wbar", 5, 4, 0, 21)]
+    # the sweep walks A once per weight and the family once, to its top
+    # weight, and calls neither public enumerator; the matching reads
+    # none of them
+    assert walks == ([("even", w) for w in range(22)]
+                     + [("Wbar", 5, 4, 0, 21)])
     assert lists == []
 
 
