@@ -16,23 +16,28 @@ pairs, in B_{k/2,a/2}, so that B = O + G + G (Andrews, "Parity in
 partition identities", 2010).  When A's odd parts differ from O, the
 largest part of the difference crosses between A and B; otherwise the
 base involution at (k/2, a/2) acts on A's even parts halved and on G.
+The difference is found first, by one toggle over the odd parts of A
+and B, and B is split only when it is empty.
 
 OO and OE encode a pair as a triple: equal parts of B merge in pairs
 into doubled parts (the middle), unpaired parts remain single (D).  On
 triples, a ladder of moves applies: the largest middle part crosses to
 A when it dominates, otherwise A's largest part crosses into the
 middle, and when that image leaves the ground set the base involution
-on halved middle values at reduced parameters takes over.  A move is
-kept only when the routed image routes straight back.  The rest, the
-residue, is paired off by a deterministic maximum matching over a
-small library of symmetric weight-preserving carry moves, each flipping
-the A-length parity.  The matching is built one connected component of
-the residue at a time, reached from the pair by its carry moves, so
-mapping a pair enumerates no weight class; a component with more carry
-candidates than a fixed budget is refused.  Every move keeps the
-weight, so the routes and matchings are kept per weight class, for the
-last weight mapped only; a refused pair leaves none of its routes
-behind, only its refusal, which a second call repeats at once.
+on halved middle values at reduced parameters takes over.  The first
+move is decided before the fixed check, since a template's middle
+never tops its A.  A move is kept only when the routed image routes
+straight back.  The rest, the residue, is paired off by a deterministic
+maximum matching over a small library of symmetric weight-preserving
+carry moves, each flipping the A-length parity; a move whose image the
+ground set's parities always refuse is never built.  The matching is
+built one connected component of the residue at a time, reached from
+the pair by its carry moves, so mapping a pair enumerates no weight
+class; a component with more carry candidates than a fixed budget is
+refused.  Every move keeps the weight, so the routes and matchings are
+kept per weight class, for the last weight mapped only; a refused pair
+leaves none of its routes behind, only its refusal, which a second call
+repeats at once.
 
 What survives is (apart from the OO a = 1 sector, where the templates
 degenerate) a two-family sequence of template triples indexed by n, of
@@ -216,12 +221,15 @@ def enumerate_ground(pipeline: str, k: int, a: int, n: int):
 
 def _merge_pairs(parts):
     """Pair equal parts of a weakly decreasing sequence once: (doubled
-    parts, unpaired leftovers), both descending, one count per size."""
+    parts, unpaired leftovers), both descending, in one pass.  Equal
+    parts are adjacent, so a part pairs with the last leftover when it
+    equals it."""
     merged, left = [], []
-    for v in dict.fromkeys(parts):
-        m = parts.count(v)
-        merged += [2 * v] * (m // 2)
-        if m % 2:
+    for v in parts:
+        if left and left[-1] == v:
+            left.pop()
+            merged.append(2 * v)
+        else:
             left.append(v)
     return tuple(merged), tuple(left)
 
@@ -356,19 +364,21 @@ def _free_parts(D, pipeline, top):
 
 def _fixed_check(t, pipeline, k, a):
     """(family, n, free parts) when the redistributed triple is fixed,
-    else None.  gordon._match_template decides (A, middle), all even,
-    halved at the reduced parameters; the weight-0 core reports as
-    (0, 0).  The free parts are E for EE, whose D must be empty, and
-    otherwise _free_parts of D under the template's top.  The OO a=1
-    sector has no template parametrization and always reports None."""
+    else None, on a triple whose A and middle parts are all even.
+    gordon._match_template decides (A, middle) halved at the reduced
+    parameters; the weight-0 core reports as (0, 0).  The free parts are
+    E for EE, whose D must be empty, and otherwise _free_parts of D under
+    the template's top.  The OO a=1 sector has no template
+    parametrization and always reports None."""
     if _untemplated(pipeline, a):
         return None
     A, mid, D, E = t
     if not A:
         f = None if mid else (0, 0)
     elif (A[0] not in (4 * len(A), 4 * len(A) - 2)
-          or any(x % 2 for x in A) or any(x % 2 for x in mid)):
-        # a template of index n = len(A) tops out at 2n or 2n - 1 halved
+          or A[-1] != A[0] - 2 * len(A) + 2):
+        # a template of index n = len(A) has n consecutive parts in A,
+        # topped by 2n or 2n - 1; doubled, they are a run of step 2
         return None
     else:
         f = _match_template((tuple(x // 2 for x in A),
@@ -421,7 +431,10 @@ def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
         if E or any(v % 2 != _single_parity(pipeline) for v in D):
             raise ParameterError("triple encodes no %s pair: %r"
                                  % (pipeline, triple))
-    res = _fixed_check((A, mid, D, E), pipeline, k, a)
+    # every part of a template's (A, middle) is even; _fixed_check
+    # trusts that
+    res = (None if any(x % 2 for x in A) or any(x % 2 for x in mid)
+           else _fixed_check((A, mid, D, E), pipeline, k, a))
     if res is None:
         raise ParameterError("triple is not a fixed configuration: %r"
                              % (triple,))
@@ -481,15 +494,24 @@ def _half_involute(pair, kk, aa):
 def _involute_ee(pair, k, a):
     """The EE map on a ground pair it trusts, the product the module
     docstring states; a FixedPoint of the base involution is returned as
-    it is, and its partner (Ah, G') joins as (O + 2 Ah, O + G' + G')."""
+    it is, and its partner (Ah, G') joins as (O + 2 Ah, O + G' + G').
+    The odd parts where A and O differ are those with an odd count in A
+    and B together, found by one toggle, so B is merged only on the
+    half-map branch."""
     A, B = pair
-    C, O = _merge_pairs(B)
-    odd = set(O).symmetric_difference(x for x in A if x % 2)
+    odd = set()
+    for v in A + B:
+        if v % 2:
+            if v in odd:
+                odd.remove(v)
+            else:
+                odd.add(v)
     if odd:
         x = max(odd)
         if x in A:
             return (_adel(A, x), _brepl(B, (), (x,)))
         return (_ains(A, x), _brepl(B, (x,), ()))
+    C, O = _merge_pairs(B)
     out = _half_involute((tuple(x // 2 for x in A if x % 2 == 0),
                           tuple(c // 2 for c in C)), k // 2, a // 2)
     if isinstance(out, FixedPoint):
@@ -548,22 +570,23 @@ def _route_triple(state, pipeline, k, a):
     state: the middle's top part crosses to A when it dominates,
     otherwise A's top part crosses into the middle, and when that image
     leaves the ground set A's top part is blocked and the sector map
-    runs.  The two crossings change B by two equal parts, so their
-    images are tested locally; the sector image is tested in full.
-    Every move flips the parity of len(A), so an image is never its own
-    state."""
+    runs.  A template's middle never tops its A, so the up-move is
+    decided before the fixed check.  The two crossings change B by two
+    equal parts, so their images are tested locally; the sector image is
+    tested in full.  Every move flips the parity of len(A), so an image
+    is never its own state."""
     A, B = state
     mid, D = _rho(*_merge_pairs(B), pipeline)
-    t = (A, mid, D, ())
-    f = _fixed_check(t, pipeline, k, a)
-    if f is not None:
-        return FixedPoint(*f[:2])
     a1 = A[0] if A else 0
     if mid and mid[0] > a1:
         # B loses two parts v, so no multiplicity grows, and A gains an
         # even part above its top: the image is a ground pair
         i = B.index(mid[0] // 2)
         return ((mid[0],) + A, B[:i] + B[i + 2:])
+    t = (A, mid, D, ())
+    f = _fixed_check(t, pipeline, k, a)
+    if f is not None:
+        return FixedPoint(*f[:2])
     if not A:
         return None
     # B gains two parts v: the windows (v-1, v) and (v, v+1) and the
@@ -601,12 +624,14 @@ def _brepl(B, take, give):
     return tuple(out)
 
 
-def _carry_candidates(state):
-    """Weight-preserving moves flipping len(A) by one, in clause and
-    inverse-clause pairs.  An inverse clause fires exactly where its
-    clause did, so the moves are symmetric: Y is a candidate of X when X
-    is one of Y.  Candidates outside the ground set are the caller's to
-    drop."""
+def _carry_candidates(state, family):
+    """Weight-preserving moves flipping len(A) by one, on a state of the
+    ground set whose A has even parts and whose B is in family, in
+    clause and inverse-clause pairs.  An inverse clause fires exactly
+    where its clause did, so the moves are symmetric: Y is a candidate
+    of X when X is one of Y.  A clause whose image always leaves the
+    ground set is not built; other candidates outside it are the
+    caller's to drop."""
     A, B = state
     cnt = Counter(B)
     vals = sorted(cnt, reverse=True)
@@ -654,22 +679,29 @@ def _carry_candidates(state):
                     A2 = _ains(A2, 2)
                     if A2:
                         yield (A2, B)
-    # a part x of A and x-1 of B fuse to 2x-1 in B, and back
-    for x in A:
-        if cnt[x - 1] >= 1:
-            yield (_adel(A, x), _brepl(B, (x - 1,), (2 * x - 1,)))
-    for v in vals:
-        if v % 2 and v >= 3:
-            A2 = _ains(A, (v + 1) // 2)
-            if A2:
-                yield (A2, _brepl(B, (v,), ((v - 1) // 2,)))
-    # one copy of a B part crosses whole to A, and back
-    for v in vals:
-        A2 = _ains(A, v)
-        if A2:
-            yield (A2, _brepl(B, (v,), ()))
-    for x in A:
-        yield (_adel(A, x), _brepl(B, (), (x,)))
+    if family == "W":
+        # a part x of A and x-1 of B fuse to 2x-1 in B, and back: x is
+        # even, so 2x-1 is 3 mod 4.  In Wbar each would leave an odd
+        # part of B unpaired
+        for x in A:
+            if cnt[x - 1] >= 1:
+                yield (_adel(A, x), _brepl(B, (x - 1,), (2 * x - 1,)))
+        for v in vals:
+            if v % 4 == 3:
+                A2 = _ains(A, (v + 1) // 2)
+                if A2:
+                    yield (A2, _brepl(B, (v,), ((v - 1) // 2,)))
+    else:
+        # one copy of an even B part crosses whole to A, and back (an
+        # odd one would be odd in A).  In W each would leave an even
+        # part of B unpaired
+        for v in vals:
+            if v % 2 == 0:
+                A2 = _ains(A, v)
+                if A2:
+                    yield (A2, _brepl(B, (v,), ()))
+        for x in A:
+            yield (_adel(A, x), _brepl(B, (), (x,)))
 
 
 def _augment(adj, match, root):
@@ -702,7 +734,8 @@ def _augment(adj, match, root):
 
 
 # carry candidates a component build reads before it refuses its pair;
-# components to weight 30 on the OO and OE grid read at most 7,553
+# components to weight 30 on the OO and OE points with k = 3, 5, 7 read
+# at most 9,027
 _CARRY_BUDGET = 100_000
 
 
@@ -760,7 +793,7 @@ class _Flow:
         while todo:
             s = todo.pop()
             if s not in adj:
-                cands = list(_carry_candidates(s))
+                cands = list(_carry_candidates(s, self.scope.family))
                 budget -= len(cands)
                 if budget < 0:
                     raise ConsistencyError(

@@ -252,8 +252,8 @@ def test_a_component_over_the_carry_budget_is_refused(monkeypatch,
     read, calls = [0], [0]
     real = pipelines._carry_candidates
 
-    def counted(state):
-        out = list(real(state))
+    def counted(state, *rest):
+        out = list(real(state, *rest))
         read[0] += len(out)
         calls[0] += 1
         assert read[0] <= 2 * pipelines._CARRY_BUDGET, "build ran on"
@@ -567,11 +567,87 @@ def test_carry_moves_are_symmetric():
     # every ground candidate of a ground pair lists that pair among its
     # own candidates, so the matching can stay inside one component
     for pl, k, a in RESIDUE_20:
+        family = pipelines._SCOPES[pl].family
         for w in range(17):
             for s in enumerate_ground(pl, k, a, w):
-                for Y in pipelines._carry_candidates(s):
+                for Y in pipelines._carry_candidates(s, family):
                     if in_ground(Y, pl, k, a):
-                        assert s in set(pipelines._carry_candidates(Y)), (s, Y)
+                        assert s in set(pipelines._carry_candidates(
+                            Y, family)), (s, Y)
+
+
+# every OO and OE (k, a) with k = 3, 5, 7
+OO_OE_POINTS = ([("OO", k, a) for k in (3, 5, 7) for a in range(1, k + 1, 2)]
+                + [("OE", k, a) for k in (3, 5, 7) for a in range(2, k + 1, 2)])
+
+
+def _skipped_carry_images(state, family):
+    """The images of the carry clauses _carry_candidates does not build
+    for family, built as the clauses would: in W both whole-part
+    crossings and the halving of a part 1 mod 4, in Wbar the x / x-1
+    fusion, every halving and an odd part crossing whole to A."""
+    A, B = state
+
+    def a_with(x):
+        return tuple(sorted(A + (x,), reverse=True))
+
+    def b_with(take, give):
+        out = list(B)
+        for v in take:
+            out.remove(v)
+        return tuple(sorted(out + list(give), reverse=True))
+
+    # a clause adds no part that A already has
+    halved = [v for v in set(B) if v % 2 and v >= 3
+              and (family == "Wbar" or v % 4 == 1) and (v + 1) // 2 not in A]
+    crossing = [v for v in set(B) if (family == "W" or v % 2) and v not in A]
+    images = [(a_with((v + 1) // 2), b_with((v,), ((v - 1) // 2,)))
+              for v in halved]
+    images += [(a_with(v), b_with((v,), ())) for v in crossing]
+    if family == "W":
+        images += [(tuple(y for y in A if y != x), b_with((), (x,)))
+                   for x in A]
+    else:
+        images += [(tuple(y for y in A if y != x),
+                    b_with((x - 1,), (2 * x - 1,)))
+                   for x in A if x - 1 in B]
+    return images
+
+
+def test_skipped_carry_clauses_leave_the_ground_set():
+    # _carry_candidates builds no clause whose image always leaves the
+    # ground set: A's parts are even, and W pairs up B's even parts,
+    # Wbar its odd ones.  Dropping them changes no matching, since only
+    # ground states join a component
+    built = 0
+    for pl, k, a in OO_OE_POINTS:
+        family = pipelines._SCOPES[pl].family
+        ground = pipelines._Ground(pl, k, a, 18)
+        for w in range(19):
+            for s in ground.pairs(w):
+                for Y in _skipped_carry_images(s, family):
+                    assert not in_ground(Y, pl, k, a), (pl, k, a, s, Y)
+                    built += 1
+    assert built == 25123
+
+
+def test_a_middle_that_tops_a_is_never_fixed():
+    # the route ladder moves the middle's top part up to A before it
+    # looks for a fixed triple, which is exact because no fixed triple's
+    # redistributed middle tops its A
+    topped = 0
+    for pl, k, a in OO_OE_POINTS:
+        if a == 1 and pl == "OO":
+            continue
+        ground = pipelines._Ground(pl, k, a, 18)
+        for w in range(19):
+            for A, B in ground.pairs(w):
+                mid, D = pipelines._rho(*pipelines._merge_pairs(B), pl)
+                if mid and mid[0] > (A[0] if A else 0):
+                    with pytest.raises(ParameterError, match="not a fixed"):
+                        canonicalize_fixed((A, mid, D, ()), pl, k, a)
+                    topped += 1
+    assert topped == 3134
 
 
 EE_POINTS = [(k, a) for k in (2, 4, 6, 8) for a in range(2, k + 1, 2)]
@@ -598,6 +674,52 @@ def test_ee_split_and_join():
                 assert tuple(sorted(O + G + G, reverse=True)) == B
             assert len(W) == sum(odd[n - 2 * j] * half[j]
                                  for j in range(n // 2 + 1)), (k, a, n)
+
+
+def _involute_ee_merge_first(pair, k, a):
+    """The EE map as first written: B split into O and G by counting
+    each size, then the toggle on A's odd parts against O, then the
+    half map on G."""
+    A, B = pair
+    count = {v: B.count(v) for v in B}
+    O = tuple(v for v in count if count[v] % 2)
+    G = tuple(v for v in count for _ in range(count[v] // 2))
+    odd = set(O).symmetric_difference(x for x in A if x % 2)
+    if odd:
+        x = max(odd)
+        if x in A:
+            return (tuple(v for v in A if v != x),
+                    tuple(sorted(B + (x,), reverse=True)))
+        rest = list(B)
+        rest.remove(x)
+        return tuple(sorted(A + (x,), reverse=True)), tuple(rest)
+    out = pipelines._half_involute(
+        (tuple(x // 2 for x in A if x % 2 == 0), G), k // 2, a // 2)
+    if isinstance(out, FixedPoint):
+        return out
+    Ah, G2 = out
+    return (tuple(sorted(O + tuple(2 * x for x in Ah), reverse=True)),
+            tuple(sorted(O + G2 + G2, reverse=True)))
+
+
+def test_ee_toggle_first_equals_merge_first():
+    # _involute_ee finds the differing odd parts with one toggle over A
+    # and B and merges B only on the half-map branch.  That branch keeps
+    # A's odd parts, and the toggle moves one of them
+    def odd(A):
+        return {x for x in A if x % 2}
+
+    pairs = halves = 0
+    for k, a in [(2, 2), (4, 2), (4, 4), (6, 4), (6, 6)]:
+        ground = pipelines._Ground("EE", k, a, 20)
+        for w in range(21):
+            for pair in ground.pairs(w):
+                want = _involute_ee_merge_first(pair, k, a)
+                assert pipelines._involute_ee(pair, k, a) == want, pair
+                pairs += 1
+                halves += (isinstance(want, FixedPoint)
+                           or odd(want[0]) == odd(pair[0]))
+    assert (pairs, halves) == (27286, 2896)
 
 
 def _odd_parts(rng, budget):
