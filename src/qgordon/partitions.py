@@ -12,11 +12,17 @@ A partition is a tuple of positive ints in weakly decreasing order; the
 empty tuple is the unique partition of 0.  The window condition is
 equivalent to the local rule f_j + f_{j+1} <= k-1 on multiplicities of
 adjacent part sizes, which is what the counting DP below uses.
+
+The enumerators walk a range of weights at once and fix only the order
+within a weight, descending lexicographic.  A family walk searches the
+parts above a split size set by k and appends the smaller ones from
+tables it builds per call, bounded by _TAIL_WEIGHT.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
+from bisect import bisect_right
+from itertools import accumulate, chain, groupby, starmap
 from math import isqrt
 from operator import add
 
@@ -94,25 +100,43 @@ def _tail_bound(size, k):
     return (k - 1) * ((size + 1) // 2) * ((size + 2) // 2)
 
 
-def _walk_family(family, k, a, lo, hi):
-    """Every member of the family with weight in lo..hi, each once, in
-    descending lexicographic order, so the members of one weight come
-    out in enumerate_family's order.  Trusts its input.
+# A family walk's split size is the largest size whose tails, the parts
+# of at most that size, weigh at most _TAIL_WEIGHT by _tail_bound: 8, 6,
+# 4, 4, 3, 3, 2 for k = 2..8.  Its tables then hold at most 190 tails in
+# 671 entries for k <= 8, built in well under a millisecond.
+_TAIL_WEIGHT = 24
 
-    Each step picks the next (smaller) part size and its multiplicity
-    directly, multiplicities in descending order; a member is yielded
-    after all its extensions.  Branches that cannot reach weight lo
-    under the tail bound are cut."""
+
+def _walk_family(family, k, a, lo, hi):
+    """Every member of the family with weight in lo..hi, each once, as an
+    iterator.  Each weight's members come out in descending lexicographic
+    order, enumerate_family's; the order across weights is not fixed.
+    Trusts its input.
+
+    A member is a head, its parts above the split size S (_TAIL_WEIGHT),
+    and a tail, its parts of at most S.  Only heads are searched, picking
+    the next size and its multiplicity in descending order and cutting
+    branches that cannot reach weight lo.  Since f_S + f_(S+1) <= k-1 is
+    all that couples a tail to its head, the tails are tabulated once per
+    call, table m holding those with f_S <= k-1-m by weight, and a head
+    with f_(S+1) = m and weight w takes its table's tails of weight
+    lo-w..hi-w in C.  The tables die with the iterator; nothing is cached
+    across calls."""
     mode = _PARITY_MODE[family]
     bound = [_tail_bound(s, k) for s in range(hi + 1)]
+    split = bisect_right(bound, _TAIL_WEIGHT) - 1
+    top = min(hi, bound[split])
 
-    def rec(prefix, top, above, w):
-        # prefix weighs w; the next size is at most top, and size top
-        # may take k-1-above parts (above: multiplicity of size top+1)
-        for s in range(min(top, hi - w), 0, -1):
+    def prefixes(prefix, size, above, w, floor, lo, hi):
+        # prefix weighs w and its smallest size is size+1, with
+        # multiplicity above; yields each extension of it by sizes in
+        # floor+1..size that parts <= floor can bring to weight lo, the
+        # prefix itself last, with its weight and its multiplicity of
+        # floor+1: the heads (floor S) and the tails (floor 0)
+        for s in range(min(size, hi - w), floor, -1):
             if w + bound[s] < lo:
                 break
-            cap = min(k - 1 - above if s == top else k - 1, (hi - w) // s)
+            cap = min(k - 1 - above if s == size else k - 1, (hi - w) // s)
             if s == 1:
                 cap = min(cap, a - 1)
             even = _needs_even(s, mode)
@@ -122,15 +146,27 @@ def _walk_family(family, k, a, lo, hi):
                 w2 = w + mult * s
                 if w2 + bound[s - 1] < lo:
                     break
-                child = prefix + (s,) * mult
-                if w2 == hi:
-                    yield child         # nothing extends it
-                else:
-                    yield from rec(child, s - 1, mult, w2)
-        if w >= lo:
-            yield prefix
+                yield from prefixes(prefix + (s,) * mult, s - 1, mult, w2,
+                                    floor, lo, hi)
+        if w + bound[floor] >= lo:
+            yield prefix, w, above if size == floor else 0
 
-    return rec((), hi, 0, 0)
+    by_weight = [[] for _ in range(top + 1)]
+    for tail, u, _ in prefixes((), split, 0, 0, 0, 0, top):
+        by_weight[u].append(tail)
+    tables = []
+    for m in range(min(k - 1, hi // (split + 1)) + 1):
+        kept = [[t for t in ts if t.count(split) < k - m] for ts in by_weight]
+        tables.append((tuple(chain.from_iterable(kept)),
+                       [0, *accumulate(map(len, kept))]))
+
+    def completions(head, w, m):
+        tails, starts = tables[m]
+        return map(head.__add__, tails[starts[max(lo - w, 0)]:
+                                       starts[min(hi - w, top) + 1]])
+
+    return chain.from_iterable(
+        starmap(completions, prefixes((), hi, 0, 0, split, lo, hi)))
 
 
 def enumerate_family(family: str, k: int, a: int, n: int):
@@ -158,27 +194,31 @@ def enumerate_distinct(n: int, part_parity: str | None = None):
     if part_parity not in (None, "even", "odd"):
         raise ParameterError("part_parity must be None, 'even' or 'odd', "
                              "got %r" % (part_parity,))
-    return list(_walk_distinct(part_parity, n))
+    return list(_walk_distinct(part_parity, n, n))
 
 
-def _walk_distinct(parity, n):
-    """The strictly decreasing partitions of n with every part of the
-    given parity ("even", "odd", or None for any part), in descending
-    lexicographic order.  Trusts its input."""
+def _walk_distinct(parity, lo, hi):
+    """The strictly decreasing partitions with weight in lo..hi and every
+    part of the given parity ("even", "odd", or None for any part), each
+    once.  A depth-first walk, a partition before its extensions: the
+    members of one weight are never prefixes of each other, so they come
+    out in descending lexicographic order whatever is pruned.  Trusts its
+    input."""
     step, odd = (1 if parity is None else 2), parity == "odd"
 
-    def rec(prefix, top, rest):
-        # prefix leaves rest for distinct parts <= top; once rest - s tops
-        # s(s-1)/2, the most the parts below s make, smaller s fare worse
-        if not rest:
+    def rec(prefix, top, w):
+        # prefix weighs w and leaves distinct parts <= top; once
+        # w + s(s+1)/2, the most that parts <= s add, falls short of lo,
+        # smaller s fare worse
+        if w >= lo:
             yield prefix
-        first = min(top, rest)
+        first = min(top, hi - w)
         for s in range(first - (first - odd) % step, 0, -step):
-            if rest - s > s * (s - 1) // 2:
+            if w + s * (s + 1) // 2 < lo:
                 break
-            yield from rec(prefix + (s,), s - 1, rest - s)
+            yield from rec(prefix + (s,), s - 1, w + s)
 
-    return rec((), n, n)
+    return rec((), hi, 0)
 
 
 def _inv_one_minus(c, s):

@@ -188,20 +188,26 @@ def in_ground(pair, pipeline: str, k: int, a: int) -> bool:
     return _SCOPES[pipeline].fault(pair, k, a) is None
 
 
+def _by_weight(walk, top):
+    """The partitions of a walk to weight top, one tuple per weight."""
+    buckets = [[] for _ in range(top + 1)]
+    for p in walk:
+        buckets[sum(p)].append(p)
+    return tuple(map(tuple, buckets))
+
+
 class _Ground:
     """Weight classes up to top of one ground set, joined by product from
-    trusting walks in their public enumerators' order: A from one
-    _walk_distinct per weight, B from one _walk_family to top, bucketed
-    by weight.  product takes the tuple buckets without a copy."""
+    two trusting walks to top, A's and B's, each bucketed by weight: a
+    bucket keeps its public enumerator's order.  product takes the tuple
+    buckets without a copy."""
 
     def __init__(self, scope, k, a, top):
         ground = _SCOPES[scope]
-        self.As = tuple(tuple(partitions._walk_distinct(ground.parity, w))
-                        for w in range(top + 1))
-        Bs = [[] for _ in range(top + 1)]
-        for B in partitions._walk_family(ground.family, k, a, 0, top):
-            Bs[sum(B)].append(B)
-        self.Bs = tuple(map(tuple, Bs))
+        self.As = _by_weight(
+            partitions._walk_distinct(ground.parity, 0, top), top)
+        self.Bs = _by_weight(
+            partitions._walk_family(ground.family, k, a, 0, top), top)
 
     def pairs(self, w):
         """The pairs of weight w, at most top, A-weight descending."""

@@ -7,7 +7,9 @@ so they can act as oracles for the optimized enumerators and DP counts.
 
 import random
 import time
-from itertools import combinations
+import tracemalloc
+from collections import Counter
+from itertools import combinations, zip_longest
 from operator import add
 
 import pytest
@@ -147,6 +149,38 @@ def pentagonal_p(limit):
     return p
 
 
+def reference_walk(family, k, a, lo, hi):
+    """Members of weight lo..hi by one recursion over every part size,
+    multiplicities descending, a member after its extensions: descending
+    lexicographic order overall.  This was partitions' family walk before
+    that split a member into searched large parts and tabulated small
+    ones."""
+    want = {"B": None, "W": 0, "Wbar": 1}[family]
+
+    def bound(s):
+        # pairs of sizes (s, s-1) carry at most k-1 parts, each <= s
+        return (k - 1) * ((s + 1) // 2) * ((s + 2) // 2)
+
+    def rec(prefix, top, above, w):
+        for s in range(min(top, hi - w), 0, -1):
+            if w + bound(s) < lo:
+                break
+            cap = min(k - 1 - above if s == top else k - 1, (hi - w) // s)
+            if s == 1:
+                cap = min(cap, a - 1)
+            for mult in range(cap, 0, -1):
+                if s % 2 == want and mult % 2:
+                    continue
+                w2 = w + mult * s
+                if w2 + bound(s - 1) < lo:
+                    break
+                yield from rec(prefix + (s,) * mult, s - 1, mult, w2)
+        if w >= lo:
+            yield prefix
+
+    return rec((), hi, 0, 0)
+
+
 def test_is_gordon_fixed_cases():
     assert partitions.is_gordon((3, 1, 1), 3, 3)
     assert not partitions.is_gordon((2, 2, 1), 3, 3)
@@ -222,6 +256,67 @@ def test_walk_covers_each_weight_in_enumeration_order():
                 assert counts == partitions.family_counts(family, k, a, N)
                 inner = list(partitions._walk_family(family, k, a, 11, 23))
                 assert inner == [p for p in walk if 11 <= sum(p) <= 23]
+
+
+# the split size of each k: the largest size whose tails weigh at most
+# partitions._TAIL_WEIGHT under partitions._tail_bound
+SPLIT = {2: 8, 3: 6, 4: 4, 5: 4, 6: 3, 7: 3, 8: 2}
+
+
+def test_split_sizes():
+    for k, t in SPLIT.items():
+        assert (partitions._tail_bound(t, k) <= partitions._TAIL_WEIGHT
+                < partitions._tail_bound(t + 1, k)), k
+
+
+def test_walk_agrees_with_the_reference_walker():
+    # every split size, and weight ranges that end below, at and above it;
+    # each weight's list is the reference's, and enumerate_family's at the
+    # range ends
+    for k, t in SPLIT.items():
+        for a in range(1, k + 1):
+            for family in ("B", "W", "Wbar"):
+                want = [[] for _ in range(31)]
+                for p in reference_walk(family, k, a, 0, 30):
+                    want[sum(p)].append(p)
+                for hi in {0, 1, t - 1, t, t + 1, 30}:
+                    assert (partitions.enumerate_family(family, k, a, hi)
+                            == want[hi]), (family, k, a, hi)
+                    for lo in {0, min(11, hi), hi}:
+                        got = partitions._walk_family(family, k, a, lo, hi)
+                        # a stable sort keeps each weight's own order
+                        assert sorted(got, key=sum) == [
+                            p for n in range(lo, hi + 1) for p in want[n]
+                        ], (family, k, a, lo, hi)
+
+
+def test_interleaved_walks_share_no_state():
+    alone = {}
+    runs = [("B", 3, 2, 0, 30), ("Wbar", 5, 4, 11, 30), ("W", 8, 8, 0, 30)]
+    for args in runs:
+        alone[args] = list(partitions._walk_family(*args))
+    for x, y in [(runs[0], runs[1]), (runs[1], runs[2]), (runs[0], runs[0])]:
+        got_x, got_y = [], []
+        for p, q in zip_longest(partitions._walk_family(*x),
+                                partitions._walk_family(*y)):
+            if p is not None:
+                got_x.append(p)
+            if q is not None:
+                got_y.append(q)
+        assert got_x == alone[x] and got_y == alone[y], (x, y)
+
+
+def test_walk_tables_are_bounded():
+    # 39,172 members, counted by weight as they stream, not stored: the
+    # peak is the walk's own tables and frames
+    tracemalloc.start()
+    try:
+        counts = Counter(map(sum, partitions._walk_family("B", 3, 3, 0, 45)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 39172
+    assert peak < 256 * 1024, peak
 
 
 def test_counts_match_enumeration_and_dp():

@@ -135,7 +135,7 @@ def test_ground_contains_agrees_with_the_predicate():
 
 def test_ground_classes_follow_enumerate_family():
     # one bucketed walk gives each weight's B list in enumerate_family's
-    # order, and one walk per weight each A list in enumerate_distinct's;
+    # order, and another each A list in enumerate_distinct's;
     # that order decides the counterexample a sweep reports first
     for scope, k, a in SCOPE_GRID:
         ground = pipelines._Ground(scope, k, a, 20)
@@ -166,9 +166,9 @@ def test_each_ground_enumerates_a_weight_once(monkeypatch, fresh_flows):
 
     real_distinct = partitions._walk_distinct
 
-    def counted_distinct(parity, n):
-        walks.append((parity, n))
-        return real_distinct(parity, n)
+    def counted_distinct(parity, lo, hi):
+        walks.append((parity, lo, hi))
+        return real_distinct(parity, lo, hi)
 
     monkeypatch.setattr(partitions, "_walk_family", counted)
     monkeypatch.setattr(partitions, "_walk_distinct", counted_distinct)
@@ -176,11 +176,9 @@ def test_each_ground_enumerates_a_weight_once(monkeypatch, fresh_flows):
         monkeypatch.setattr(partitions, name,
                             lambda *args, name=name: lists.append(name))
     assert harness.check_involution_laws("OE", 5, 4, 21).passed
-    # the sweep walks A once per weight and the family once, to its top
-    # weight, and calls neither public enumerator; the matching reads
-    # none of them
-    assert walks == ([("even", w) for w in range(22)]
-                     + [("Wbar", 5, 4, 0, 21)])
+    # the sweep walks A and the family once each, to its top weight, and
+    # calls neither public enumerator; the matching reads none of them
+    assert walks == [("even", 0, 21), ("Wbar", 5, 4, 0, 21)]
     assert lists == []
 
 
