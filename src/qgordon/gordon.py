@@ -203,20 +203,13 @@ def classify(pair, k, a):
     return _classify(A, B, k, a)
 
 
-def _step1(A, B, move):
-    if move.direction == "b_to_a":
-        return ((B[0],) + A, B[1:])
-    return (A[1:], (A[0],) + B)
-
-
 def step1_move(pair, k, a):
     """Carry out the step-1 exchange of the top part."""
     check_params(k, a)
     A, B = _check_pair(pair, k, a)
-    label = _classify(A, B, k, a)
-    if not isinstance(label, Move):
+    if not isinstance(_classify(A, B, k, a), Move):
         raise ParameterError("pair is not in a move state")
-    return _step1(A, B, label)
+    return _involute((A, B), k, a)
 
 
 def _bumped(B, positions):
@@ -331,10 +324,9 @@ def apply_map(pair, k, a):
     decided before any map runs, and its partner otherwise."""
     check_params(k, a)
     A, B = _check_pair(pair, k, a)
-    label = _classify(A, B, k, a)
-    if not isinstance(label, UClass):
+    if not isinstance(_classify(A, B, k, a), UClass):
         raise ParameterError("apply_map needs a blocked pair")
-    return _match_template((A, B), k, a) or _apply(A, B, k, a, label)
+    return _involute((A, B), k, a)
 
 
 def _involute(pair, k, a):

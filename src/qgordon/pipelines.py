@@ -36,8 +36,7 @@ the pair by its carry moves, so mapping a pair enumerates no weight
 class; a component with more carry candidates than a fixed budget is
 refused.  Every move keeps the weight, so the routes and matchings are
 kept per weight class, for the last weight mapped only; a refused pair
-leaves none of its routes behind, only its refusal, which a second call
-repeats at once.
+leaves none of its routes behind.
 
 What survives is (apart from the OO a = 1 sector, where the templates
 degenerate) a two-family sequence of template triples indexed by n, of
@@ -752,15 +751,13 @@ class _Flow:
     component at a time.  Routes and carry moves keep the weight, so no
     state of another weight enters it; _flow keeps the flows of the last
     _FLOWS_KEPT weights mapped, and a refused pair leaves its flow as it
-    found it but for one entry in refused, which refuses it again at
-    once."""
+    found it."""
 
     def __init__(self, pipeline, k, a, weight):
         self.pipeline, self.k, self.a, self.weight = pipeline, k, a, weight
         self.scope = _SCOPES[pipeline]
         self.rcache = {}
         self.match = {}     # residue state -> partner, None if unmatched
-        self.refused = {}   # root of a refused build -> its message
 
     def route(self, state):
         hit = self.rcache.get(state)
@@ -814,8 +811,6 @@ class _Flow:
             self.match.setdefault(s, None)
 
     def involute(self, state):
-        if state in self.refused:
-            raise ConsistencyError(self.refused[state])
         kept = len(self.rcache)
         r = self.safe(state)
         if r is not None:
@@ -823,12 +818,11 @@ class _Flow:
         if state not in self.match:
             try:
                 self._match_component(state)
-            except ConsistencyError as err:
+            except ConsistencyError:
                 # a refused build adds no match; drop the routes this
                 # call added, the newest entries of the route cache
                 while len(self.rcache) > kept:
                     self.rcache.popitem()
-                self.refused[state] = str(err)
                 raise
         r = self.match[state]
         if r is None and _untemplated(self.pipeline, self.a):

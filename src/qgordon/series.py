@@ -243,35 +243,35 @@ def multisum_rrg(k, a, N):
         sum q^{N_1^2 + ... + N_{k-1}^2 + N_a + ... + N_{k-1}}
             / ((q;q)_{n_1} ... (q;q)_{n_{k-1}})
 
-    over n_1, ..., n_{k-1} >= 0, where N_j = n_j + n_{j+1} + ... + n_{k-1},
-    truncated at N.  The quadratic exponent bounds the summation.  Along
-    each n_j the running product is divided by (1 - q^{n_j}) once per
-    step, and it is kept only to the degree its final exponent leaves."""
+    over n_1, ..., n_{k-1} >= 0, N_j = n_j + ... + n_{k-1}, truncated at N,
+    level by level, j = min(k-1, N) down to 1 (higher levels are 0).  rows[d]
+    sums the levels above j with N_{j+1} = d over q^s, s = d^2 + [j+1 >= a]d.
+    Each n_j = 0, 1, ... divides the row by (1 - q^{n_j}) and adds it at s
+    into rows[M] of level j, M = d + n_j, until s + jM^2 + [j >= a]M > N."""
     partitions.check_params(k, a)
     if N < 0:
         raise ValueError("N must be >= 0")
+    rows = [[1] + [0] * N]
+    for j in range(min(k - 1, N), 0, -1):
+        nxt = []
+        for d, c in enumerate(rows):
+            s = d * d + (d if j + 1 >= a else 0)
+            for M in range(d, N + 1):
+                e = s + M * M + (M if j >= a else 0)
+                if e + (j - 1) * M * M > N:
+                    break
+                c = c[:N + 1 - e]
+                if M > d:
+                    partitions._inv_one_minus(c, M - d)
+                if M == len(nxt):   # d = 0, at s = 0, reaches every M first
+                    nxt.append(c)
+                else:
+                    nxt[M][s:] = map(add, nxt[M][s:], c)
+        rows = nxt
     acc = [0] * (N + 1)
-
-    def rec(j, n_above, exponent, prod):
-        # j runs k-1 down to 1; n_above = N_{j+1}; prod is the product
-        # of 1/(q;q)_{n_i} over i > j, through at least q^(N - exponent)
-        if j == 0:
-            acc[exponent:] = map(add, acc[exponent:], prod)
-            return
-        nj = 0
-        while True:
-            Nj = nj + n_above
-            e2 = exponent + Nj * Nj + (Nj if j >= a else 0)
-            if e2 > N:
-                break
-            if nj:
-                prod = prod[:N + 1 - e2]
-                partitions._inv_one_minus(prod, nj)
-            rec(j - 1, Nj, e2, prod)
-            nj += 1
-
-    # n_j >= 1 makes N_1..N_j >= 1, adding >= j: levels above N are 0
-    rec(min(k - 1, N), 0, 0, [1] + [0] * N)
+    for d, c in enumerate(rows):
+        s = d * d + (d if a == 1 else 0)
+        acc[s:] = map(add, acc[s:], c)
     return TruncatedSeries(acc)
 
 

@@ -137,8 +137,9 @@ def test_blocked_is_membership_of_the_extended_b():
 
 def test_inline_step1_agrees_with_classify():
     # the kernel decides the step-1 moves without classifying; every pair
-    # of P_{k,a} must get what _classify then _step1 (and step1_move)
-    # give it, and a blocked pair what apply_map gives it
+    # of P_{k,a} must get the image its _classify label names: the move's
+    # crossing, or the template or map of its class (and step1_move and
+    # apply_map, which dispatch to the kernel, must give the same)
     counts = {"b_to_a": 0, "a_to_b": 0, "blocked": 0, "empty": 0}
     for k in range(2, 7):
         for a in range(1, k + 1):
@@ -147,11 +148,17 @@ def test_inline_step1_agrees_with_classify():
                     out = gordon._involute(pair, k, a)
                     label = gordon._classify(*pair, k, a)
                     if isinstance(label, Move):
-                        assert out == gordon._step1(*pair, label), (pair, k, a)
+                        A, B = pair
+                        want = (((B[0],) + A, B[1:])
+                                if label.direction == "b_to_a"
+                                else (A[1:], (A[0],) + B))
+                        assert out == want, (pair, k, a)
                         assert out == step1_move(pair, k, a)
                         counts[label.direction] += 1
                     elif isinstance(label, UClass):
-                        assert out == apply_map(pair, k, a), (pair, k, a)
+                        want = (gordon._match_template(pair, k, a)
+                                or gordon._apply(*pair, k, a, label))
+                        assert out == want == apply_map(pair, k, a), (pair, k, a)
                         counts["blocked"] += 1
                     else:
                         assert out == label == FixedPoint(0, 0)

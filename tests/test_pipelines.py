@@ -247,13 +247,12 @@ def test_a_component_over_the_carry_budget_is_refused(monkeypatch,
                                                       fresh_flows):
     # OE (3, 2) ((200,), ()) has a residue component that grows without
     # bound in practice; the build must stop at its budget, not run on
-    read, calls = [0], [0]
+    read = [0]
     real = pipelines._carry_candidates
 
     def counted(state, *rest):
         out = list(real(state, *rest))
         read[0] += len(out)
-        calls[0] += 1
         assert read[0] <= 2 * pipelines._CARRY_BUDGET, "build ran on"
         return out
 
@@ -264,21 +263,11 @@ def test_a_component_over_the_carry_budget_is_refused(monkeypatch,
     flow = pipelines._flow("OE", 3, 2, 200)
     rcache, match = dict(flow.rcache), dict(flow.match)
     assert rcache
-    with pytest.raises(ConsistencyError,
-                       match=r"\(\(200,\), \(\)\)") as first:
+    with pytest.raises(ConsistencyError, match=r"\(\(200,\), \(\)\)"):
         involute_pipeline(((200,), ()), "OE", 3, 2)
     assert pipelines._CARRY_BUDGET < read[0]
     # nothing of the refused build is kept: no match, and no route
     assert pipelines._flow("OE", 3, 2, 200) is flow
-    assert flow.rcache == rcache and flow.match == match
-    # only the refusal is kept, so a second call on the pair raises the
-    # same error at once, reading no carry candidate
-    assert flow.refused.keys() == {((200,), ())}
-    calls[0] = 0
-    with pytest.raises(ConsistencyError) as second:
-        involute_pipeline(((200,), ()), "OE", 3, 2)
-    assert str(second.value) == str(first.value)
-    assert calls[0] == 0
     assert flow.rcache == rcache and flow.match == match
 
 

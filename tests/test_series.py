@@ -1,5 +1,7 @@
 """Tests for exact truncated q-series arithmetic and builders."""
 
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,6 +336,41 @@ def test_multisum_fixed_cases():
             # term N_1 pushes that term to q^2
             want = [1, 1 if a > 1 else 0]
             assert coeffs(series.multisum_rrg(k, a, 1)) == want, (k, a)
+
+
+def reference_multisum(k, a, N):
+    """The multisum summed along every (n_1, ..., n_{k-1}) path, one
+    recursion level per j (test oracle for the level-by-level sum)."""
+    acc = [0] * (N + 1)
+
+    def rec(j, n_above, exponent, prod):
+        # j runs k-1 down to 1; n_above = N_{j+1}; prod is the product
+        # of 1/(q;q)_{n_i} over i > j, through at least q^(N - exponent)
+        if j == 0:
+            acc[exponent:] = map(add, acc[exponent:], prod)
+            return
+        nj = 0
+        while True:
+            Nj = nj + n_above
+            e2 = exponent + Nj * Nj + (Nj if j >= a else 0)
+            if e2 > N:
+                break
+            if nj:
+                prod = prod[:N + 1 - e2]
+                partitions._inv_one_minus(prod, nj)
+            rec(j - 1, Nj, e2, prod)
+            nj += 1
+
+    rec(min(k - 1, N), 0, 0, [1] + [0] * N)
+    return acc
+
+
+def test_multisum_agrees_with_the_reference_recursion():
+    cases = [(k, a, N) for k in range(2, 10) for a in range(1, k + 1)
+             for N in (0, 1, 2, 3, 5, 12, 40, 90)]
+    for k, a, N in cases + [(60, 1, 60), (60, 7, 60), (60, 60, 60)]:
+        want = reference_multisum(k, a, N)
+        assert coeffs(series.multisum_rrg(k, a, N)) == want, (k, a, N)
 
 
 def test_multisum_equals_family_gf():
