@@ -23,20 +23,23 @@ OO and OE encode a pair as a triple: equal parts of B merge in pairs
 into doubled parts (the middle), unpaired parts remain single (D).  On
 triples, a ladder of moves applies: the largest middle part crosses to
 A when it dominates, otherwise A's largest part crosses into the
-middle, and when that image leaves the ground set the base involution
-on halved middle values at reduced parameters takes over.  The first
-move is decided before the fixed check, since a template's middle
-never tops its A.  A move is kept only when the routed image routes
-straight back.  The rest, the residue, is paired off by a deterministic
-maximum matching over a small library of symmetric weight-preserving
-carry moves, each flipping the A-length parity; a move whose image the
-ground set's parities always refuse is never built.  The matching is
-built one connected component of the residue at a time, reached from
-the pair by its carry moves, so mapping a pair enumerates no weight
-class; a component with more carry candidates than a fixed budget is
-refused.  Every move keeps the weight, so the routes and matchings are
-kept per weight class, for the last weight mapped only; a refused pair
-leaves none of its routes behind.
+middle, and when that image leaves the ground set the sector takes
+over: the base involution at (k/2, a/2) on A and the middle halved,
+the reduced step EE's half branch takes too.  The crossings' images
+are tested locally, and the sector's needs no test, as the ground
+set's arithmetic keeps it inside.  The first move is decided before
+the fixed check, since a template's middle never tops its A.  A move
+is kept only when the routed image routes straight back.  The rest,
+the residue, is paired off by a deterministic maximum matching over a
+small library of symmetric weight-preserving carry moves, each
+flipping the A-length parity; a move whose image the ground set's
+parities always refuse is never built.  The matching is built one
+connected component of the residue at a time, reached from the pair by
+its carry moves, so mapping a pair enumerates no weight class; a
+component with more carry candidates than a fixed budget is refused.
+Every move keeps the weight, so the routes and matchings are kept per
+weight class, for the last weight mapped only; a refused pair leaves
+none of its routes behind.
 
 What survives is (apart from the OO a = 1 sector, where the templates
 degenerate) a two-family sequence of template triples indexed by n, of
@@ -311,13 +314,6 @@ def un_transform(triple, pipeline: str) -> tuple:
                                "canonicalization: %r" % (pipeline, triple))
     if any(c % 2 for c in mid):
         raise ConsistencyError("middle parts must be even: %r" % (triple,))
-    return _join(triple)
-
-
-def _join(triple):
-    """un_transform of an OO/OE triple it trusts: E empty and every
-    middle part even."""
-    A, mid, D, E = triple
     B = list(D)
     for c in mid:
         B.extend([c // 2, c // 2])
@@ -487,22 +483,33 @@ def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
             * series.theta_sum(2 * (k + 1), 2 * (k + 1 - a), N))
 
 
+# ---------------------------------------------------------- the reduced step
+
+def _reduced_image(A, mid, rest, D, k, a):
+    """The base involution at (k//2, a//2) on A and the doubled middle
+    parts mid, both halved, which it trusts: the Gordon kernel, or at
+    k//2 = 1 the k = 1 pairing (mid empty).  A FixedPoint is returned as
+    it is, and a partner (Ah, G) joins as (rest + 2 Ah, D + G + G).  EE's
+    half branch passes O as rest and D, the OO/OE sector () and D."""
+    kk = k // 2
+    half = (tuple(x // 2 for x in A), tuple(c // 2 for c in mid))
+    out = _involute(half, kk, a // 2) if kk >= 2 else _involute_k1(half)
+    if isinstance(out, FixedPoint):
+        return out
+    Ah, G = out
+    return (tuple(sorted(rest + tuple(2 * x for x in Ah), reverse=True)),
+            tuple(sorted(D + G + G, reverse=True)))
+
+
 # ---------------------------------------------------------------- EE product
-
-def _half_involute(pair, kk, aa):
-    """The base involution at reduced parameters on a halved pair it
-    trusts: the Gordon kernel, or at kk = 1 the k = 1 pairing (its B
-    empty)."""
-    return _involute(pair, kk, aa) if kk >= 2 else _involute_k1(pair)
-
 
 def _involute_ee(pair, k, a):
     """The EE map on a ground pair it trusts, the product the module
-    docstring states; a FixedPoint of the base involution is returned as
-    it is, and its partner (Ah, G') joins as (O + 2 Ah, O + G' + G').
-    The odd parts where A and O differ are those with an odd count in A
-    and B together, found by one toggle, so B is merged only on the
-    half-map branch."""
+    docstring states; the half branch is _reduced_image on A's even
+    parts and B's pairs, joining back O, A's odd parts and B's single
+    ones.  The odd parts where A and O differ are those with an odd
+    count in A and B together, found by one toggle, so B is merged only
+    on the half branch."""
     A, B = pair
     odd = set()
     for v in A + B:
@@ -517,13 +524,7 @@ def _involute_ee(pair, k, a):
             return (_adel(A, x), _brepl(B, (), (x,)))
         return (_ains(A, x), _brepl(B, (x,), ()))
     C, O = _merge_pairs(B)
-    out = _half_involute((tuple(x // 2 for x in A if x % 2 == 0),
-                          tuple(c // 2 for c in C)), k // 2, a // 2)
-    if isinstance(out, FixedPoint):
-        return out
-    Ah, G = out
-    return (tuple(sorted(O + tuple(2 * x for x in Ah), reverse=True)),
-            tuple(sorted(O + G + G, reverse=True)))
+    return _reduced_image(tuple(x for x in A if x % 2 == 0), C, O, O, k, a)
 
 
 # -------------------------------------------------------------- scope table
@@ -552,23 +553,6 @@ _SCOPES = {
 
 # ------------------------------------------------------------------ routing
 
-def _sector_image(t, pipeline, k, a):
-    """Base involution at the reduced parameters on halved values; None
-    when out of scope or when the reduced pair is fixed."""
-    A, mid, D, E = t
-    kk, aa = inner_params(pipeline, k, a)
-    Ah = tuple(x // 2 for x in A)
-    Bh = tuple(x // 2 for x in mid)
-    # in scope when Bh is empty at kk = 1, or in B_{kk,aa} above it; the
-    # kernel then trusts (Ah, Bh), Ah being halved from even distinct A
-    if (Bh if kk < 2 else aa < 1 or not partitions._gordon_ok(Bh, kk, aa)):
-        return None
-    out = _half_involute((Ah, Bh), kk, aa)
-    if isinstance(out, FixedPoint):
-        return None
-    return (tuple(2 * x for x in out[0]), tuple(2 * x for x in out[1]), D, E)
-
-
 def _route_triple(state, pipeline, k, a):
     """One rule set for every state, as gordon._blocked decides it for
     the Gordon map, read on the redistributed triple of the ground pair
@@ -577,9 +561,13 @@ def _route_triple(state, pipeline, k, a):
     leaves the ground set A's top part is blocked and the sector map
     runs.  A template's middle never tops its A, so the up-move is
     decided before the fixed check.  The two crossings change B by two
-    equal parts, so their images are tested locally; the sector image is
-    tested in full.  Every move flips the parity of len(A), so an image
-    is never its own state."""
+    equal parts, so their images are tested locally.  The sector image
+    (_reduced_image) is a ground pair by arithmetic, so it is not tested:
+    D is part of B, of the single parity, each size at most twice, so
+    D + G + G keeps the windows within 2 + 2(kk - 1) = k - 1 and the ones
+    within a - 1 (OE's D has none), the paired parity occurs only in
+    G + G, and A's image is doubled from distinct parts.  Every move
+    flips the parity of len(A), so an image is never its own state."""
     A, B = state
     mid, D = _rho(*_merge_pairs(B), pipeline)
     a1 = A[0] if A else 0
@@ -588,8 +576,7 @@ def _route_triple(state, pipeline, k, a):
         # even part above its top: the image is a ground pair
         i = B.index(mid[0] // 2)
         return ((mid[0],) + A, B[:i] + B[i + 2:])
-    t = (A, mid, D, ())
-    f = _fixed_check(t, pipeline, k, a)
+    f = _fixed_check((A, mid, D, ()), pipeline, k, a)
     if f is not None:
         return FixedPoint(*f[:2])
     if not A:
@@ -599,12 +586,14 @@ def _route_triple(state, pipeline, k, a):
     v, c = a1 // 2, B.count
     if c(v) + 2 + max(c(v - 1), c(v + 1)) < k and (v > 1 or c(1) + 2 < a):
         return (A[1:], tuple(sorted(B + (v, v), reverse=True)))
-    t2 = _sector_image(t, pipeline, k, a)
-    if t2 is None:
+    # the sector, in scope when the middle is empty at kk = 1, or halves
+    # into B_{kk,aa} above it
+    kk, aa = inner_params(pipeline, k, a)
+    if (mid if kk < 2 else aa < 1 or not partitions._gordon_ok(
+            tuple(x // 2 for x in mid), kk, aa)):
         return None
-    Y = _join(t2)
-    scope = _SCOPES[pipeline]
-    return None if _pair_fault(*Y, k, a, scope.parity, scope.family) else Y
+    out = _reduced_image(A, mid, (), D, k, a)
+    return None if isinstance(out, FixedPoint) else out
 
 
 # ------------------------------------------------------------- carry moves
@@ -774,7 +763,7 @@ class _Flow:
         if r is None or isinstance(r, FixedPoint):
             return r
         back = self.route(r)
-        return None if isinstance(back, FixedPoint) or back != state else r
+        return None if back != state else r
 
     def _residue(self, state):
         """Whether state is a ground pair (every routed state is one)
