@@ -187,9 +187,9 @@ def _build_parser():
         description="Partition family counts and involution verification.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, k_required=True):
-        p.add_argument("--k", type=int, required=k_required)
-        p.add_argument("--a", type=int, required=k_required)
+    def common(p):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--a", type=int, required=True)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
 

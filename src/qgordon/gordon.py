@@ -38,6 +38,7 @@ sweeps) call the kernels directly.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from . import series
@@ -94,10 +95,22 @@ def _pair_fault(A, B, k, a, parity=None, family="B"):
     return None
 
 
+def _as_pair(pair):
+    """The pair as two tuples of integer parts (operator.index, so a
+    float or a string is refused); ParameterError unless it has exactly
+    two sides."""
+    try:
+        A, B = pair
+        return tuple(map(index, A)), tuple(map(index, B))
+    except (TypeError, ValueError):
+        raise ParameterError("a pair is two sequences of integer parts, "
+                             "got %r" % (pair,)) from None
+
+
 def _check_pair(pair, k, a, parity=None, family="B"):
     """The pair as a pair of tuples, once _pair_fault finds no fault in
     it; ParameterError with the fault otherwise."""
-    A, B = pair = (tuple(pair[0]), tuple(pair[1]))
+    A, B = pair = _as_pair(pair)
     fault = _pair_fault(A, B, k, a, parity, family)
     if fault is not None:
         raise ParameterError(fault)

@@ -68,9 +68,9 @@ from itertools import chain, groupby, product
 from typing import Callable, NamedTuple
 
 from . import partitions, series
-from .gordon import (FixedPoint, _check_pair, _fixed_pair, _involute,
-                     _involute_k1, _match_template, _pair_fault, _trace_label,
-                     gordon_fixed_gf, gordon_fixed_point)
+from .gordon import (FixedPoint, _as_pair, _check_pair, _fixed_pair,
+                     _involute, _involute_k1, _match_template, _pair_fault,
+                     _trace_label, gordon_fixed_gf, gordon_fixed_point)
 from .partitions import ParameterError
 from .series import TruncatedSeries
 
@@ -156,12 +156,14 @@ def inner_params(pipeline: str, k: int, a: int) -> tuple:
 
 
 class PartitionTriple(NamedTuple):
-    """Triple encoding of a pair.
+    """Triple encoding of a pair, one rule for every pipeline.
 
-    B is the merged middle (doubled parts, plus the unpaired odd parts
-    for EE), D holds the unpaired single parts for OO/OE (empty for EE),
-    and E the extracted free parts (EE: parts 2 mod 4, sign-carrying;
-    empty for OO/OE until a fixed configuration is canonicalized)."""
+    E holds the odd parts A shares with B, doubled, so 2 mod 4; A keeps
+    the rest.  B is the middle: the rest of the pair's B, its equal
+    parts merged pairwise into doubled parts.  D holds the parts left
+    single, except in EE, which keeps them in the middle.  OO/OE's A
+    has only even parts, so it shares none, and E stays empty until a
+    fixed configuration is canonicalized."""
     A: tuple
     B: tuple
     D: tuple
@@ -185,9 +187,10 @@ def triple_sign(triple, pipeline: str) -> int:
 # --------------------------------------------------------------- ground set
 
 def in_ground(pair, pipeline: str, k: int, a: int) -> bool:
-    """Membership test for the pipeline's ground set."""
+    """Membership test for the pipeline's ground set; ParameterError for
+    a pair that is not two sides of integer parts."""
     check_pipeline(pipeline, k, a)
-    return _SCOPES[pipeline].fault(pair, k, a) is None
+    return _SCOPES[pipeline].fault(_as_pair(pair), k, a) is None
 
 
 def _by_weight(walk, top):
@@ -242,22 +245,6 @@ def _merge_pairs(parts):
     return tuple(merged), tuple(left)
 
 
-def _encode(pair, pipeline):
-    """Merge-level triple of a ground pair (no redistribution)."""
-    A, B = pair
-    if pipeline == "EE":
-        shared = [x for x in A if x % 2 and x in B]
-        rest = list(B)
-        for x in shared:
-            rest.remove(x)
-        merged, left = _merge_pairs(rest)
-        return (tuple(x for x in A if x not in shared),
-                tuple(sorted(merged + left, reverse=True)), (),
-                tuple(2 * x for x in shared))
-    C, D = _merge_pairs(B)
-    return (tuple(A), C, D, ())
-
-
 def _rho(C, D, pipeline):
     """Split one middle part per value whose half is absent from D and
     has the single parity (so the part is 2 * parity mod 4); the two
@@ -277,47 +264,44 @@ def _rho(C, D, pipeline):
 
 
 def to_triple(pair, pipeline: str, k: int, a: int) -> PartitionTriple:
-    """Encode a ground pair: shared odd parts of A and B leave pairwise
-    into E (EE only), then equal parts of B merge pairwise into doubled
-    middle parts, unpaired parts staying single."""
+    """Encode a ground pair by PartitionTriple's rule; B minus the shared
+    parts keeps B's descending order, as Counter keeps insertion order."""
     check_pipeline(pipeline, k, a)
-    return PartitionTriple(*_encode(_SCOPES[pipeline].ground(pair, k, a),
-                                    pipeline))
+    A, B = _SCOPES[pipeline].ground(pair, k, a)
+    shared = [x for x in A if x % 2 and x in B]
+    mid, D = _merge_pairs((Counter(B) - Counter(shared)).elements())
+    if pipeline == "EE":
+        mid, D = tuple(sorted(mid + D, reverse=True)), ()
+    return PartitionTriple(tuple(x for x in A if x not in shared), mid, D,
+                           tuple(2 * x for x in shared))
 
 
 def un_transform(triple, pipeline: str) -> tuple:
-    """Invert the triple encoding back to a pair (A, B).  Accepts both
-    the merge-level form and the redistributed form."""
+    """Invert the triple encoding, merge-level or redistributed: B is D,
+    each E part halved and each middle part, split into halves when
+    even; A gains each E part halved.  EE sorts A, OO/OE keep it."""
     _require_pipeline(pipeline)
     A, mid, D, E = triple
     if pipeline == "EE":
         if D:
             raise ConsistencyError("EE triples carry no D component: %r"
                                    % (triple,))
-        B = []
-        for v in mid:
-            if v % 2 == 0:
-                B.extend([v // 2, v // 2])
-            else:
-                B.append(v)
-        back = list(A)
-        for e in E:
-            if not _is_free_part(e, pipeline):
-                raise ConsistencyError("EE free parts must be 2 mod 4: %r"
-                                       % (triple,))
-            back.append(e // 2)
-            B.append(e // 2)
-        return (tuple(sorted(back, reverse=True)),
-                tuple(sorted(B, reverse=True)))
-    if E:
+        if not all(_is_free_part(e, pipeline) for e in E):
+            raise ConsistencyError("EE free parts must be 2 mod 4: %r"
+                                   % (triple,))
+    elif E:
         raise ConsistencyError("%s triples carry no E component before "
                                "canonicalization: %r" % (pipeline, triple))
-    if any(c % 2 for c in mid):
+    elif any(c % 2 for c in mid):
         raise ConsistencyError("middle parts must be even: %r" % (triple,))
-    B = list(D)
-    for c in mid:
-        B.extend([c // 2, c // 2])
-    return (tuple(A), tuple(sorted(B, reverse=True)))
+    halves = [e // 2 for e in E]
+    B = list(D) + halves
+    for v in mid:
+        B.extend((v // 2, v // 2) if v % 2 == 0 else (v,))
+    A = (*A, *halves)
+    if pipeline == "EE":
+        A = tuple(sorted(A, reverse=True))
+    return A, tuple(sorted(B, reverse=True))
 
 
 def redistribute(triple, pipeline: str) -> PartitionTriple:

@@ -352,6 +352,8 @@ def test_invalid_pairs_rejected():
     with pytest.raises(ParameterError):
         involute_gordon(((2,), (1,)), 1, 1)  # k out of range
     with pytest.raises(ParameterError):
+        involute_gordon(((1.5,), ()), 2, 2)  # parts must be integers
+    with pytest.raises(ParameterError):
         gordon_fixed_point(3, 1, 3, 3)
     with pytest.raises(ParameterError):
         gordon_fixed_point(1, -1, 3, 3)

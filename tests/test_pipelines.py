@@ -76,6 +76,10 @@ def test_ground_membership():
     assert in_ground(((), (1, 1)), "OE", 5, 4)
     # window conditions still apply
     assert not in_ground(((), (1, 1, 1, 1)), "OO", 3, 3)
+    # a pair is exactly two sides of integer parts
+    for bad, pl, k, a in [(((),), "OO", 3, 3), ((("a",), ()), "EE", 2, 2)]:
+        with pytest.raises(ParameterError):
+            in_ground(bad, pl, k, a)
 
 
 def test_enumerate_ground_counts():
@@ -276,10 +280,17 @@ def test_to_triple_fixtures():
     assert t == PartitionTriple((10, 8), (8, 8), (), (10,))
     t = to_triple(((10, 2), (4, 4, 4, 4, 4, 2, 2, 2, 1, 1)), "OE", 7, 6)
     assert t == PartitionTriple((10, 2), (8, 8, 4, 2), (4, 2), ())
+    # EE keeps its odd single parts in the middle
+    pair = ((7, 5, 2), (7, 5, 5, 3, 2, 2))
+    t = to_triple(pair, "EE", 4, 4)
+    assert t == PartitionTriple((2,), (5, 4, 3), (), (14, 10))
+    assert un_transform(t, "EE") == pair
     for pl, k, a in GRID:
         assert to_triple(((), ()), pl, k, a) == PartitionTriple((), (), (), ())
     with pytest.raises(ParameterError):
         to_triple(((5,), ()), "OO", 3, 3)
+    with pytest.raises(ParameterError):
+        to_triple(((), (), ()), "OO", 3, 3)
 
 
 def test_to_triple_merge_level():
