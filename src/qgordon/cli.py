@@ -195,14 +195,14 @@ def _build_parser():
 
     p = sub.add_parser("count", help="count family members by weight")
     common(p)
-    p.add_argument("--family", choices=("A", "B", "W", "Wbar"), required=True)
+    p.add_argument("--family", choices=partitions.FAMILIES, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--truncate", type=int)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("enumerate", help="list family members of a weight")
     common(p)
-    p.add_argument("--family", choices=("A", "B", "W", "Wbar"), required=True)
+    p.add_argument("--family", choices=partitions.FAMILIES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_enumerate)
 

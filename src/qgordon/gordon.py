@@ -42,8 +42,7 @@ from operator import index
 from typing import NamedTuple
 
 from . import series
-from .partitions import (_PARITY_MODE, ParameterError, _gordon_ok,
-                         _parity_ok, check_params)
+from .partitions import ParameterError, _member, check_params
 
 
 class Move(NamedTuple):
@@ -90,7 +89,7 @@ def _pair_fault(A, B, k, a, parity=None, family="B"):
         prev = x
     if prev is not None and prev < 1:
         return "A must have positive parts: %r" % (A,)
-    if not _gordon_ok(B, k, a) or not _parity_ok(B, _PARITY_MODE[family]):
+    if not _member(B, family, k, a):
         return "B fails the family conditions: %r" % (B,)
     return None
 
@@ -118,8 +117,9 @@ def _check_pair(pair, k, a, parity=None, family="B"):
 
 
 def _blocked(a1, B, k, a):
-    # moving a1 >= B[0] on top of B, which is in the family, would leave
-    # it: the window a1, B[0..k-2] spans less than 2, or a1 is the a-th 1
+    # moving a1 >= B[0] on top of B in B_{k,a} would leave it, read at
+    # that one point, not by _member: the window a1, B[0..k-2] spans less
+    # than 2 (the window or the cap k-1), or a1 is the a-th 1 (cap a-1)
     return ((len(B) >= k - 1 and a1 - B[k - 2] < 2)
             or (a1 == 1 and len(B) >= a - 1))
 

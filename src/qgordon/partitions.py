@@ -9,9 +9,11 @@ All families are parametrized by integers k >= 2 and 1 <= a <= k.
 * ``Wbar``: members of ``B`` in which every odd part has even multiplicity.
 
 A partition is a tuple of positive ints in weakly decreasing order; the
-empty tuple is the unique partition of 0.  The window condition is
-equivalent to the local rule f_j + f_{j+1} <= k-1 on multiplicities of
-adjacent part sizes, which is what the counting DP below uses.
+empty tuple is the unique partition of 0.  In multiplicities f_s a
+family is one size rule, _size_rule, plus the window f_s + f_(s+1) <=
+k-1, B's condition on k consecutive parts.  The walk, the counting DP
+and the member test _member read both; gordon._blocked and
+pipelines._route_triple read them at one insertion point.
 
 The enumerators walk a range of weights at once and fix only the order
 within a weight, descending lexicographic.  A family walk searches the
@@ -23,13 +25,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, chain, groupby, starmap
-from math import isqrt
+from math import inf, isqrt
 from operator import add
 
 FAMILIES = ("A", "B", "W", "Wbar")
 
-# which part sizes are forced to even multiplicity, per family
-_PARITY_MODE = {"B": "none", "W": "even", "Wbar": "odd"}
+# the parity of the part sizes each family holds an even number of
+# times; B pairs up none
+_PAIRED = {"B": None, "W": 0, "Wbar": 1}
 
 
 class ParameterError(ValueError):
@@ -49,48 +52,47 @@ def is_gordon(parts, k: int, a: int) -> bool:
     with every window of k consecutive parts spanning at least 2
     (parts[i] - parts[i+k-1] >= 2) and at most a-1 parts equal to 1."""
     check_params(k, a)
-    return _gordon_ok(parts, k, a)
-
-
-def _gordon_ok(parts, k, a):
-    # no parameter validation; also used internally with k=1 where the
-    # window rule kills every nonempty partition
-    m = len(parts)
-    if m and parts[-1] < 1:
-        return False
-    for i in range(m - 1):
-        if parts[i] < parts[i + 1]:
-            return False
-    for i in range(m - k + 1):
-        if parts[i] - parts[i + k - 1] < 2:
-            return False
-    return parts.count(1) <= a - 1
+    return _member(parts, "B", k, a)
 
 
 def satisfies_parity(parts, mode: str) -> bool:
-    """Parity filter on multiplicities.
+    """Parity filter on multiplicities, the one fact W or Wbar adds to B.
 
-    mode "even": every even part value occurs an even number of times.
-    mode "odd":  every odd part value occurs an even number of times.
-    mode "none": always true.
+    mode "even": every even part value occurs an even number of times (W).
+    mode "odd":  every odd part value occurs an even number of times (Wbar).
+    mode "none": always true (B).
     """
-    if mode not in _PARITY_MODE.values():
+    family = (isinstance(mode, str)
+              and {"none": "B", "even": "W", "odd": "Wbar"}.get(mode))
+    if not family:
         raise ParameterError("unknown parity mode %r" % (mode,))
-    return _parity_ok(tuple(sorted(parts, reverse=True)), mode)
+    paired = _PAIRED[family]
+    return not any(v % 2 == paired and len(tuple(run)) % 2
+                   for v, run in groupby(sorted(parts, reverse=True)))
 
 
-def _parity_ok(parts, mode):
-    """satisfies_parity on a weakly decreasing tuple and a known mode:
-    every run of a part size of the paired parity has even length."""
-    if mode == "none":
-        return True
-    want = 0 if mode == "even" else 1
-    return not any(v % 2 == want and len(tuple(run)) % 2
-                   for v, run in groupby(parts))
+def _size_rule(family, k, a, s):
+    """(cap, step) of the multiplicity of size s by itself: at most a-1
+    ones and k-1 parts of any larger size, in steps of 2 on the sizes
+    the family pairs up.  Only the window f_s + f_(s+1) <= k-1 joins two
+    sizes."""
+    return (a - 1 if s == 1 else k - 1), (2 if s % 2 == _PAIRED[family] else 1)
 
 
-def _needs_even(size, mode):
-    return (mode == "even" and size % 2 == 0) or (mode == "odd" and size % 2 == 1)
+def _member(parts, family, k, a):
+    """Whether parts, a sequence of ints, is a member of the family at
+    (k, a): positive sizes in descending order, each run within its size
+    rule, and each two adjacent sizes within the window.  Trusts k and a;
+    at k = 1 the window admits only the empty partition."""
+    prev, prev_f = inf, 0
+    for v, run in groupby(parts):
+        f = len(tuple(run))
+        cap, step = _size_rule(family, k, a, v)
+        if (f > cap or f % step or v < 1 or v > prev
+                or (v + 1 == prev and f + prev_f >= k)):
+            return False
+        prev, prev_f = v, f
+    return True
 
 
 def _tail_bound(size, k):
@@ -122,7 +124,7 @@ def _walk_family(family, k, a, lo, hi):
     with f_(S+1) = m and weight w takes its table's tails of weight
     lo-w..hi-w in C.  The tables die with the iterator; nothing is cached
     across calls."""
-    mode = _PARITY_MODE[family]
+    rule = [_size_rule(family, k, a, s) for s in range(hi + 1)]
     bound = [_tail_bound(s, k) for s in range(hi + 1)]
     split = bisect_right(bound, _TAIL_WEIGHT) - 1
     top = min(hi, bound[split])
@@ -136,13 +138,9 @@ def _walk_family(family, k, a, lo, hi):
         for s in range(min(size, hi - w), floor, -1):
             if w + bound[s] < lo:
                 break
-            cap = min(k - 1 - above if s == size else k - 1, (hi - w) // s)
-            if s == 1:
-                cap = min(cap, a - 1)
-            even = _needs_even(s, mode)
-            for mult in range(cap, 0, -1):
-                if even and mult % 2:
-                    continue
+            cap, step = rule[s]
+            cap = min(cap, (hi - w) // s, k - 1 - (above if s == size else 0))
+            for mult in range(cap - cap % step, 0, -step):
                 w2 = w + mult * s
                 if w2 + bound[s - 1] < lo:
                     break
@@ -178,7 +176,7 @@ def enumerate_family(family: str, k: int, a: int, n: int):
     has no enumerator here, only counts.
     """
     check_params(k, a)
-    if family not in _PARITY_MODE:
+    if family not in _PAIRED:
         raise ParameterError("family must be B, W or Wbar, got %r" % (family,))
     if n < 0:
         raise ParameterError("n must be >= 0, got %r" % (n,))
@@ -267,9 +265,8 @@ def family_counts(family: str, k: int, a: int, limit: int):
         modulus = 2 * k + 1
         return _avoiding_counts({0, a % modulus, (modulus - a) % modulus},
                                 modulus, limit)
-    if family not in _PARITY_MODE:
+    if family not in _PAIRED:
         raise ParameterError("unknown family %r" % (family,))
-    mode = _PARITY_MODE[family]
     bits = 8 * _slot_bytes(limit)
     mask = (1 << bits * (limit + 1)) - 1
     # cur[c]: assignments of multiplicities to sizes > s with the size
@@ -281,12 +278,11 @@ def family_counts(family: str, k: int, a: int, limit: int):
     for s in range(limit, 0, -1):
         # pre[m]: the same, summed over size s+1 multiplicities c <= m
         pre = list(accumulate(cur))
-        top = k - 1 if s > 1 else a - 1
-        odd_ok = not _needs_even(s, mode)
+        cap, step = _size_rule(family, k, a, s)
         nxt = [pre[L]]
         for f in range(1, L + 1):
             shift = f * s
-            if f > top or shift > limit or (f % 2 and not odd_ok):
+            if f > cap or shift > limit or f % step:
                 nxt.append(0)
             else:
                 nxt.append((pre[min(k - 1 - f, L)] << bits * shift) & mask)

@@ -123,9 +123,9 @@ def _require_pipeline(pipeline):
 
 
 def _single_parity(pipeline):
-    """Parity of the parts the merge leaves single: W pairs up its even
-    parts, so only odd ones stay single; Wbar the other way round."""
-    return 1 if _SCOPES[pipeline].family == "W" else 0
+    """Parity of the parts the merge leaves single: the opposite of the
+    sizes B's family pairs up (partitions._PAIRED)."""
+    return 1 - partitions._PAIRED[_SCOPES[pipeline].family]
 
 
 def _is_free_part(v, pipeline):
@@ -149,7 +149,7 @@ def check_pipeline(pipeline: str, k: int, a: int) -> None:
                              % (pipeline, wording, k, a))
 
 
-def inner_params(pipeline: str, k: int, a: int) -> tuple:
+def inner_params(k: int, a: int) -> tuple:
     """(k, a) for the reduced involution on halved middle parts; every
     pipeline halves both, rounding down."""
     return k // 2, a // 2
@@ -368,7 +368,7 @@ def _fixed_check(t, pipeline, k, a):
     else:
         f = _match_template((tuple(x // 2 for x in A),
                              tuple(x // 2 for x in mid)),
-                            *inner_params(pipeline, k, a))
+                            *inner_params(k, a))
     if f is None:
         return None
     if pipeline == "EE":
@@ -392,7 +392,7 @@ def pipeline_fixed_triple(pipeline: str, family: int, n: int,
     if family not in (0, 1, 2) or (family == 0 and n != 0):
         raise ParameterError("family must be 1 or 2 (0 only for n = 0), "
                              "got %r" % (family,))
-    Ah, Bh = _fixed_pair(family, n, *inner_params(pipeline, k, a))
+    Ah, Bh = _fixed_pair(family, n, *inner_params(k, a))
     return PartitionTriple(tuple(2 * x for x in Ah),
                            tuple(2 * x for x in Bh),
                            _staircase(pipeline, Ah[0] if Ah else 0), ())
@@ -475,9 +475,9 @@ def _reduced_image(A, mid, rest, D, k, a):
     k//2 = 1 the k = 1 pairing (mid empty).  A FixedPoint is returned as
     it is, and a partner (Ah, G) joins as (rest + 2 Ah, D + G + G).  EE's
     half branch passes O as rest and D, the OO/OE sector () and D."""
-    kk = k // 2
+    kk, aa = inner_params(k, a)
     half = (tuple(x // 2 for x in A), tuple(c // 2 for c in mid))
-    out = _involute(half, kk, a // 2) if kk >= 2 else _involute_k1(half)
+    out = _involute(half, kk, aa) if kk >= 2 else _involute_k1(half)
     if isinstance(out, FixedPoint):
         return out
     Ah, G = out
@@ -565,16 +565,17 @@ def _route_triple(state, pipeline, k, a):
         return FixedPoint(*f[:2])
     if not A:
         return None
-    # B gains two parts v: the windows (v-1, v) and (v, v+1) and the
-    # count of ones are all that can break
+    # B gains two parts v, read at that one size, not by _member: the
+    # windows (v-1, v) and (v, v+1), which hold the cap k-1, and the cap
+    # a-1 on ones are all that can break; f_v keeps its parity
     v, c = a1 // 2, B.count
     if c(v) + 2 + max(c(v - 1), c(v + 1)) < k and (v > 1 or c(1) + 2 < a):
         return (A[1:], tuple(sorted(B + (v, v), reverse=True)))
     # the sector, in scope when the middle is empty at kk = 1, or halves
     # into B_{kk,aa} above it
-    kk, aa = inner_params(pipeline, k, a)
-    if (mid if kk < 2 else aa < 1 or not partitions._gordon_ok(
-            tuple(x // 2 for x in mid), kk, aa)):
+    kk, aa = inner_params(k, a)
+    if (mid if kk < 2 else aa < 1 or not partitions._member(
+            tuple(x // 2 for x in mid), "B", kk, aa)):
         return None
     out = _reduced_image(A, mid, (), D, k, a)
     return None if isinstance(out, FixedPoint) else out
@@ -602,14 +603,14 @@ def _brepl(B, take, give):
     return tuple(out)
 
 
-def _carry_candidates(state, family):
+def _carry_candidates(state, single):
     """Weight-preserving moves flipping len(A) by one, on a state of the
-    ground set whose A has even parts and whose B is in family, in
-    clause and inverse-clause pairs.  An inverse clause fires exactly
-    where its clause did, so the moves are symmetric: Y is a candidate
-    of X when X is one of Y.  A clause whose image always leaves the
-    ground set is not built; other candidates outside it are the
-    caller's to drop."""
+    ground set whose A has even parts and whose B may hold parts of
+    parity single unpaired, in clause and inverse-clause pairs.  An
+    inverse clause fires exactly where its clause did, so the moves are
+    symmetric: Y is a candidate of X when X is one of Y.  A clause whose
+    image always leaves the ground set is not built; other candidates
+    outside it are the caller's to drop."""
     A, B = state
     cnt = Counter(B)
     vals = sorted(cnt, reverse=True)
@@ -657,10 +658,10 @@ def _carry_candidates(state, family):
                     A2 = _ains(A2, 2)
                     if A2:
                         yield (A2, B)
-    if family == "W":
+    if single:
         # a part x of A and x-1 of B fuse to 2x-1 in B, and back: x is
-        # even, so 2x-1 is 3 mod 4.  In Wbar each would leave an odd
-        # part of B unpaired
+        # even, so 2x-1 is 3 mod 4.  Where odd parts must pair up (Wbar)
+        # each would leave one unpaired
         for x in A:
             if cnt[x - 1] >= 1:
                 yield (_adel(A, x), _brepl(B, (x - 1,), (2 * x - 1,)))
@@ -671,8 +672,8 @@ def _carry_candidates(state, family):
                     yield (A2, _brepl(B, (v,), ((v - 1) // 2,)))
     else:
         # one copy of an even B part crosses whole to A, and back (an
-        # odd one would be odd in A).  In W each would leave an even
-        # part of B unpaired
+        # odd one would be odd in A).  Where even parts must pair up (W)
+        # each would leave one unpaired
         for v in vals:
             if v % 2 == 0:
                 A2 = _ains(A, v)
@@ -766,10 +767,11 @@ class _Flow:
         would give it.  A component with more than _CARRY_BUDGET carry
         candidates in all raises ConsistencyError, from any root."""
         adj, todo, budget = {}, [root], _CARRY_BUDGET
+        single = _single_parity(self.pipeline)
         while todo:
             s = todo.pop()
             if s not in adj:
-                cands = list(_carry_candidates(s, self.scope.family))
+                cands = list(_carry_candidates(s, single))
                 budget -= len(cands)
                 if budget < 0:
                     raise ConsistencyError(

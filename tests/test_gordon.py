@@ -129,7 +129,7 @@ def test_blocked_is_membership_of_the_extended_b():
                 for B in partitions.enumerate_family("B", k, a, w):
                     top = B[0] if B else 1
                     for a1 in range(top, top + 4):
-                        want = not partitions._gordon_ok((a1,) + B, k, a)
+                        want = not partitions._member((a1,) + B, "B", k, a)
                         assert _blocked(a1, B, k, a) == want, (a1, B, k, a)
                         cases += 1
     assert cases == 47980

@@ -105,7 +105,7 @@ def list_row_counts(family, k, a, limit):
     """The B/W/Wbar counting DP on list rows, one list of ints per
     multiplicity (test oracle for the packed rows at depth, where a slot
     is many bytes wide)."""
-    mode = partitions._PARITY_MODE[family]
+    even_parity = {"B": None, "W": 0, "Wbar": 1}[family]
     width = limit + 1
     zero = [0] * width
     cur = [[1] + [0] * limit] + [zero] * (k - 1)
@@ -115,11 +115,10 @@ def list_row_counts(family, k, a, limit):
             pre.append(pre[-1] if row is zero
                        else list(map(add, pre[-1], row)))
         top = k - 1 if s > 1 else a - 1
-        odd_ok = not partitions._needs_even(s, mode)
         nxt = [pre[k - 1]]
         for f in range(1, k):
             shift = f * s
-            if f > top or shift > limit or (f % 2 and not odd_ok):
+            if f > top or shift > limit or (f % 2 and s % 2 == even_parity):
                 nxt.append(zero)
             else:
                 nxt.append([0] * shift + pre[k - 1 - f][:width - shift])
@@ -195,11 +194,17 @@ def test_is_gordon_fixed_cases():
 
 
 def test_is_gordon_matches_bruteforce():
+    # is_gordon is the member test of B; W and Wbar's member test must
+    # add exactly their parity filter
     for k in (2, 3, 4):
         for a in range(1, k + 1):
             for n in range(11):
                 for p in gen_partitions(n):
-                    assert partitions.is_gordon(p, k, a) == window_ok(p, k, a)
+                    ok = window_ok(p, k, a)
+                    assert partitions.is_gordon(p, k, a) == ok
+                    for family, which in (("W", 0), ("Wbar", 1)):
+                        assert (partitions._member(p, family, k, a)
+                                == (ok and parity_ok(p, which))), (family, p)
 
 
 def test_satisfies_parity():

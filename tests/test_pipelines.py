@@ -55,11 +55,11 @@ def test_check_pipeline():
 
 
 def test_inner_params():
-    assert inner_params("EE", 6, 6) == (3, 3)
-    assert inner_params("EE", 2, 2) == (1, 1)
-    assert inner_params("OO", 9, 9) == (4, 4)
-    assert inner_params("OO", 3, 1) == (1, 0)
-    assert inner_params("OE", 7, 6) == (3, 3)
+    assert inner_params(6, 6) == (3, 3)
+    assert inner_params(2, 2) == (1, 1)
+    assert inner_params(9, 9) == (4, 4)
+    assert inner_params(3, 1) == (1, 0)
+    assert inner_params(7, 6) == (3, 3)
 
 
 def test_ground_membership():
@@ -596,13 +596,13 @@ def test_carry_moves_are_symmetric():
     # every ground candidate of a ground pair lists that pair among its
     # own candidates, so the matching can stay inside one component
     for pl, k, a in RESIDUE_20:
-        family = pipelines._SCOPES[pl].family
+        single = pipelines._single_parity(pl)
         for w in range(17):
             for s in enumerate_ground(pl, k, a, w):
-                for Y in pipelines._carry_candidates(s, family):
+                for Y in pipelines._carry_candidates(s, single):
                     if in_ground(Y, pl, k, a):
                         assert s in set(pipelines._carry_candidates(
-                            Y, family)), (s, Y)
+                            Y, single)), (s, Y)
 
 
 def _skipped_carry_images(state, family):
@@ -694,7 +694,7 @@ def test_ee_split_and_join():
                 C, O = pipelines._merge_pairs(B)
                 G = tuple(c // 2 for c in C)
                 assert len(set(O)) == len(O) and all(v % 2 for v in O), B
-                assert partitions._gordon_ok(G, kk, aa), B
+                assert partitions._member(G, "B", kk, aa), B
                 assert tuple(sorted(O + G + G, reverse=True)) == B
             assert len(W) == sum(odd[n - 2 * j] * half[j]
                                  for j in range(n // 2 + 1)), (k, a, n)
