@@ -225,24 +225,18 @@ def step1_move(pair, k, a):
     return _involute((A, B), k, a)
 
 
-def _bumped(B, positions):
-    """Add 1 to the parts at the given ascending 1-based positions; a
-    position past the current end appends a new part 1."""
+def _shifted(B, start, n, k, d):
+    """B with d added at the n 1-based positions start, start + (k-1),
+    ..., each of which B holds: d = 1 bumps a part, d = -1 drops one.  A
+    drop meets parts of at least 2, on a pair that is no template.  A
+    bump never runs past the end of B:
+    - beta with n >= 2: r >= n puts position n(k-1) >= i+(n-1)(k-1) in B;
+    - beta with n = 1: a window-blocked B has at least k-1 >= i parts,
+      or the pair is the template ((1,), (1,)^(a-1));
+    - gamma: r > n or s > n leaves at least n(k-1)+1 parts in B."""
     out = list(B)
-    for pos in positions:
-        if pos <= len(out):
-            out[pos - 1] += 1
-        else:
-            out.append(1)
-    return tuple(out)
-
-
-def _dropped(B, positions):
-    """Subtract 1 at the given 1-based positions, each of which holds a
-    part of at least 2 on a pair that is no template."""
-    out = list(B)
-    for pos in positions:
-        out[pos - 1] -= 1
+    for pos in range(start - 1, start - 1 + n * (k - 1), k - 1):
+        out[pos] += d
     return tuple(out)
 
 
@@ -259,26 +253,26 @@ def _map_alpha_inv(A, B, n, k):
 
 def _map_beta(A, B, n, k, i):
     # drop the smallest part of A (= n); bump B at i, i+(k-1), ...
-    return (A[:-1], _bumped(B, [i + j * (k - 1) for j in range(n)]))
+    return (A[:-1], _shifted(B, i, n, k, 1))
 
 
 def _map_beta_inv(A, B, n, k, i):
     # append n to A; un-bump B at i-1, i-1+(k-1), ...
-    return (A + (n,), _dropped(B, [i - 1 + j * (k - 1) for j in range(n)]))
+    return (A + (n,), _shifted(B, i - 1, n, k, -1))
 
 
 def _map_gamma(A, B, n, k):
     # move b_1 unchanged on top of A, decrementing the first n parts of
     # the old A; bump the shortened B along the k-1 grid
     newA = (B[0],) + tuple(x - 1 for x in A[:n]) + A[n:]
-    return (newA, _bumped(B[1:], [(j + 1) * (k - 1) for j in range(n)]))
+    return (newA, _shifted(B[1:], k - 1, n, k, 1))
 
 
 def _map_gamma_inv(A, B, n, k):
     # inverse: remove a_1, increment the next n parts of A; un-bump B
     # along the k-1 grid and put a_1 back on top of B
     newA = tuple(x + 1 for x in A[1:n + 1]) + A[n + 1:]
-    return (newA, (A[0],) + _dropped(B, [j * (k - 1) for j in range(1, n + 1)]))
+    return (newA, (A[0],) + _shifted(B, k - 1, n, k, -1))
 
 
 def _fixed_pair(family, n, k, a):

@@ -111,9 +111,17 @@ _TAIL_WEIGHT = 24
 
 def _walk_family(family, k, a, lo, hi):
     """Every member of the family with weight in lo..hi, each once, as an
-    iterator.  Each weight's members come out in descending lexicographic
-    order, enumerate_family's; the order across weights is not fixed.
-    Trusts its input.
+    iterator, by _walk on the family's size rules.  Each weight's members
+    come out in descending lexicographic order, enumerate_family's; the
+    order across weights is not fixed.  Trusts its input."""
+    return _walk([_size_rule(family, k, a, s) for s in range(hi + 1)],
+                 k, lo, hi)
+
+
+def _walk(rule, k, lo, hi):
+    """The partitions with weight in lo..hi whose multiplicities keep
+    rule[s], the (cap, step) of size s, and the window f_s + f_(s+1) <=
+    k-1, each once, in descending lexicographic order within a weight.
 
     A member is a head, its parts above the split size S (_TAIL_WEIGHT),
     and a tail, its parts of at most S.  Only heads are searched, picking
@@ -124,7 +132,6 @@ def _walk_family(family, k, a, lo, hi):
     with f_(S+1) = m and weight w takes its table's tails of weight
     lo-w..hi-w in C.  The tables die with the iterator; nothing is cached
     across calls."""
-    rule = [_size_rule(family, k, a, s) for s in range(hi + 1)]
     bound = [_tail_bound(s, k) for s in range(hi + 1)]
     split = bisect_right(bound, _TAIL_WEIGHT) - 1
     top = min(hi, bound[split])
@@ -198,25 +205,13 @@ def enumerate_distinct(n: int, part_parity: str | None = None):
 def _walk_distinct(parity, lo, hi):
     """The strictly decreasing partitions with weight in lo..hi and every
     part of the given parity ("even", "odd", or None for any part), each
-    once.  A depth-first walk, a partition before its extensions: the
-    members of one weight are never prefixes of each other, so they come
-    out in descending lexicographic order whatever is pruned.  Trusts its
+    once, in descending lexicographic order within a weight: _walk with
+    cap 1 on each size of that parity and 0 on the others.  At k = 3 the
+    window f_s + f_(s+1) <= 2 never binds on caps of 1.  Trusts its
     input."""
-    step, odd = (1 if parity is None else 2), parity == "odd"
-
-    def rec(prefix, top, w):
-        # prefix weighs w and leaves distinct parts <= top; once
-        # w + s(s+1)/2, the most that parts <= s add, falls short of lo,
-        # smaller s fare worse
-        if w >= lo:
-            yield prefix
-        first = min(top, hi - w)
-        for s in range(first - (first - odd) % step, 0, -step):
-            if w + s * (s + 1) // 2 < lo:
-                break
-            yield from rec(prefix + (s,), s - 1, w + s)
-
-    return rec((), hi, 0)
+    odd = {"even": 0, "odd": 1}.get(parity)
+    return _walk([(int(odd is None or s % 2 == odd), 1)
+                  for s in range(hi + 1)], 3, lo, hi)
 
 
 def _inv_one_minus(c, s):

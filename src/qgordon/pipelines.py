@@ -603,84 +603,55 @@ def _brepl(B, take, give):
     return tuple(out)
 
 
+def _flip(A, B, c, take, give):
+    """c leaves A as B's parts take turn into give, or, when A lacks c,
+    joins it as give turn back into take."""
+    if c in A:
+        return (_adel(A, c), _brepl(B, take, give))
+    return (_ains(A, c), _brepl(B, give, take))
+
+
 def _carry_candidates(state, single):
     """Weight-preserving moves flipping len(A) by one, on a state of the
     ground set whose A has even parts and whose B may hold parts of
-    parity single unpaired, in clause and inverse-clause pairs.  An
-    inverse clause fires exactly where its clause did, so the moves are
-    symmetric: Y is a candidate of X when X is one of Y.  A clause whose
-    image always leaves the ground set is not built; other candidates
-    outside it are the caller's to drop."""
+    parity single unpaired.  Each move is stated once, keyed by a value
+    whose membership in A picks its direction; its image flips that
+    membership and keeps the move's condition, so the same move maps the
+    image back.  The moves are symmetric by construction: Y is a
+    candidate of X when X is one of Y.  A move whose image always leaves
+    the ground set is not built; other candidates outside it are the
+    caller's to drop."""
     A, B = state
     cnt = Counter(B)
-    vals = sorted(cnt, reverse=True)
-    # a pair in B fuses to a doubled part of A, and back
-    for v in vals:
-        if cnt[v] >= 2:
-            A2 = _ains(A, 2 * v)
-            if A2:
-                yield (A2, _brepl(B, (v, v), ()))
-    for x in A:
-        if x % 2 == 0:
-            yield (_adel(A, x), _brepl(B, (), (x // 2, x // 2)))
-    # a pair in B sheds 2 into A, and back
-    for v in vals:
-        if cnt[v] >= 2 and v >= 2:
-            A2 = _ains(A, 2)
-            if A2:
-                yield (A2, _brepl(B, (v, v), (v - 1, v - 1)))
-    if 2 in A:
-        for v in vals:
-            if cnt[v] >= 2:
-                yield (_adel(A, 2), _brepl(B, (v, v), (v + 1, v + 1)))
-    # a single part of B sheds 2 into A, and back
-    for v in vals:
-        if v >= 3 and (cnt[v] == 1 or cnt[v - 2] == 0):
-            A2 = _ains(A, 2)
-            if A2:
-                yield (A2, _brepl(B, (v,), (v - 2,)))
-    if 2 in A:
-        for v in vals:
-            if cnt[v] == 1 or cnt[v + 2] == 0:
-                yield (_adel(A, 2), _brepl(B, (v,), (v + 2,)))
-    # the part 2 of A melts into another part of A, and back
-    if 2 in A:
-        for x in A:
-            if x != 2:
-                A2 = _ains(_adel(_adel(A, 2), x), x + 2)
-                if A2:
-                    yield (A2, B)
-    if 2 not in A:
-        for x in A:
-            if x >= 3:
-                A2 = _ains(_adel(A, x), x - 2)
-                if A2:
-                    A2 = _ains(A2, 2)
-                    if A2:
-                        yield (A2, B)
+    # a part c of A splits into a pair (c/2, c/2) of B, or the pair fuses
+    for c in set(A) | {2 * v for v in cnt if cnt[v] >= 2}:
+        yield _flip(A, B, c, (), (c // 2, c // 2))
+    # the part 2 leaves A (d = 1) or joins it (d = -1), and its weight
+    # moves a pair of B by d, a part of B by 2d or a part of A by 2d
+    d = 1 if 2 in A else -1
+    A1 = _adel(A, 2) if d == 1 else _ains(A, 2)
+    for v in cnt:
+        if cnt[v] >= 2 and v + d >= 1:
+            yield (A1, _brepl(B, (v, v), (v + d, v + d)))
+        if v + 2 * d >= 1 and (cnt[v] == 1 or cnt[v + 2 * d] == 0):
+            yield (A1, _brepl(B, (v,), (v + 2 * d,)))
+    for x in set(A1) - {2}:
+        A2 = _ains(_adel(A1, x), x + 2 * d)
+        if A2:
+            yield (A2, B)
     if single:
-        # a part x of A and x-1 of B fuse to 2x-1 in B, and back: x is
-        # even, so 2x-1 is 3 mod 4.  Where odd parts must pair up (Wbar)
-        # each would leave one unpaired
-        for x in A:
-            if cnt[x - 1] >= 1:
-                yield (_adel(A, x), _brepl(B, (x - 1,), (2 * x - 1,)))
-        for v in vals:
-            if v % 4 == 3:
-                A2 = _ains(A, (v + 1) // 2)
-                if A2:
-                    yield (A2, _brepl(B, (v,), ((v - 1) // 2,)))
+        # a part x of A and x-1 of B fuse to 2x-1 in B, or it splits: x
+        # is even, so 2x-1 is 3 mod 4.  Where odd parts must pair up
+        # (Wbar) each would leave one unpaired
+        for x in set(A) | {(v + 1) // 2 for v in cnt if v % 4 == 3}:
+            if x not in A or cnt[x - 1]:
+                yield _flip(A, B, x, (x - 1,), (2 * x - 1,))
     else:
-        # one copy of an even B part crosses whole to A, and back (an
-        # odd one would be odd in A).  Where even parts must pair up (W)
-        # each would leave one unpaired
-        for v in vals:
-            if v % 2 == 0:
-                A2 = _ains(A, v)
-                if A2:
-                    yield (A2, _brepl(B, (v,), ()))
-        for x in A:
-            yield (_adel(A, x), _brepl(B, (), (x,)))
+        # an even part c crosses whole between A and B (an odd one would
+        # be odd in A).  Where even parts must pair up (W) each would
+        # leave one unpaired
+        for c in set(A) | {v for v in cnt if v % 2 == 0}:
+            yield _flip(A, B, c, (), (c,))
 
 
 def _augment(adj, match, root):
@@ -753,10 +724,8 @@ class _Flow:
     def _residue(self, state):
         """Whether state is a ground pair (every routed state is one)
         that the route ladder leaves unpaired."""
-        g = self.scope
         return ((state in self.rcache
-                 or _pair_fault(*state, self.k, self.a, g.parity,
-                                g.family) is None)
+                 or self.scope.fault(state, self.k, self.a) is None)
                 and self.safe(state) is None)
 
     def _match_component(self, root):

@@ -9,6 +9,7 @@ denominators are checked in cross-multiplied form.
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import add, index, sub
 
 from . import partitions
@@ -122,14 +123,10 @@ class TruncatedSeries:
         return not any(self.coeffs)
 
     def __repr__(self):
-        terms = []
-        for e, c in enumerate(self.coeffs):
-            if c:
-                terms.append("%+d*q^%d" % (c, e))
-            if len(terms) == 8:
-                terms.append("...")
-                break
-        body = " ".join(terms) if terms else "0"
+        # the first 8 nonzero terms, and "..." only when more follow
+        nonzero = ((c, e) for e, c in enumerate(self.coeffs) if c)
+        terms = ["%+d*q^%d" % t for t in islice(nonzero, 9)]
+        body = " ".join(terms[:8] + ["..."] * (len(terms) > 8)) or "0"
         return "<TruncatedSeries N=%d %s>" % (self.truncation, body)
 
 

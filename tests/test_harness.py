@@ -344,6 +344,23 @@ def test_list_image_breaks_the_sign_law(monkeypatch):
         trace_orbit(((6, 1), (5, 5)), "gordon", 3, 3)
 
 
+def test_list_partner_breaks_the_map_law_on_itself(monkeypatch):
+    # a list holding the partner's sides has the partner's weight and
+    # sign, but the weight class cannot look it up: the membership test
+    # raises, so the image breaks law "map" on itself
+    k, a = 3, 2
+    cfg, partner = _first_partners(k, a, 5)
+    image = list(partner)
+
+    def listed(pair, k, a):
+        return image if pair == cfg else GORDON_MAP(pair, k, a)
+
+    patch_map(monkeypatch, listed)
+    r = check_involution_laws("gordon", k, a, 5)
+    assert r.status == "fail"
+    assert r.counterexample == ("map", image, None)
+
+
 def test_sweep_cap(monkeypatch):
     assert sweep_cap() == 30
     with pytest.raises(ParameterError):
@@ -410,6 +427,10 @@ def test_trace_orbit_checks_the_laws(monkeypatch):
     partner = GORDON_MAP(pair, 3, 3)
     patch_map(monkeypatch, lambda p, k, a: (partner[0], partner[1] + (0,)))
     with pytest.raises(ConsistencyError, match="map law"):
+        trace_orbit(pair, "gordon", 3, 3)
+    # a partner that maps to itself, not back, breaks the involution law
+    patch_map(monkeypatch, lambda p, k, a: partner)
+    with pytest.raises(ConsistencyError, match="involution law"):
         trace_orbit(pair, "gordon", 3, 3)
 
     # what the map raises propagates

@@ -55,6 +55,31 @@ def test_constructor_and_accessors():
             TruncatedSeries(bad)
 
 
+def test_sub_eq_hash_and_repr():
+    s = TruncatedSeries([1, 2, 3], truncation=3)
+    t = TruncatedSeries([0, 5, 0, -1])
+    assert coeffs(s - t) == [1, -3, 3, 1]
+    assert (s - s).is_zero()
+    with pytest.raises(ValueError):
+        s - TruncatedSeries([1, 2])
+    # a series equals no other type, not even the list of its
+    # coefficients, and equal series hash alike
+    assert s.__eq__([1, 2, 3, 0]) is NotImplemented
+    assert s != [1, 2, 3, 0] and s != 1
+    twin = TruncatedSeries([1, 2, 3, 0])
+    assert twin == s and twin is not s and hash(twin) == hash(s)
+    assert len({s, twin, t}) == 2
+    assert repr(TruncatedSeries([0, 1, -2], 3)) == (
+        "<TruncatedSeries N=3 +1*q^1 -2*q^2>")
+    assert repr(TruncatedSeries.zero(2)) == "<TruncatedSeries N=2 0>"
+    # the first 8 nonzero terms, then an ellipsis
+    assert repr(TruncatedSeries([0] + list(range(1, 11)))) == (
+        "<TruncatedSeries N=10 +1*q^1 +2*q^2 +3*q^3 +4*q^4 +5*q^5 +6*q^6 "
+        "+7*q^7 +8*q^8 ...>")
+    # exactly 8 terms leave nothing out, so no ellipsis
+    assert repr(TruncatedSeries(range(1, 9))).endswith("+8*q^7>")
+
+
 def test_mul_fixed_cases():
     one_plus = TruncatedSeries([1, 1], truncation=2)
     one_minus = TruncatedSeries([1, -1], truncation=2)
