@@ -627,24 +627,26 @@ def _carry_candidates(state, single):
     for c in set(A) | {2 * v for v in cnt if cnt[v] >= 2}:
         yield _flip(A, B, c, (), (c // 2, c // 2))
     # the part 2 leaves A (d = 1) or joins it (d = -1), and its weight
-    # moves a pair of B by d, a part of B by 2d or a part of A by 2d
+    # moves a pair of B by d, a part of B by 2d or a part of A by 2d; in
+    # OO a B part 1 or 3 always moves, as the x / 2x-1 fusion at x = 2
     d = 1 if 2 in A else -1
     A1 = _adel(A, 2) if d == 1 else _ains(A, 2)
     for v in cnt:
         if cnt[v] >= 2 and v + d >= 1:
             yield (A1, _brepl(B, (v, v), (v + d, v + d)))
-        if v + 2 * d >= 1 and (cnt[v] == 1 or cnt[v + 2 * d] == 0):
+        if v + 2 * d >= 1 and (cnt[v] == 1 or cnt[v + 2 * d] == 0
+                               or single and v + d == 2):
             yield (A1, _brepl(B, (v,), (v + 2 * d,)))
     for x in set(A1) - {2}:
         A2 = _ains(_adel(A1, x), x + 2 * d)
         if A2:
             yield (A2, B)
     if single:
-        # a part x of A and x-1 of B fuse to 2x-1 in B, or it splits: x
-        # is even, so 2x-1 is 3 mod 4.  Where odd parts must pair up
-        # (Wbar) each would leave one unpaired
+        # a part x >= 4 of A and x-1 of B fuse to 2x-1 in B, or it
+        # splits: x is even, so 2x-1 is 3 mod 4.  Where odd parts must
+        # pair up (Wbar) each would leave one unpaired
         for x in set(A) | {(v + 1) // 2 for v in cnt if v % 4 == 3}:
-            if x not in A or cnt[x - 1]:
+            if x >= 4 and (x not in A or cnt[x - 1]):
                 yield _flip(A, B, x, (x - 1,), (2 * x - 1,))
     else:
         # an even part c crosses whole between A and B (an odd one would
@@ -685,7 +687,7 @@ def _augment(adj, match, root):
 
 # carry candidates a component build reads before it refuses its pair;
 # components to weight 30 on the OO and OE points with k = 3, 5, 7 read
-# at most 9,027
+# at most 9,027 (OE (7, 6)), and at most 4,939 on OO (OO (7, 7))
 _CARRY_BUDGET = 100_000
 
 

@@ -4,12 +4,14 @@ builders that the partition identities are stated in.
 Everything is integer arithmetic on coefficient vectors c_0..c_N; there
 is no floating point and no rounding anywhere.  Division only exists as
 power-series inversion at a unit constant term, so identities with
-denominators are checked in cross-multiplied form.
+denominators are checked in cross-multiplied form.  A factor that lives
+in q^g, like (q^g; q^g)_inf, is built, multiplied and inverted in q^g.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice
+from math import gcd
 from operator import add, index, sub
 
 from . import partitions
@@ -85,39 +87,35 @@ class TruncatedSeries:
         return TruncatedSeries([-x for x in self.coeffs])
 
     def __mul__(self, other):
+        """The product; where one side lives in q^g, g products in q^g."""
         if isinstance(other, int):
             return TruncatedSeries([other * x for x in self.coeffs])
         other = self._match(other)
         a, b = self.coeffs, other.coeffs
-        n = len(a)
-        # Kronecker substitution: evaluate both sides at q = X = 2^(8*nb),
-        # multiply the two ints once, and read the product's slots back.
-        # A slot holds |c_i| <= n*max|a|*max|b| < X/2 with room to spare.
-        nb = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-              + n.bit_length() + 2 + 7) // 8
-        half = 1 << (8 * nb - 1)
-        # adding X/2 to every slot keeps each digit in [0, X) with no
-        # borrow between slots, so it unpacks as c_i + X/2
-        bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
-        prod = (_pack(a, nb) * _pack(b, nb) + bias) & ((1 << (8 * nb * n)) - 1)
-        return TruncatedSeries([c - half
-                                for c in partitions._unpack(prod, nb, n)])
+        if (g := _lattice(b)) == 1:
+            a, b, g = b, a, _lattice(a)
+        out = [0] * len(a)
+        for r in range(g):
+            if any(a[r::g]):
+                out[r::g] = _kronecker(a[r::g], b[:len(a) - r:g])
+        return TruncatedSeries(out)
 
     __rmul__ = __mul__
 
     def invert_unit(self):
         """Series t with self * t = 1 (mod q^{N+1}); requires c_0 = +-1.
-        t_m = -c_0 * sum c_j t_{m-j} over the nonzero c_j, 1 <= j <= m,
-        collected once: the denominators inverted, like (q;q)_inf, are
-        sparse."""
+        t_m = -c_0 * sum c_j t_{m-j} over the nonzero c_j, j <= m, each
+        read from m = j on; a unit in q^g runs this on its q^g terms."""
         c0 = self.coeffs[0]
         if c0 not in (1, -1):
             raise ValueError("constant term must be +1 or -1, got %r" % (c0,))
-        terms = [(j, -c0 * c) for j, c in enumerate(self.coeffs) if c][1:]
-        out = [c0] * len(self.coeffs)
-        for m in range(1, len(out)):
-            out[m] = sum([c * out[m - j] for j, c in terms if j <= m])
-        return TruncatedSeries(out)
+        g = _lattice(self.coeffs)
+        t, live = self.coeffs[::g], []
+        for m in range(1, len(t)):     # t_m is read, then overwritten
+            if t[m]:
+                live.append((m, -c0 * t[m]))
+            t[m] = sum([c * t[m - j] for j, c in live])
+        return dilate(TruncatedSeries(t), g, self.truncation)
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -128,6 +126,29 @@ class TruncatedSeries:
         terms = ["%+d*q^%d" % t for t in islice(nonzero, 9)]
         body = " ".join(terms[:8] + ["..."] * (len(terms) > 8)) or "0"
         return "<TruncatedSeries N=%d %s>" % (self.truncation, body)
+
+
+def _lattice(c):
+    """The g with c in q^g: the gcd of c's nonzero exponents above 0, or 1
+    if there are none or a class mod g is too short (under g terms)."""
+    g = 0
+    for e in compress(range(len(c)), c):
+        g = gcd(g, e)
+        if g == 1:
+            break
+    return g if 0 < g * g <= len(c) else 1
+
+
+def _kronecker(a, b):
+    """a * b to n = len(a) = len(b) terms, one int product at X = 2^(8*nb):
+    |c_i| <= n*max|a|*max|b| < X/2, so no slot of c_i + X/2 borrows."""
+    n = len(a)
+    nb = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+          + n.bit_length() + 2 + 7) // 8
+    half = 1 << (8 * nb - 1)
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+    prod = (_pack(a, nb) * _pack(b, nb) + bias) & ((1 << (8 * nb * n)) - 1)
+    return [c - half for c in partitions._unpack(prod, nb, n)]
 
 
 def _pack(coeffs, nb):
@@ -164,10 +185,10 @@ def poch_inf(a, m, N, sign=1):
 
         sum_{n>=0} (-sign)^n q^{a*n + m*n(n-1)/2} / (q^m; q^m)_n.
 
-    One running row holds 1/(q^m; q^m)_n; each step divides it by
-    (1 - q^{m*n}) and keeps it only to the degree its exponent leaves,
-    so about sqrt(2N/m) whole-row steps replace the factor-by-factor
-    product."""
+    One running row holds 1/(q^m; q^m)_n in Q = q^m, where it lives; step
+    n divides it by (1 - Q^n), keeps it through Q^((N - e) // m) for the
+    term's exponent e and adds it at e, e+m, ..., so about sqrt(2N/m)
+    steps on rows of N/m terms replace the factor-by-factor product."""
     if a < 1 or m < 1:
         raise ValueError("need a >= 1 and m >= 1, got a=%r m=%r" % (a, m))
     if sign not in (1, -1):
@@ -175,15 +196,13 @@ def poch_inf(a, m, N, sign=1):
     if N < 0:
         raise ValueError("N must be >= 0")
     acc = [1] + [0] * N
-    row = acc[:]
-    # term n sits at e = a*n + m*n(n-1)/2; row becomes 1/(q^m; q^m)_n
-    # through q^(N - e)
+    row = acc[:N // m + 1]
     n, e = 1, a
     while e <= N:
-        row = row[:N + 1 - e]
-        partitions._inv_one_minus(row, m * n)
+        row = row[:(N - e) // m + 1]
+        partitions._inv_one_minus(row, n)
         op = sub if sign == 1 and n % 2 else add
-        acc[e:] = map(op, acc[e:], row)
+        acc[e::m] = map(op, acc[e::m], row)
         e += a + m * n
         n += 1
     return TruncatedSeries(acc)
@@ -203,8 +222,7 @@ def theta_sum(alpha, beta, N):
         raise ValueError("alpha + beta must be even for integer exponents")
     if N < 0:
         raise ValueError("N must be >= 0")
-    out = [0] * (N + 1)
-    out[0] += 1  # n = 0
+    out = [1] + [0] * N  # n = 0
     r = 1
     while True:
         hit = False

@@ -605,6 +605,21 @@ def test_carry_moves_are_symmetric():
                             Y, single)), (s, Y)
 
 
+def test_carry_candidates_list_each_image_once():
+    # at x = 2 the x / 2x-1 fusion is the part-2 move on a B part 1 or
+    # 3, so it is built once, and a component build charges it once
+    # against the carry budget
+    cands = list(pipelines._carry_candidates(((8,), (3,)), 1))
+    assert cands == [((), (4, 4, 3)), ((8, 2), (1,)), ((6, 2), (3,))]
+    for pl, k, a in OO_OE_POINTS:
+        single = pipelines._single_parity(pl)
+        ground = pipelines._Ground(pl, k, a, 16)
+        for w in range(17):
+            for s in ground.pairs(w):
+                cands = list(pipelines._carry_candidates(s, single))
+                assert len(cands) == len(set(cands)), (pl, k, a, s)
+
+
 def _skipped_carry_images(state, family):
     """The images of the carry clauses _carry_candidates does not build
     for family, built as the clauses would: in W both whole-part

@@ -88,6 +88,14 @@ def test_mul_fixed_cases():
     assert coeffs(TruncatedSeries([1, -1], truncation=5) * geo) == [1, 0, 0, 0, 0, 0]
     s = TruncatedSeries([3, 1, 4, 1, 5])
     assert s * TruncatedSeries.one(4) == s
+    # factors in q^2: (1 + q^2)(1 - q^2), a constant times s, the zero
+    # series, and (q^2; q^2)_inf (q; q^2)_inf = (q; q)_inf
+    t = TruncatedSeries([1, 0, 1, 0, 0])
+    assert coeffs(t * TruncatedSeries([1, 0, -1, 0, 0])) == [1, 0, 0, 0, -1]
+    assert coeffs(TruncatedSeries([-2], 4) * s) == [-6, -2, -8, -2, -10]
+    assert (TruncatedSeries.zero(4) * t).is_zero()
+    assert (series.poch_inf(2, 2, 100) * series.poch_inf(1, 2, 100)
+            == series.poch_inf(1, 1, 100))
 
 
 def schoolbook(a, b):
@@ -121,6 +129,32 @@ def test_mul_matches_schoolbook(pair, scalar):
     assert coeffs(s * t) == schoolbook(a, b)
     assert coeffs(scalar * s) == [scalar * x for x in a]
     assert coeffs(s * scalar) == [scalar * x for x in a]
+
+
+@st.composite
+def lattice_pairs(draw):
+    # a second operand supported on the multiples of g, as (q^g; q^g)_inf
+    # is; at g > n only its constant term is left.  The first operand
+    # may live in q^2 or q^3, or be dense
+    n = draw(st.integers(min_value=0, max_value=40))
+    g = draw(st.integers(min_value=2, max_value=9))
+    h = draw(st.sampled_from([1, 1, 2, 3]))
+    elements = draw(st.sampled_from(
+        [st.just(0), st.integers(-9, 9), big,
+         st.one_of(st.just(0), big)]))
+    a = [draw(elements) if i % h == 0 else 0 for i in range(n + 1)]
+    b = [draw(elements) if i % g == 0 else 0 for i in range(n + 1)]
+    return a, b
+
+
+@settings(max_examples=300)
+@given(lattice_pairs())
+def test_lattice_products_match_schoolbook(pair):
+    a, b = pair
+    s, t = TruncatedSeries(a), TruncatedSeries(b)
+    want = schoolbook(a, b)
+    assert coeffs(s * t) == want
+    assert coeffs(t * s) == want
 
 
 def test_mul_extreme_operands():
@@ -203,6 +237,15 @@ def test_invert_unit_bench_denominators():
         assert coeffs((-d).invert_unit()) == dense_inverse((-d).coeffs)
 
 
+@settings(max_examples=100)
+@given(gappy_units(), st.integers(2, 9))
+def test_invert_unit_on_a_lattice(c, g):
+    # a unit in q^g inverts on its q^g terms; the scattered result must
+    # be the dense recurrence's
+    u = [c[i // g] if i % g == 0 else 0 for i in range(len(c))]
+    assert coeffs(TruncatedSeries(u).invert_unit()) == dense_inverse(u)
+
+
 @settings(max_examples=40)
 @given(small_series, st.sampled_from([1, -1]))
 def test_invert_unit_roundtrip(s, c0):
@@ -242,7 +285,9 @@ def test_poch_inf_matches_factor_by_factor(a, m, N, sign):
 
 
 @pytest.mark.parametrize("a, m, sign", [
-    (1, 1, 1), (1, 2, -1), (2, 2, 1), (2, 2, -1), (3, 7, 1)])
+    (1, 1, 1), (1, 2, -1), (2, 2, 1), (2, 2, -1), (3, 7, 1),
+    # the bench's factors that live on a lattice of exponents
+    (2, 4, 1), (1, 8, 1), (8, 8, 1), (4, 10, 1), (12, 12, 1)])
 def test_poch_inf_deep(a, m, sign):
     want = factor_by_factor_poch(a, m, 600, sign)
     assert coeffs(series.poch_inf(a, m, 600, sign)) == want
