@@ -27,6 +27,9 @@ The fixed points of the involution are exactly the template pairs, so a
 blocked pair is matched against the templates before any map runs, and
 every other blocked pair has a partner in P_{k,a}: the maps build it
 without checking it, and the law sweeps and orbit traces check it.
+The six maps (alpha, beta, gamma and their inverses) are each one or
+two column shifts, _shifted: n units move between one part and a
+column of n parts, A's top n or B's parts k-1 apart.
 
 Public functions validate their input (parameters and pair) once.  The
 ``_``-prefixed kernels trust it: their pair is a member of P_{k,a} with
@@ -38,11 +41,10 @@ sweeps) call the kernels directly.
 
 from __future__ import annotations
 
-from operator import index
 from typing import NamedTuple
 
 from . import series
-from .partitions import ParameterError, _member, check_params
+from .partitions import ParameterError, _as_parts, _member, check_params
 
 
 class Move(NamedTuple):
@@ -95,15 +97,14 @@ def _pair_fault(A, B, k, a, parity=None, family="B"):
 
 
 def _as_pair(pair):
-    """The pair as two tuples of integer parts (operator.index, so a
-    float or a string is refused); ParameterError unless it has exactly
-    two sides."""
+    """The pair as two tuples of integer parts, each side read by
+    _as_parts; ParameterError unless it has exactly two sides."""
     try:
         A, B = pair
-        return tuple(map(index, A)), tuple(map(index, B))
     except (TypeError, ValueError):
         raise ParameterError("a pair is two sequences of integer parts, "
                              "got %r" % (pair,)) from None
+    return _as_parts(A), _as_parts(B)
 
 
 def _check_pair(pair, k, a, parity=None, family="B"):
@@ -225,54 +226,24 @@ def step1_move(pair, k, a):
     return _involute((A, B), k, a)
 
 
-def _shifted(B, start, n, k, d):
-    """B with d added at the n 1-based positions start, start + (k-1),
-    ..., each of which B holds: d = 1 bumps a part, d = -1 drops one.  A
-    drop meets parts of at least 2, on a pair that is no template.  A
-    bump never runs past the end of B:
+def _shifted(parts, start, n, step, d):
+    """parts with d added at the n 1-based positions start, start+step,
+    ..., a column of A (step 1) or of B (step k-1), which parts holds.
+    A drop (d = -1) meets parts of at least 2 on a pair that is no
+    template.  A column of A stays in A: n <= q <= len(A) in alpha and
+    gamma, and q > n in gamma^-1 (class 3 needs q != n).  alpha^-1 never
+    meets n = len(A): p = q = n = len(A) makes A = (2n-1, ..., n), and
+    i = k with r >= n forces, window by window, a = k and B =
+    ((2n-1)^(k-1), ..., 3^(k-1), 1^(k-1)), the family-2 template (at
+    k = 1, A alone is it).  A bump never runs past the end of B:
     - beta with n >= 2: r >= n puts position n(k-1) >= i+(n-1)(k-1) in B;
     - beta with n = 1: a window-blocked B has at least k-1 >= i parts,
       or the pair is the template ((1,), (1,)^(a-1));
     - gamma: r > n or s > n leaves at least n(k-1)+1 parts in B."""
-    out = list(B)
-    for pos in range(start - 1, start - 1 + n * (k - 1), k - 1):
+    out = list(parts)
+    for pos in range(start - 1, start - 1 + n * step, step):
         out[pos] += d
     return tuple(out)
-
-
-def _map_alpha(A, B, n, k):
-    # decrement the first n parts of A and append a new part n
-    newA = [x - 1 for x in A[:n]] + list(A[n:]) + [n]
-    return (tuple(newA), B)
-
-
-def _map_alpha_inv(A, B, n, k):
-    # increment the first n parts of A and drop the last part (= n)
-    return (tuple(x + 1 for x in A[:n]) + A[n:-1], B)
-
-
-def _map_beta(A, B, n, k, i):
-    # drop the smallest part of A (= n); bump B at i, i+(k-1), ...
-    return (A[:-1], _shifted(B, i, n, k, 1))
-
-
-def _map_beta_inv(A, B, n, k, i):
-    # append n to A; un-bump B at i-1, i-1+(k-1), ...
-    return (A + (n,), _shifted(B, i - 1, n, k, -1))
-
-
-def _map_gamma(A, B, n, k):
-    # move b_1 unchanged on top of A, decrementing the first n parts of
-    # the old A; bump the shortened B along the k-1 grid
-    newA = (B[0],) + tuple(x - 1 for x in A[:n]) + A[n:]
-    return (newA, _shifted(B[1:], k - 1, n, k, 1))
-
-
-def _map_gamma_inv(A, B, n, k):
-    # inverse: remove a_1, increment the next n parts of A; un-bump B
-    # along the k-1 grid and put a_1 back on top of B
-    newA = tuple(x + 1 for x in A[1:n + 1]) + A[n + 1:]
-    return (newA, (A[0],) + _shifted(B, k - 1, n, k, -1))
 
 
 def _fixed_pair(family, n, k, a):
@@ -313,17 +284,20 @@ def _match_template(pair, k, a):
     return None
 
 
-def _apply(A, B, k, a, label):
-    """The partner of a blocked pair that is no template: the map its
-    class dispatches to, which lands in P_{k,a}."""
-    i, cls, n = label.i, label.cls, label.params.n
-    if cls == 1:
-        return _map_alpha_inv(A, B, n, k) if i == k else _map_beta(A, B, n, k, i)
-    if cls == 2:
-        return _map_alpha(A, B, n, k) if i == 1 else _map_beta_inv(A, B, n, k, i)
-    if cls == 3:
-        return _map_gamma_inv(A, B, n, k)
-    return _map_gamma(A, B, n, k)
+def _apply(A, B, k, i, cls, n):
+    """The partner of a blocked pair that is no template, by its witness
+    i, class cls and index n: its class's map, which lands in P_{k,a}."""
+    if cls == 1:  # A's last part n leaves A
+        return ((_shifted(A[:-1], 1, n, 1, 1), B) if i == k  # alpha^-1
+                else (A[:-1], _shifted(B, i, n, k - 1, 1)))  # beta
+    if cls == 2:  # a last part n joins A
+        return ((_shifted(A, 1, n, 1, -1) + (n,), B) if i == 1  # alpha
+                else (A + (n,), _shifted(B, i - 1, n, k - 1, -1)))  # beta^-1
+    if cls == 3:  # gamma^-1: a_1 tops B, B's column feeds A's next n
+        return (_shifted(A[1:], 1, n, 1, 1),
+                (A[0],) + _shifted(B, k - 1, n, k - 1, -1))
+    return ((B[0],) + _shifted(A, 1, n, 1, -1),  # gamma: b_1 tops A,
+            _shifted(B[1:], k - 1, n, k - 1, 1))  # A's top n feed B's column
 
 
 def apply_map(pair, k, a):
@@ -349,7 +323,11 @@ def _involute(pair, k, a):
         return ((B[0],) + A, B[1:])
     if not _blocked(a1, B, k, a):
         return (A[1:], (a1,) + B)
-    return _match_template(pair, k, a) or _apply(A, B, k, a, _uclass(A, B, k))
+    fixed = _match_template(pair, k, a)
+    if fixed:
+        return fixed
+    i, cls, params = _uclass(A, B, k)
+    return _apply(A, B, k, i, cls, params.n)
 
 
 def involute_gordon(pair, k, a):
@@ -390,5 +368,5 @@ def _involute_k1(pair):
         return _EMPTY
     p = A[-1]
     n = min(p, _staircase_prefix(A))
-    return _match_template(pair, 1, 1) or (
-        _map_alpha_inv(A, (), n, 1) if p == n else _map_alpha(A, (), n, 1))
+    cls = 1 if p == n else 2  # alpha^-1 or alpha, at i = k = 1
+    return _match_template(pair, 1, 1) or _apply(A, (), 1, 1, cls, n)

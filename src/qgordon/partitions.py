@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, chain, groupby, starmap
 from math import inf, isqrt
-from operator import add
+from operator import add, index
 
 FAMILIES = ("A", "B", "W", "Wbar")
 
@@ -40,11 +40,26 @@ class ParameterError(ValueError):
 
 
 def check_params(k: int, a: int) -> None:
-    """Validate k >= 2 and 1 <= a <= k."""
+    """Validate integers (operator.index) k >= 2 and 1 <= a <= k."""
+    try:
+        index(k), index(a)
+    except TypeError:
+        raise ParameterError("k and a must be integers, got k=%r a=%r"
+                             % (k, a)) from None
     if k < 2:
         raise ParameterError("k must be >= 2, got %r" % (k,))
     if not 1 <= a <= k:
         raise ParameterError("need 1 <= a <= k, got a=%r k=%r" % (a, k))
+
+
+def _as_parts(parts):
+    """parts as a tuple of ints, read by operator.index, so a float or a
+    string is refused with ParameterError."""
+    try:
+        return tuple(map(index, parts))
+    except TypeError:
+        raise ParameterError("parts must be a sequence of integers, got %r"
+                             % (parts,)) from None
 
 
 def is_gordon(parts, k: int, a: int) -> bool:
@@ -52,7 +67,7 @@ def is_gordon(parts, k: int, a: int) -> bool:
     with every window of k consecutive parts spanning at least 2
     (parts[i] - parts[i+k-1] >= 2) and at most a-1 parts equal to 1."""
     check_params(k, a)
-    return _member(parts, "B", k, a)
+    return _member(_as_parts(parts), "B", k, a)
 
 
 def satisfies_parity(parts, mode: str) -> bool:
@@ -68,7 +83,7 @@ def satisfies_parity(parts, mode: str) -> bool:
         raise ParameterError("unknown parity mode %r" % (mode,))
     paired = _PAIRED[family]
     return not any(v % 2 == paired and len(tuple(run)) % 2
-                   for v, run in groupby(sorted(parts, reverse=True)))
+                   for v, run in groupby(sorted(_as_parts(parts))))
 
 
 def _size_rule(family, k, a, s):

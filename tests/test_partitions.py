@@ -14,7 +14,7 @@ from operator import add
 
 import pytest
 
-from qgordon import partitions
+from qgordon import gordon, harness, partitions, pipelines
 
 
 def gen_partitions(n, max_part=None):
@@ -473,6 +473,16 @@ def test_parameter_errors():
         partitions.enumerate_distinct(-1)
     with pytest.raises(partitions.ParameterError):
         partitions.family_counts("B", 3, 3, -1)
+    # k, a and parts are read by operator.index: a float is refused even
+    # where it compares like an integer
+    for call in (lambda: gordon.involute_gordon(((3,), ()), 2.5, 1),
+                 lambda: gordon.classify(((3,), ()), 2.5, 1),
+                 lambda: pipelines.in_ground(((4,), ()), "OO", 3.0, 3),
+                 lambda: harness.check_involution_laws("gordon", 2.5, 1, 5),
+                 lambda: partitions.is_gordon((2.5,), 2, 2),
+                 lambda: partitions.satisfies_parity((2.5,), "even")):
+        with pytest.raises(partitions.ParameterError):
+            call()
 
 
 def test_inv_one_minus_residue_classes_match_blocks():
