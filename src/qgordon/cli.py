@@ -34,18 +34,11 @@ def _parse_pair(text):
     side possibly empty."""
     if text.count(";") != 1:
         raise ParameterError("--pair needs exactly one ';', got %r" % (text,))
-    sides = []
-    for half in text.split(";"):
-        half = half.strip()
-        if not half:
-            sides.append(())
-            continue
-        try:
-            parts = tuple(int(x) for x in half.split(","))
-        except ValueError:
-            raise ParameterError("malformed --pair component %r" % (half,))
-        sides.append(parts)
-    return tuple(sides)
+    try:
+        return tuple(tuple(map(int, half.split(","))) if half.strip() else ()
+                     for half in text.split(";"))
+    except ValueError:
+        raise ParameterError("malformed --pair %r" % (text,)) from None
 
 
 def _pair_text(pair):
@@ -72,8 +65,6 @@ def _cmd_count(args):
         return (0, {**head, "n": args.n, "count": c}, ("n", "count"),
                 [(args.n, c)], [str(c)])
     N = args.truncate
-    if N < 0:
-        raise ParameterError("--truncate must be >= 0, got %r" % (N,))
     counts = partitions.family_counts(args.family, args.k, args.a, N)
     rows = list(enumerate(counts))
     return (0, {**head, "truncation": N, "counts": counts}, ("n", "count"),
@@ -81,9 +72,6 @@ def _cmd_count(args):
 
 
 def _cmd_enumerate(args):
-    if args.family == "A":
-        raise ParameterError("family A is counted by residue classes and "
-                             "has no enumerator; use count")
     parts = partitions.enumerate_family(args.family, args.k, args.a, args.n)
     obj = {"family": args.family, "k": args.k, "a": args.a, "n": args.n,
            "partitions": [list(p) for p in parts]}
@@ -146,13 +134,10 @@ def _cmd_trace(args):
 
 
 def _cmd_fixed_points(args):
-    scope, k, a, max_weight = (_SCOPE_TOKENS[args.scope], args.k, args.a,
-                               args.max_weight)
-    if max_weight < 0:
-        raise ParameterError("--max-weight must be >= 0, got %r"
-                             % (max_weight,))
+    scope, k, a = _SCOPE_TOKENS[args.scope], args.k, args.a
+    max_weight = partitions._as_weight(args.max_weight, "--max-weight")
     template = pipelines._SCOPES[scope].template   # validates (k, a)
-    found = [(0, 0, 0, template(1, 0, k, a))]
+    found = [(0, 0, 0, template(0, 0, k, a))]
     for family in (1, 2):
         n = 1
         while True:

@@ -44,7 +44,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import series
-from .partitions import ParameterError, _as_parts, _member, check_params
+from .partitions import (ParameterError, _as_sides, _as_weight, _member,
+                         check_params)
 
 
 class Move(NamedTuple):
@@ -96,21 +97,10 @@ def _pair_fault(A, B, k, a, parity=None, family="B"):
     return None
 
 
-def _as_pair(pair):
-    """The pair as two tuples of integer parts, each side read by
-    _as_parts; ParameterError unless it has exactly two sides."""
-    try:
-        A, B = pair
-    except (TypeError, ValueError):
-        raise ParameterError("a pair is two sequences of integer parts, "
-                             "got %r" % (pair,)) from None
-    return _as_parts(A), _as_parts(B)
-
-
 def _check_pair(pair, k, a, parity=None, family="B"):
     """The pair as a pair of tuples, once _pair_fault finds no fault in
     it; ParameterError with the fault otherwise."""
-    A, B = pair = _as_pair(pair)
+    A, B = pair = _as_sides(pair, 2)
     fault = _pair_fault(A, B, k, a, parity, family)
     if fault is not None:
         raise ParameterError(fault)
@@ -246,6 +236,16 @@ def _shifted(parts, start, n, step, d):
     return tuple(out)
 
 
+def _template_index(family, n):
+    """(family, n) of a template in every scope: family 1 or 2 with
+    n >= 0, or family 0 at n = 0, the empty pair; else ParameterError."""
+    n = _as_weight(n)
+    if family not in (0, 1, 2) or (family == 0 and n != 0):
+        raise ParameterError("family must be 1 or 2 (0 only for n = 0), "
+                             "got %r" % (family,))
+    return family, n
+
+
 def _fixed_pair(family, n, k, a):
     """gordon_fixed_point on input it trusts; at k = 1 (where a = 1) B
     is empty."""
@@ -264,13 +264,9 @@ def gordon_fixed_point(family, n, k, a):
     Family 1: A = (2n, ..., n+1) with B running down from part 2n in
     alternating multiplicity blocks k-a (even parts) and a-1 (odd
     parts); family 2: A = (2n-1, ..., n) with B from 2n-1 in blocks a-1
-    (odd) and k-a (even).  n = 0 gives the empty pair for both."""
+    (odd) and k-a (even).  n = 0 gives the empty pair (family 0, 1, 2)."""
     check_params(k, a)
-    if n < 0:
-        raise ParameterError("n must be >= 0, got %r" % (n,))
-    if family not in (1, 2):
-        raise ParameterError("family must be 1 or 2, got %r" % (family,))
-    return _fixed_pair(family, n, k, a)
+    return _fixed_pair(*_template_index(family, n), k, a)
 
 
 def _match_template(pair, k, a):
@@ -350,8 +346,11 @@ def gordon_fixed_gf(k, a, N):
     empty pair plus both template families, sign (-1)^len(A), which are
     the terms of the theta series with alpha = 2k+1, beta = 2(k-a)+1."""
     check_params(k, a)
-    if N < 0:
-        raise ParameterError("N must be >= 0, got %r" % (N,))
+    return _fixed_gf(k, a, _as_weight(N, "N"))
+
+
+def _fixed_gf(k, a, N):
+    """gordon_fixed_gf on input it trusts."""
     return series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N)
 
 

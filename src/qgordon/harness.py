@@ -170,8 +170,7 @@ def check_identity(identity: str, k: int, a: int, N: int,
     scope = _IDENTITIES[identity][0]
     if scope is not None:
         _scope_rules(scope, k, a)
-    if N < 0:
-        raise ParameterError("N must be >= 0, got %r" % (N,))
+    N = partitions._as_weight(N, "N")
     lhs, rhs = _identity_sides(identity, k, a, N, mode)
     n = series.first_discrepancy(lhs, rhs)
     disc = None if n is None else (n, lhs.coefficient(n), rhs.coefficient(n))
@@ -238,8 +237,7 @@ def check_involution_laws(scope: str, k: int, a: int,
     series comparison fails."""
     t0 = time.monotonic()
     rules = _scope_rules(scope, k, a)
-    if N < 0:
-        raise ParameterError("N must be >= 0, got %r" % (N,))
+    N = partitions._as_weight(N, "N")
     cap = sweep_cap()
     if N > cap:
         raise ParameterError(

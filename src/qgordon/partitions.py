@@ -52,6 +52,29 @@ def check_params(k: int, a: int) -> None:
         raise ParameterError("need 1 <= a <= k, got a=%r k=%r" % (a, k))
 
 
+def _as_weight(n, name="n"):
+    """n, a weight, truncation or index, as an int >= 0 read by
+    operator.index; ParameterError, naming it name, otherwise."""
+    try:
+        if index(n) >= 0:
+            return index(n)
+    except TypeError:
+        pass
+    raise ParameterError("%s must be an integer >= 0, got %r" % (name, n))
+
+
+def _as_sides(config, n):
+    """config, a pair (n = 2) or a pipeline triple (n = 4), as n tuples,
+    each side read by _as_parts; ParameterError unless it has n sides."""
+    try:
+        if len(config) == n:
+            return tuple(map(_as_parts, config))
+    except TypeError:
+        pass
+    raise ParameterError("expected %d sequences of integer parts, got %r"
+                         % (n, config))
+
+
 def _as_parts(parts):
     """parts as a tuple of ints, read by operator.index, so a float or a
     string is refused with ParameterError."""
@@ -199,9 +222,9 @@ def enumerate_family(family: str, k: int, a: int, n: int):
     """
     check_params(k, a)
     if family not in _PAIRED:
-        raise ParameterError("family must be B, W or Wbar, got %r" % (family,))
-    if n < 0:
-        raise ParameterError("n must be >= 0, got %r" % (n,))
+        raise ParameterError("family %r has no enumerator; it must be B, W "
+                             "or Wbar" % (family,))
+    n = _as_weight(n)
     return list(_walk_family(family, k, a, n, n))
 
 
@@ -209,8 +232,7 @@ def enumerate_distinct(n: int, part_parity: str | None = None):
     """Strictly decreasing partitions of n, largest-part-first descending
     lexicographic order.  part_parity "even"/"odd" restricts every part
     to that parity; None allows all parts."""
-    if n < 0:
-        raise ParameterError("n must be >= 0, got %r" % (n,))
+    n = _as_weight(n)
     if part_parity not in (None, "even", "odd"):
         raise ParameterError("part_parity must be None, 'even' or 'odd', "
                              "got %r" % (part_parity,))
@@ -269,8 +291,7 @@ def family_counts(family: str, k: int, a: int, limit: int):
     Number Theory, Thm 14.5), under 4*isqrt(limit) + 4 bits: no carries.
     """
     check_params(k, a)
-    if limit < 0:
-        raise ParameterError("limit must be >= 0, got %r" % (limit,))
+    limit = _as_weight(limit, "limit")
     if family == "A":
         modulus = 2 * k + 1
         return _avoiding_counts({0, a % modulus, (modulus - a) % modulus},
@@ -316,7 +337,4 @@ def count_family(family: str, k: int, a: int, n: int) -> int:
     """Number of weight-n members of the family, from the counting DP in
     family_counts.  The enumerator is not used, so a check that counts
     enumerate_family's output stays independent of this."""
-    check_params(k, a)
-    if n < 0:
-        raise ParameterError("n must be >= 0, got %r" % (n,))
     return family_counts(family, k, a, n)[n]

@@ -68,10 +68,10 @@ from itertools import chain, groupby, product
 from typing import Callable, NamedTuple
 
 from . import partitions, series
-from .gordon import (FixedPoint, _as_pair, _check_pair, _fixed_pair,
+from .gordon import (FixedPoint, _check_pair, _fixed_gf, _fixed_pair,
                      _involute, _involute_k1, _match_template, _pair_fault,
-                     _trace_label, gordon_fixed_gf, gordon_fixed_point)
-from .partitions import ParameterError
+                     _template_index, _trace_label, gordon_fixed_point)
+from .partitions import ParameterError, _as_parts, _as_sides, _as_weight
 from .series import TruncatedSeries
 
 PIPELINES = ("EE", "OO", "OE")
@@ -97,8 +97,8 @@ class _Scope(NamedTuple):
     distinct parts and B's family, and its predicate is derived from
     them: fault gives the reason a pair is outside it, ground raises it.
     The validating entries (check, template) raise ParameterError; the
-    kernel (involute) maps a ground pair it trusts to its partner or a
-    FixedPoint.  The table, _SCOPES, stands after the kernels it names."""
+    kernels (involute, fixed_gf) trust their input.  The table, _SCOPES,
+    stands after the kernels it names."""
     parity: str | None      # parity of the distinct parts of A
     family: str             # family of B
     check: Callable         # (k, a) -> None
@@ -171,15 +171,14 @@ class PartitionTriple(NamedTuple):
 
 
 def triple_weight(triple) -> int:
-    A, B, D, E = triple
-    return sum(A) + sum(B) + sum(D) + sum(E)
+    return sum(map(sum, _as_sides(triple, 4)))
 
 
 def triple_sign(triple, pipeline: str) -> int:
     """E parts count in the sign when their factor (q^e; q^m)_inf has
     sign +1 (EE), not when it is (-q^e; q^m)_inf (OO/OE)."""
     _require_pipeline(pipeline)
-    A, B, D, E = triple
+    A, B, D, E = _as_sides(triple, 4)
     n = len(A) + (len(E) if _E_FACTORS[pipeline][2] == 1 else 0)
     return -1 if n % 2 else 1
 
@@ -190,7 +189,7 @@ def in_ground(pair, pipeline: str, k: int, a: int) -> bool:
     """Membership test for the pipeline's ground set; ParameterError for
     a pair that is not two sides of integer parts."""
     check_pipeline(pipeline, k, a)
-    return _SCOPES[pipeline].fault(_as_pair(pair), k, a) is None
+    return _SCOPES[pipeline].fault(_as_sides(pair, 2), k, a) is None
 
 
 def _by_weight(walk, top):
@@ -223,8 +222,7 @@ class _Ground:
 def enumerate_ground(pipeline: str, k: int, a: int, n: int):
     """All ground-set pairs of weight exactly n, A-weight descending."""
     check_pipeline(pipeline, k, a)
-    if n < 0:
-        raise ParameterError("n must be >= 0, got %r" % (n,))
+    n = _as_weight(n)
     return list(_Ground(pipeline, k, a, n).pairs(n))
 
 
@@ -281,7 +279,7 @@ def un_transform(triple, pipeline: str) -> tuple:
     each E part halved and each middle part, split into halves when
     even; A gains each E part halved.  EE sorts A, OO/OE keep it."""
     _require_pipeline(pipeline)
-    A, mid, D, E = triple
+    A, mid, D, E = _as_sides(triple, 4)
     if pipeline == "EE":
         if D:
             raise ConsistencyError("EE triples carry no D component: %r"
@@ -294,6 +292,12 @@ def un_transform(triple, pipeline: str) -> tuple:
                                "canonicalization: %r" % (pipeline, triple))
     elif any(c % 2 for c in mid):
         raise ConsistencyError("middle parts must be even: %r" % (triple,))
+    return _decode((A, mid, D, E), pipeline)
+
+
+def _decode(triple, pipeline):
+    """un_transform on a triple of tuples it trusts to encode a pair."""
+    A, mid, D, E = triple
     halves = [e // 2 for e in E]
     B = list(D) + halves
     for v in mid:
@@ -311,9 +315,8 @@ def redistribute(triple, pipeline: str) -> PartitionTriple:
     if pipeline == "EE":
         raise ParameterError("the EE pipeline has no redistribution step")
     _require_pipeline(pipeline)
-    A, mid, D, E = triple
-    C, D2 = _rho(mid, D, pipeline)
-    return PartitionTriple(tuple(A), C, D2, tuple(E))
+    A, mid, D, E = _as_sides(triple, 4)
+    return PartitionTriple(A, *_rho(mid, D, pipeline), E)
 
 
 # ------------------------------------------------------- fixed configurations
@@ -387,12 +390,7 @@ def pipeline_fixed_triple(pipeline: str, family: int, n: int,
     check_pipeline(pipeline, k, a)
     if _untemplated(pipeline, a):
         raise ParameterError("no fixed templates at a = 1")
-    if n < 0:
-        raise ParameterError("n must be >= 0, got %r" % (n,))
-    if family not in (0, 1, 2) or (family == 0 and n != 0):
-        raise ParameterError("family must be 1 or 2 (0 only for n = 0), "
-                             "got %r" % (family,))
-    Ah, Bh = _fixed_pair(family, n, *inner_params(k, a))
+    Ah, Bh = _fixed_pair(*_template_index(family, n), *inner_params(k, a))
     return PartitionTriple(tuple(2 * x for x in Ah),
                            tuple(2 * x for x in Bh),
                            _staircase(pipeline, Ah[0] if Ah else 0), ())
@@ -410,7 +408,7 @@ def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
     if _untemplated(pipeline, a):
         raise ParameterError("fixed configurations at a = 1 carry no "
                              "template index")
-    A, mid, D, E = triple
+    A, mid, D, E = _as_sides(triple, 4)
     if pipeline != "EE":
         mid, D = _rho(mid, D, pipeline)
         if E or any(v % 2 != _single_parity(pipeline) for v in D):
@@ -434,23 +432,24 @@ def canonical_fixed_form(pipeline: str, family: int, n: int, E,
     template middle.  E must hold distinct free parts of the pipeline's
     factor (sign*q^e; q^m)_inf, each e mod m (EE: 2 mod 4; OO: odd; OE:
     even)."""
-    check_pipeline(pipeline, k, a)
-    E = tuple(sorted(E, reverse=True))
+    core = pipeline_fixed_triple(pipeline, family, n, k, a)
+    E = tuple(sorted(_as_parts(E), reverse=True))
     if (len(set(E)) < len(E)
             or any(v <= 0 or not _is_free_part(v, pipeline) for v in E)):
         raise ParameterError("free parts have the wrong shape for %s: %r"
                              % (pipeline, E))
-    core = pipeline_fixed_triple(pipeline, family, n, k, a)
     if pipeline == "EE":
         return PartitionTriple(core.A, core.B, (), E)
-    return PartitionTriple(*un_transform(core, pipeline), (), E)
+    return PartitionTriple(*_decode(core, pipeline), (), E)
 
 
 def pipeline_e_factor(pipeline: str, N: int) -> TruncatedSeries:
     """Generating function of the free parts E with their signs."""
-    if N < 0:
-        raise ParameterError("N must be >= 0, got %r" % (N,))
     _require_pipeline(pipeline)
+    return _e_factor(pipeline, _as_weight(N, "N"))
+
+
+def _e_factor(pipeline, N):
     e, m, sign = _E_FACTORS[pipeline]
     return series.poch_inf(e, m, N, sign)
 
@@ -463,8 +462,7 @@ def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
     involution leaves unpaired, and the exhaustive law check validates
     the same series against the swept fixed configurations."""
     check_pipeline(pipeline, k, a)
-    return (pipeline_e_factor(pipeline, N)
-            * series.theta_sum(2 * (k + 1), 2 * (k + 1 - a), N))
+    return _SCOPES[pipeline].fixed_gf(k, a, _as_weight(N, "N"))
 
 
 # ---------------------------------------------------------- the reduced step
@@ -520,7 +518,8 @@ def _pipeline_scope(pipeline, parity, family, involute=None):
         lambda k, a: check_pipeline(pipeline, k, a),
         involute or (lambda pair, k, a: _involute_pipeline(pair, pipeline,
                                                            k, a)),
-        lambda k, a, N: pipeline_fixed_gf(pipeline, k, a, N),
+        lambda k, a, N: (_e_factor(pipeline, N) * series.theta_sum(
+            2 * (k + 1), 2 * (k + 1 - a), N)),
         lambda f, n, k, a: pipeline_fixed_triple(pipeline, f, n, k, a),
         lambda pair, k, a: pipeline)
 
@@ -528,7 +527,7 @@ def _pipeline_scope(pipeline, parity, family, involute=None):
 # "gordon" is the Gordon map on P_{k,a}, which the law sweeps run alike
 _SCOPES = {
     "gordon": _Scope(None, "B", partitions.check_params, _involute,
-                     gordon_fixed_gf, gordon_fixed_point, _trace_label),
+                     _fixed_gf, gordon_fixed_point, _trace_label),
     "EE": _pipeline_scope("EE", None, "W", _involute_ee),
     "OO": _pipeline_scope("OO", "even", "W"),
     "OE": _pipeline_scope("OE", "even", "Wbar"),

@@ -359,3 +359,5 @@ def test_invalid_pairs_rejected():
         gordon_fixed_point(3, 1, 3, 3)
     with pytest.raises(ParameterError):
         gordon_fixed_point(1, -1, 3, 3)
+    with pytest.raises(ParameterError):
+        gordon_fixed_point(0, 1, 3, 3)

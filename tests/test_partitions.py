@@ -485,6 +485,36 @@ def test_parameter_errors():
             call()
 
 
+# every public entry point that takes a weight, truncation or template
+# index, called on otherwise valid input with that one argument n
+WEIGHT_ENTRY_POINTS = {
+    "enumerate_family": lambda n: partitions.enumerate_family("B", 3, 3, n),
+    "enumerate_distinct": lambda n: partitions.enumerate_distinct(n),
+    "family_counts": lambda n: partitions.family_counts("B", 3, 3, n),
+    "count_family": lambda n: partitions.count_family("W", 3, 3, n),
+    "gordon_fixed_point": lambda n: gordon.gordon_fixed_point(1, n, 3, 3),
+    "gordon_fixed_gf": lambda n: gordon.gordon_fixed_gf(3, 3, n),
+    "enumerate_ground": lambda n: pipelines.enumerate_ground("EE", 2, 2, n),
+    "pipeline_fixed_triple":
+        lambda n: pipelines.pipeline_fixed_triple("OO", 2, n, 3, 3),
+    "pipeline_e_factor": lambda n: pipelines.pipeline_e_factor("OE", n),
+    "pipeline_fixed_gf": lambda n: pipelines.pipeline_fixed_gf("OE", 3, 2, n),
+    "check_identity": lambda n: harness.check_identity("ebf", 3, 3, n),
+    "check_involution_laws":
+        lambda n: harness.check_involution_laws("gordon", 3, 3, n),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, -1])
+@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+def test_weight_errors(entry, n):
+    # a weight is read by operator.index and must be >= 0: a float is a
+    # ParameterError, not a TypeError from inside the kernel
+    with pytest.raises(partitions.ParameterError):
+        WEIGHT_ENTRY_POINTS[entry](n)
+    WEIGHT_ENTRY_POINTS[entry](3)
+
+
 def test_inv_one_minus_residue_classes_match_blocks():
     # both forms of c *= 1/(1 - q^s): one accumulate per residue class
     # when s*s < len(c), one block of s weights at a time otherwise

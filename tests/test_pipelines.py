@@ -379,6 +379,19 @@ def test_fixed_templates():
         pipeline_fixed_triple("EE", 1, -1, 4, 4)
 
 
+def test_template_index_rule_is_shared():
+    # family 0 names the empty pair, exactly at n = 0, in every scope;
+    # families 1 and 2 give it there too
+    for scope, k, a in [("gordon", 3, 2), ("EE", 4, 4), ("OO", 3, 3),
+                        ("OE", 3, 2)]:
+        template = pipelines._SCOPES[scope].template
+        assert template(0, 0, k, a) == template(1, 0, k, a)
+        assert template(0, 0, k, a) == template(2, 0, k, a)
+        for family, n in [(0, 1), (0, -1), (3, 0), (1, -1), (1, 0.0)]:
+            with pytest.raises(ParameterError):
+                template(family, n, k, a)
+
+
 def test_fixed_templates_are_fixed():
     # each template triple decodes to a ground pair that the full map
     # reports as fixed with the same index
@@ -976,6 +989,36 @@ def test_derived_free_shape_matches_the_old_branches():
             except ParameterError:
                 ok = False
             assert ok == _old_free_shape(pl, v)
+
+
+TRIPLE_CALLS = {
+    "triple_weight": lambda t: triple_weight(t),
+    "triple_sign": lambda t: triple_sign(t, "OO"),
+    "un_transform": lambda t: un_transform(t, "OO"),
+    "redistribute": lambda t: redistribute(t, "OO"),
+    "canonicalize_fixed": lambda t: canonicalize_fixed(t, "OO", 3, 3),
+}
+
+
+@pytest.mark.parametrize("call", sorted(TRIPLE_CALLS))
+def test_malformed_triples_rejected(call):
+    # a triple is exactly four sides of integer parts, read once by
+    # partitions._as_sides: another arity or a part that is no integer
+    # (even 4.0) is a ParameterError, not an unpacking error or a result
+    for bad in [(1, 2), ((4,), (), ()), ((4,), (), (), (), ()), None, 7,
+                ((2.5,), (), (), ()), ((4.0,), (), (), ()),
+                ((4,), ("2",), (), ()), ((4,), (), ([1],), ())]:
+        with pytest.raises(ParameterError):
+            TRIPLE_CALLS[call](bad)
+    # a well-formed triple given as lists: OO (3, 3)'s template of index 1
+    TRIPLE_CALLS[call]([[4], [], [1], []])
+
+
+def test_canonical_fixed_form_reads_free_parts_as_integers():
+    assert canonical_fixed_form("OO", 1, 1, [3], 3, 3).E == (3,)
+    for E in [(3.0,), ("3",), (None,), 3]:
+        with pytest.raises(ParameterError):
+            canonical_fixed_form("OO", 1, 1, E, 3, 3)
 
 
 def test_un_transform_shape_errors():
