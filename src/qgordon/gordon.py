@@ -145,23 +145,12 @@ def _chain(B, start, step):
     return t
 
 
-def _params(A, B, k, i):
-    """Class parameters of a blocked pair with witness i."""
-    p = A[-1]
-    q = _staircase_prefix(A)
-    r = _chain(B, k - 1, k - 1)
-    s = _chain(B, i - 1, k - 1) if 2 <= i <= k - 1 else None
-    n = min(p, q, r) if s is None else min(p, q, r, s)
-    return ClassParams(p, q, r, s, n)
-
-
 def compute_params(pair, k, a):
     """Class parameters (p, q, r, s, n) of a blocked pair."""
-    check_params(k, a)
-    A, B = _check_pair(pair, k, a)
-    if not A or (B and B[0] > A[0]) or not _blocked(A[0], B, k, a):
+    label = classify(pair, k, a)
+    if not isinstance(label, UClass):
         raise ParameterError("pair is not blocked; parameters undefined")
-    return _params(A, B, k, _witness(A[0], B, k))
+    return label.params
 
 
 _B_TO_A = Move("b_to_a")
@@ -181,21 +170,23 @@ def _classify(A, B, k, a):
 
 
 def _uclass(A, B, k):
-    """The class of a blocked pair, which it trusts to be one."""
+    """The class of a blocked pair, which it trusts to be one, with its
+    witness i and parameters."""
     i = _witness(A[0], B, k)
-    params = _params(A, B, k, i)
-    n = params.n
-    if params.p == n:
+    p, q, r = A[-1], _staircase_prefix(A), _chain(B, k - 1, k - 1)
+    s = _chain(B, i - 1, k - 1) if 2 <= i <= k - 1 else None
+    n = min(p, q, r) if s is None else min(p, q, r, s)
+    if p == n:
         cls = 1
     elif i == 1:
-        cls = 2 if params.q == n else 3
+        cls = 2 if q == n else 3
     elif i == k:
-        cls = 2 if params.r == n else 4
-    elif params.s == n:
+        cls = 2 if r == n else 4
+    elif s == n:
         cls = 2
     else:
-        cls = 4 if params.q == n else 3
-    return UClass(i, cls, params)
+        cls = 4 if q == n else 3
+    return UClass(i, cls, ClassParams(p, q, r, s, n))
 
 
 def classify(pair, k, a):

@@ -25,7 +25,7 @@ from functools import reduce
 from typing import NamedTuple
 
 from . import partitions, pipelines, series
-from .gordon import FixedPoint
+from .gordon import FixedPoint, _fixed_gf
 from .partitions import ParameterError
 from .pipelines import ConsistencyError
 from .series import TruncatedSeries
@@ -109,7 +109,7 @@ _IDENTITIES = {
     # signed pair sum collapses to a theta series
     "ebf": ("gordon", lambda k, a, N: (
         series.family_gf("B", k, a, N), _poch(N, (1, 1)),
-        series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N))),
+        _fixed_gf(k, a, N))),
     # W family, k and a even
     "thm13": ("EE", lambda k, a, N: (
         series.family_gf("W", k, a, N), _poch(N, (2, 2)),
@@ -133,8 +133,7 @@ _IDENTITIES = {
         series.multisum_rrg(k, a, N), None, series.family_gf("A", k, a, N))),
     # theta series as a triple product
     "jtp_instance": ("gordon", lambda k, a, N: (
-        series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N), None,
-        _jtp(2 * k + 1, a, N))),
+        _fixed_gf(k, a, N), None, _jtp(2 * k + 1, a, N))),
     "prelude_ee": _PRELUDE_EE,
     "prelude_oo": _PRELUDE_EE,
     # product rearrangement feeding the OE pipeline

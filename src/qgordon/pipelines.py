@@ -262,10 +262,15 @@ def _rho(C, D, pipeline):
 
 
 def to_triple(pair, pipeline: str, k: int, a: int) -> PartitionTriple:
-    """Encode a ground pair by PartitionTriple's rule; B minus the shared
-    parts keeps B's descending order, as Counter keeps insertion order."""
+    """Encode a ground pair by PartitionTriple's rule."""
     check_pipeline(pipeline, k, a)
-    A, B = _SCOPES[pipeline].ground(pair, k, a)
+    return _encode(_SCOPES[pipeline].ground(pair, k, a), pipeline)
+
+
+def _encode(pair, pipeline):
+    """to_triple on a ground pair it trusts; B minus the shared parts
+    keeps B's descending order, as Counter keeps insertion order."""
+    A, B = pair
     shared = [x for x in A if x % 2 and x in B]
     mid, D = _merge_pairs((Counter(B) - Counter(shared)).elements())
     if pipeline == "EE":
@@ -274,38 +279,51 @@ def to_triple(pair, pipeline: str, k: int, a: int) -> PartitionTriple:
                            tuple(2 * x for x in shared))
 
 
-def un_transform(triple, pipeline: str) -> tuple:
-    """Invert the triple encoding, merge-level or redistributed: B is D,
-    each E part halved and each middle part, split into halves when
-    even; A gains each E part halved.  EE sorts A, OO/OE keep it."""
-    _require_pipeline(pipeline)
-    A, mid, D, E = _as_sides(triple, 4)
-    if pipeline == "EE":
-        if D:
-            raise ConsistencyError("EE triples carry no D component: %r"
-                                   % (triple,))
-        if not all(_is_free_part(e, pipeline) for e in E):
-            raise ConsistencyError("EE free parts must be 2 mod 4: %r"
-                                   % (triple,))
-    elif E:
-        raise ConsistencyError("%s triples carry no E component before "
-                               "canonicalization: %r" % (pipeline, triple))
-    elif any(c % 2 for c in mid):
-        raise ConsistencyError("middle parts must be even: %r" % (triple,))
-    return _decode((A, mid, D, E), pipeline)
-
-
-def _decode(triple, pipeline):
-    """un_transform on a triple of tuples it trusts to encode a pair."""
+def _decode(triple):
+    """The pair a triple of tuples names: B is D, each E part halved and
+    each middle part, split into halves when even; A gains each E part
+    halved."""
     A, mid, D, E = triple
     halves = [e // 2 for e in E]
     B = list(D) + halves
     for v in mid:
         B.extend((v // 2, v // 2) if v % 2 == 0 else (v,))
-    A = (*A, *halves)
-    if pipeline == "EE":
-        A = tuple(sorted(A, reverse=True))
-    return A, tuple(sorted(B, reverse=True))
+    return (tuple(sorted((*A, *halves), reverse=True)),
+            tuple(sorted(B, reverse=True)))
+
+
+def _settled(triple, pipeline):
+    """A triple as _read_triple compares it: OO/OE's (middle, D)
+    redistributed, A as it stands, a strictly decreasing side of the
+    pair, and the other sides as multisets, so a partial redistribution
+    and any order of D or E settle as the merge-level triple does."""
+    A, mid, D, E = triple
+    if pipeline != "EE":
+        mid, D = _rho(mid, D, pipeline)
+    return A, sorted(mid), sorted(D), sorted(E)
+
+
+def _read_triple(triple, pipeline):
+    """The triple as four tuples and the ground pair it encodes, or
+    ParameterError naming it: the one rule for what a triple encodes.
+    Its decoding must be a ground pair at a (k, a) of the pipeline's
+    parities above B's length, where no window or ones cap binds, and
+    encoding that pair must give the triple back, both settled."""
+    t = _as_sides(triple, 4)
+    pair = _decode(t)
+    k, a = (2 * len(pair[1]) + 2 + p for p in _PARITY_RULES[pipeline][0])
+    if (_SCOPES[pipeline].fault(pair, k, a) is None
+            and _settled(_encode(pair, pipeline), pipeline)
+            == _settled(t, pipeline)):
+        return t, pair
+    raise ParameterError("triple encodes no %s pair: %r" % (pipeline, triple))
+
+
+def un_transform(triple, pipeline: str) -> tuple:
+    """Invert the triple encoding, merge-level or redistributed, in part
+    or in full; ParameterError for a triple that encodes no pair."""
+    _require_pipeline(pipeline)
+    return _read_triple(triple, pipeline)[1]
 
 
 def redistribute(triple, pipeline: str) -> PartitionTriple:
@@ -315,7 +333,7 @@ def redistribute(triple, pipeline: str) -> PartitionTriple:
     if pipeline == "EE":
         raise ParameterError("the EE pipeline has no redistribution step")
     _require_pipeline(pipeline)
-    A, mid, D, E = _as_sides(triple, 4)
+    A, mid, D, E = _read_triple(triple, pipeline)[0]
     return PartitionTriple(A, *_rho(mid, D, pipeline), E)
 
 
@@ -354,10 +372,10 @@ def _fixed_check(t, pipeline, k, a):
     """(family, n, free parts) when the redistributed triple is fixed,
     else None, on a triple whose A and middle parts are all even.
     gordon._match_template decides (A, middle) halved at the reduced
-    parameters; the weight-0 core reports as (0, 0).  The free parts are
-    E for EE, whose D must be empty, and otherwise _free_parts of D under
-    the template's top.  The OO a=1 sector has no template
-    parametrization and always reports None."""
+    parameters; the weight-0 core reports as (0, 0).  The free parts,
+    descending, are E, which only EE's triples carry, and _free_parts of
+    D under the template's top, which EE's empty D passes.  The OO a=1 sector has no
+    template parametrization and always reports None."""
     if _untemplated(pipeline, a):
         return None
     A, mid, D, E = t
@@ -374,11 +392,9 @@ def _fixed_check(t, pipeline, k, a):
                             *inner_params(k, a))
     if f is None:
         return None
-    if pipeline == "EE":
-        free = None if D else tuple(E)
-    else:
-        free = _free_parts(D, pipeline, A[0] // 2 if A else 0)
-    return None if free is None else (*f, free)
+    free = _free_parts(D, pipeline, A[0] // 2 if A else 0)
+    return None if free is None else (*f, tuple(sorted(E + free,
+                                                       reverse=True)))
 
 
 def pipeline_fixed_triple(pipeline: str, family: int, n: int,
@@ -399,23 +415,17 @@ def pipeline_fixed_triple(pipeline: str, family: int, n: int,
 def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
     """Factor a fixed triple as (family, n, E): extras in D above the
     staircase and one copy of each duplicated step move to E, leaving
-    the canonical template.  Raises for non-fixed triples, for OO/OE
-    triples that encode no pair (a nonempty E, or a D part of the wrong
-    parity: the merge leaves only odd parts single in OO, only even ones
-    in OE), and for the OO a=1 sector, whose fixed configurations have
-    no template index."""
+    the canonical template.  Raises for triples that encode no pair, for
+    non-fixed triples and for the OO a=1 sector, whose fixed
+    configurations have no template index."""
     check_pipeline(pipeline, k, a)
     if _untemplated(pipeline, a):
         raise ParameterError("fixed configurations at a = 1 carry no "
                              "template index")
-    A, mid, D, E = _as_sides(triple, 4)
+    A, mid, D, E = _read_triple(triple, pipeline)[0]
     if pipeline != "EE":
         mid, D = _rho(mid, D, pipeline)
-        if E or any(v % 2 != _single_parity(pipeline) for v in D):
-            raise ParameterError("triple encodes no %s pair: %r"
-                                 % (pipeline, triple))
-    # every part of a template's (A, middle) is even; _fixed_check
-    # trusts that
+    # _fixed_check trusts A and the middle to be even, as a template's are
     res = (None if any(x % 2 for x in A) or any(x % 2 for x in mid)
            else _fixed_check((A, mid, D, E), pipeline, k, a))
     if res is None:
@@ -440,7 +450,7 @@ def canonical_fixed_form(pipeline: str, family: int, n: int, E,
                              % (pipeline, E))
     if pipeline == "EE":
         return PartitionTriple(core.A, core.B, (), E)
-    return PartitionTriple(*_decode(core, pipeline), (), E)
+    return PartitionTriple(*_decode(core), (), E)
 
 
 def pipeline_e_factor(pipeline: str, N: int) -> TruncatedSeries:

@@ -139,7 +139,8 @@ def test_inline_step1_agrees_with_classify():
     # the kernel decides the step-1 moves without classifying; every pair
     # of P_{k,a} must get the image its _classify label names: the move's
     # crossing, or the template or map of its class (and step1_move and
-    # apply_map, which dispatch to the kernel, must give the same)
+    # apply_map, which dispatch to the kernel, must give the same).
+    # compute_params reads the label: a class's parameters, else refused
     counts = {"b_to_a": 0, "a_to_b": 0, "blocked": 0, "empty": 0}
     for k in range(2, 7):
         for a in range(1, k + 1):
@@ -154,15 +155,20 @@ def test_inline_step1_agrees_with_classify():
                                 else (A[1:], (A[0],) + B))
                         assert out == want, (pair, k, a)
                         assert out == step1_move(pair, k, a)
+                        with pytest.raises(ParameterError):
+                            compute_params(pair, k, a)
                         counts[label.direction] += 1
                     elif isinstance(label, UClass):
                         want = (gordon._match_template(pair, k, a)
                                 or gordon._apply(*pair, k, label.i, label.cls,
                                                  label.params.n))
                         assert out == want == apply_map(pair, k, a), (pair, k, a)
+                        assert compute_params(pair, k, a) == label.params
                         counts["blocked"] += 1
                     else:
                         assert out == label == FixedPoint(0, 0)
+                        with pytest.raises(ParameterError):
+                            compute_params(pair, k, a)
                         counts["empty"] += 1
     assert counts == {"b_to_a": 34041, "a_to_b": 34041, "blocked": 1108,
                       "empty": 20}

@@ -420,6 +420,9 @@ def test_canonicalize_fixed_fixture():
     t = PartitionTriple((4,), (2, 2), (), ())
     assert canonicalize_fixed(t, "EE", 6, 6) == (1, 1, ())
     assert canonical_fixed_form("EE", 1, 1, (), 6, 6) == t
+    # E given in any order gives its free parts in descending order
+    for E in [(10, 6), (6, 10)]:
+        assert canonicalize_fixed(t[:3] + (E,), "EE", 6, 6) == (1, 1, (10, 6))
     with pytest.raises(ParameterError):
         canonicalize_fixed(PartitionTriple((2,), (), (), ()), "EE", 4, 4)
     with pytest.raises(ParameterError):
@@ -482,7 +485,7 @@ def test_canonicalize_refuses_triples_that_encode_no_pair():
     # un_transform refuses the E part, so the triple decodes to no pair;
     # canonicalization must not drop it and report (2, 1, ())
     t = ((2,), (), (1,), (99,))
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ParameterError):
         un_transform(t, "OO")
     with pytest.raises(ParameterError):
         canonicalize_fixed(t, "OO", 3, 3)
@@ -493,6 +496,11 @@ def test_canonicalize_refuses_triples_that_encode_no_pair():
     with pytest.raises(ParameterError):
         canonicalize_fixed(((4,), (), (3, 2), ()), "OE", 3, 2)
     assert canonicalize_fixed(((4,), (), (2,), ()), "OE", 3, 2) == (1, 1, ())
+    # an EE free part is an odd part A shares with B, doubled: E's 4 is no
+    # such part, and two 6's would put 3 in A twice
+    for E in [(4,), (6, 6)]:
+        with pytest.raises(ParameterError, match="encodes no EE pair"):
+            canonicalize_fixed(((4,), (2, 2), (), E), "EE", 6, 6)
 
 
 def test_matching_needs_no_call_stack_per_path_step():
@@ -1022,11 +1030,53 @@ def test_canonical_fixed_form_reads_free_parts_as_integers():
 
 
 def test_un_transform_shape_errors():
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ParameterError):
         un_transform(PartitionTriple((), (), (1,), ()), "EE")
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ParameterError):
         un_transform(PartitionTriple((), (), (), (4,)), "EE")
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ParameterError):
         un_transform(PartitionTriple((), (3,), (), ()), "OO")
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ParameterError):
         un_transform(PartitionTriple((), (), (), (2,)), "OE")
+
+
+def _sides_to(top):
+    """Every four-side tuple of partitions of total weight at most top."""
+    parts = [partitions.enumerate_family("B", top + 1, top + 1, n)
+             for n in range(top + 1)]
+    for ws in itertools.product(range(top + 1), repeat=4):
+        if sum(ws) <= top:
+            yield from itertools.product(*(parts[w] for w in ws))
+
+
+def _settled(t, pl):
+    A, mid, D, E = t
+    if pl != "EE":
+        mid, D = pipelines._rho(mid, D, pl)
+    return tuple(tuple(sorted(side)) for side in (A, mid, D, E))
+
+
+def test_un_transform_accepts_exactly_the_encodings():
+    # at these (k, a) no window binds to weight 8, so a tuple encodes a
+    # pair exactly when it settles as the pair's triple does: (middle, D)
+    # redistributed (OO/OE), each side compared as a multiset.  Those
+    # accepted include partial redistributions; every other tuple is
+    # refused, naming it
+    accepted = {}
+    for pl, k, a in [("EE", 14, 14), ("OO", 15, 15), ("OE", 15, 14)]:
+        want = {}
+        for w in range(9):
+            for p in enumerate_ground(pl, k, a, w):
+                want[_settled(to_triple(p, pl, k, a), pl)] = p
+        tuples = accepted[pl] = 0
+        for t in _sides_to(8):
+            tuples += 1
+            p = want.get(_settled(t, pl))
+            if p is None:
+                with pytest.raises(ParameterError, match="encodes no"):
+                    un_transform(t, pl)
+            else:
+                assert un_transform(t, pl) == p, (pl, t)
+                accepted[pl] += 1
+        assert tuples == 4810
+    assert accepted == {"EE": 158, "OO": 91, "OE": 68}
