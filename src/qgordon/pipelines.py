@@ -27,28 +27,27 @@ middle, and when that image leaves the ground set the sector takes
 over: the base involution at (k/2, a/2) on A and the middle halved,
 the reduced step EE's half branch takes too.  The crossings' images
 are tested locally, and the sector's needs no test, as the ground
-set's arithmetic keeps it inside.  The first move is decided before
-the fixed check, since a template's middle never tops its A.  A move
-is kept only when the routed image routes straight back.  The rest,
-the residue, is paired off by a deterministic maximum matching over a
-small library of symmetric weight-preserving carry moves, each
-flipping the A-length parity; a move whose image the ground set's
-parities always refuse is never built.  The matching is built one
-connected component of the residue at a time, reached from the pair by
-its carry moves, so mapping a pair enumerates no weight class; a
-component with more carry candidates than a fixed budget is refused.
-Every move keeps the weight, so the routes and matchings are kept per
-weight class, for the last weight mapped only; a refused pair leaves
-none of its routes behind.
+set's arithmetic keeps it inside.  A move is kept only when the routed
+image routes straight back.  The rest, the residue, is paired off by a
+deterministic maximum matching over a small library of symmetric
+weight-preserving carry moves, each flipping the A-length parity; a
+move whose image the ground set's parities always refuse is never
+built.  The matching is built one connected component of the residue
+at a time, reached from the pair by its carry moves, so mapping a pair
+enumerates no weight class; a component with more carry candidates
+than a fixed budget is refused.  Every move keeps the weight, so the
+routes and matchings are kept per weight class, for the last weight
+mapped only; a refused pair leaves none of its routes behind.
 
 What survives is (apart from the OO a = 1 sector, where the templates
 degenerate) a two-family sequence of template triples indexed by n, of
 weights (k+1)n^2 +- (k+1-a)n, each carrying a free partition E, so the
 signed generating function of the fixed configurations is a theta
-series times a fixed product factor.  A triple is fixed when
-gordon._match_template finds a template in its halved core, (A, middle)
-at (k/2, a/2), and, for OO/OE, its D is the staircase under that
-template plus the free parts, read in one pass.
+series times a fixed product factor.  Every pipeline reads its fixed
+points off the reduced step: a pair is fixed when the base involution
+at (k/2, a/2) fixes its halved core, (A, middle), a template, and, for
+OO/OE, its D is the staircase under that template plus free parts.  No
+fixed triple takes a crossing, so the sector is where OO/OE find them.
 
 The pipelines differ in three stated facts: the parities of (k, a)
 (_PARITY_RULES), the ground set, A's part parity and B's family
@@ -64,13 +63,13 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from itertools import chain, groupby, product
+from itertools import chain, product
 from typing import Callable, NamedTuple
 
 from . import partitions, series
 from .gordon import (FixedPoint, _check_pair, _fixed_gf, _fixed_pair,
-                     _involute, _involute_k1, _match_template, _pair_fault,
-                     _template_index, _trace_label, gordon_fixed_point)
+                     _involute, _involute_k1, _pair_fault, _template_index,
+                     _trace_label, gordon_fixed_point)
 from .partitions import ParameterError, _as_parts, _as_sides, _as_weight
 from .series import TruncatedSeries
 
@@ -349,52 +348,15 @@ def _staircase(pipeline, top):
 
 
 def _free_parts(D, pipeline, top):
-    """The free parts of an OO/OE fixed triple's D, descending: the parts
-    above top and one copy of each step taken twice.  None unless D is
-    the staircase up to top, each step once or twice, plus distinct
-    parts above top; one pass over D decides both."""
-    steps = iter(_staircase(pipeline, top))
-    free = []
-    for v, run in groupby(sorted(D, reverse=True)):
-        m = len(tuple(run))
-        if v > top:
-            if m > 1:
-                return None
-        elif v != next(steps, None) or m > 2:
-            return None
-        elif m == 1:
-            continue
-        free.append(v)
-    return None if next(steps, None) else tuple(free)
-
-
-def _fixed_check(t, pipeline, k, a):
-    """(family, n, free parts) when the redistributed triple is fixed,
-    else None, on a triple whose A and middle parts are all even.
-    gordon._match_template decides (A, middle) halved at the reduced
-    parameters; the weight-0 core reports as (0, 0).  The free parts,
-    descending, are E, which only EE's triples carry, and _free_parts of
-    D under the template's top, which EE's empty D passes.  The OO a=1 sector has no
-    template parametrization and always reports None."""
-    if _untemplated(pipeline, a):
+    """The free parts of an OO/OE fixed triple's D, descending: D minus
+    the staircase up to top, as multisets, or None unless that leaves
+    each part at most once.  D holds only single-parity parts, so each
+    part up to top is a step."""
+    free = Counter(D)
+    free.subtract(_staircase(pipeline, top))
+    if any(m not in (0, 1) for m in free.values()):
         return None
-    A, mid, D, E = t
-    if not A:
-        f = None if mid else (0, 0)
-    elif (A[0] not in (4 * len(A), 4 * len(A) - 2)
-          or A[-1] != A[0] - 2 * len(A) + 2):
-        # a template of index n = len(A) has n consecutive parts in A,
-        # topped by 2n or 2n - 1; doubled, they are a run of step 2
-        return None
-    else:
-        f = _match_template((tuple(x // 2 for x in A),
-                             tuple(x // 2 for x in mid)),
-                            *inner_params(k, a))
-    if f is None:
-        return None
-    free = _free_parts(D, pipeline, A[0] // 2 if A else 0)
-    return None if free is None else (*f, tuple(sorted(E + free,
-                                                       reverse=True)))
+    return tuple(sorted((v for v, m in free.items() if m), reverse=True))
 
 
 def pipeline_fixed_triple(pipeline: str, family: int, n: int,
@@ -415,23 +377,28 @@ def pipeline_fixed_triple(pipeline: str, family: int, n: int,
 def canonicalize_fixed(triple, pipeline: str, k: int, a: int) -> tuple:
     """Factor a fixed triple as (family, n, E): extras in D above the
     staircase and one copy of each duplicated step move to E, leaving
-    the canonical template.  Raises for triples that encode no pair, for
-    non-fixed triples and for the OO a=1 sector, whose fixed
+    the canonical template.  The triple is fixed when its pair is a
+    ground pair at (k, a) that the pipeline's own rule fixes, EE's
+    product or the OO/OE route, never the matching, so the order of its
+    sides is free as the codec's is.  Raises for triples that encode no
+    pair, for non-fixed triples and for the OO a=1 sector, whose fixed
     configurations have no template index."""
     check_pipeline(pipeline, k, a)
     if _untemplated(pipeline, a):
         raise ParameterError("fixed configurations at a = 1 carry no "
                              "template index")
-    A, mid, D, E = _read_triple(triple, pipeline)[0]
-    if pipeline != "EE":
-        mid, D = _rho(mid, D, pipeline)
-    # _fixed_check trusts A and the middle to be even, as a template's are
-    res = (None if any(x % 2 for x in A) or any(x % 2 for x in mid)
-           else _fixed_check((A, mid, D, E), pipeline, k, a))
-    if res is None:
+    pair = _read_triple(triple, pipeline)[1]
+    fixed = (None if _SCOPES[pipeline].fault(pair, k, a)
+             else _involute_ee(pair, k, a) if pipeline == "EE"
+             else _route_triple(pair, pipeline, k, a))
+    if not isinstance(fixed, FixedPoint):
         raise ParameterError("triple is not a fixed configuration: %r"
                              % (triple,))
-    return res
+    A, mid, D, E = _encode(pair, pipeline)
+    if pipeline != "EE":  # E is empty, and D holds the free parts
+        E = _free_parts(_rho(mid, D, pipeline)[1], pipeline,
+                        A[0] // 2 if A else 0)
+    return (*fixed, E)
 
 
 def canonical_fixed_form(pipeline: str, family: int, n: int, E,
@@ -552,15 +519,22 @@ def _route_triple(state, pipeline, k, a):
     state: the middle's top part crosses to A when it dominates,
     otherwise A's top part crosses into the middle, and when that image
     leaves the ground set A's top part is blocked and the sector map
-    runs.  A template's middle never tops its A, so the up-move is
-    decided before the fixed check.  The two crossings change B by two
-    equal parts, so their images are tested locally.  The sector image
-    (_reduced_image) is a ground pair by arithmetic, so it is not tested:
-    D is part of B, of the single parity, each size at most twice, so
-    D + G + G keeps the windows within 2 + 2(kk - 1) = k - 1 and the ones
-    within a - 1 (OE's D has none), the paired parity occurs only in
-    G + G, and A's image is doubled from distinct parts.  Every move
-    flips the parity of len(A), so an image is never its own state."""
+    runs.  The two crossings change B by two equal parts, so their images
+    are tested locally.  The sector image (_reduced_image) is a ground
+    pair by arithmetic, so it is not tested: D is part of B, of the
+    single parity, each size at most twice, so D + G + G keeps the
+    windows within 2 + 2(kk - 1) = k - 1 and the ones within a - 1 (OE's
+    D has none), the paired parity occurs only in G + G, and A's image
+    is doubled from distinct parts.  Every move flips the parity of
+    len(A), so an image is never its own state.
+
+    The sector also names the fixed points, as EE's half branch does:
+    the reduced map's FixedPoint, when the pipeline has templates and D
+    is the staircase under A's top halved plus free parts.  A fixed
+    triple never takes a crossing: a template's middle never tops its A,
+    and with t = A[0]/2, sizes t and t - 1 hold 2(kk - 1) parts of G + G
+    and one staircase part, k - 2 in all, so B gaining (t, t) breaks
+    their window, and at t = 1 the cap on ones."""
     A, B = state
     mid, D = _rho(*_merge_pairs(B), pipeline)
     a1 = A[0] if A else 0
@@ -569,16 +543,12 @@ def _route_triple(state, pipeline, k, a):
         # even part above its top: the image is a ground pair
         i = B.index(mid[0] // 2)
         return ((mid[0],) + A, B[:i] + B[i + 2:])
-    f = _fixed_check((A, mid, D, ()), pipeline, k, a)
-    if f is not None:
-        return FixedPoint(*f[:2])
-    if not A:
-        return None
     # B gains two parts v, read at that one size, not by _member: the
     # windows (v-1, v) and (v, v+1), which hold the cap k-1, and the cap
     # a-1 on ones are all that can break; f_v keeps its parity
     v, c = a1 // 2, B.count
-    if c(v) + 2 + max(c(v - 1), c(v + 1)) < k and (v > 1 or c(1) + 2 < a):
+    if A and (c(v) + 2 + max(c(v - 1), c(v + 1)) < k
+              and (v > 1 or c(1) + 2 < a)):
         return (A[1:], tuple(sorted(B + (v, v), reverse=True)))
     # the sector, in scope when the middle is empty at kk = 1, or halves
     # into B_{kk,aa} above it
@@ -587,7 +557,10 @@ def _route_triple(state, pipeline, k, a):
             tuple(x // 2 for x in mid), "B", kk, aa)):
         return None
     out = _reduced_image(A, mid, (), D, k, a)
-    return None if isinstance(out, FixedPoint) else out
+    if isinstance(out, FixedPoint) and (
+            _untemplated(pipeline, a) or _free_parts(D, pipeline, v) is None):
+        return None
+    return out
 
 
 # ------------------------------------------------------------- carry moves

@@ -147,16 +147,17 @@ def _kronecker(a, b):
           + n.bit_length() + 2 + 7) // 8
     half = 1 << (8 * nb - 1)
     bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
-    prod = (_pack(a, nb) * _pack(b, nb) + bias) & ((1 << (8 * nb * n)) - 1)
+    prod = (_pack(a, nb, half, bias) * _pack(b, nb, half, bias)
+            + bias) & ((1 << (8 * nb * n)) - 1)
     return [c - half for c in partitions._unpack(prod, nb, n)]
 
 
-def _pack(coeffs, nb):
-    """sum c_i X^i at X = 2^(8*nb) for slots wide enough for every |c_i|:
-    the positive coefficients minus the negated negative ones."""
-    pos = b"".join([(c if c > 0 else 0).to_bytes(nb, "little") for c in coeffs])
-    neg = b"".join([(-c if c < 0 else 0).to_bytes(nb, "little") for c in coeffs])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _pack(coeffs, nb, half, bias):
+    """sum c_i X^i at X = 2^(8*nb), read from one string: slot i holds
+    c_i + half, in [0, X) as |c_i| < half, and bias, half in every slot,
+    is taken off."""
+    return int.from_bytes(b"".join([(c + half).to_bytes(nb, "little")
+                                    for c in coeffs]), "little") - bias
 
 
 def mul(s, t):

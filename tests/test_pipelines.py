@@ -405,12 +405,37 @@ def test_fixed_templates_are_fixed():
                 assert in_ground(pair, pl, k, a)
                 assert involute_pipeline(pair, pl, k, a) == FixedPoint(family, n)
                 assert canonicalize_fixed(t, pl, k, a) == (family, n, ())
+    # OO/OE templates with free parts in D, up to k = 13 where the blocks
+    # are widest: the route reads each off the reduced map as fixed, and
+    # canonicalize_fixed gives back its index and free parts
+    for pl, k, a in [("OO", k, a) for k in range(3, 14, 2)
+                     for a in range(3, k + 1, 2)] + [
+                     ("OE", k, a) for k in range(3, 14, 2)
+                     for a in range(2, k + 1, 2)]:
+        frees = [v for v in range(1, 12) if pipelines._is_free_part(v, pl)]
+        Es = [()] + [E for r in (1, 2)
+                     for E in itertools.combinations(frees[::-1], r)]
+        for family, n in itertools.product((1, 2), range(1, 5)):
+            A, mid, D, _ = pipeline_fixed_triple(pl, family, n, k, a)
+            for E in Es:
+                pair = un_transform((A, mid, D + E, ()), pl)
+                assert involute_pipeline(pair, pl, k, a) == FixedPoint(
+                    family, n), (pl, k, a, pair)
+                assert canonicalize_fixed(to_triple(pair, pl, k, a), pl, k,
+                                          a) == (family, n, E), (pl, k, a, E)
 
 
 def test_canonicalize_fixed_fixture():
     C = (14, 14, 14, 10, 10, 10, 6, 6, 6, 2, 2, 2)
     t = PartitionTriple((16, 14, 12, 10), C, (9, 7, 7, 5, 5, 3, 3, 1, 1), ())
     assert canonicalize_fixed(t, "OO", 9, 9) == (1, 4, (9, 7, 5, 3, 1))
+    # the middle's order is free, as it is for un_transform: this triple
+    # and criterion 7's to_triple triple, each with its middle reversed
+    B = (9,) + (7,) * 8 + (5,) * 8 + (3,) * 8 + (1,) * 8
+    u = to_triple(((16, 14, 12, 10), B), "OO", 9, 9)
+    for r in (t, u):
+        r = r._replace(B=r.B[::-1])
+        assert canonicalize_fixed(r, "OO", 9, 9) == (1, 4, (9, 7, 5, 3, 1))
     form = canonical_fixed_form("OO", 1, 4, (9, 7, 5, 3, 1), 9, 9)
     assert form.A == (16, 14, 12, 10)
     assert form.B == (7,) * 7 + (5,) * 7 + (3,) * 7 + (1,) * 7
@@ -581,8 +606,11 @@ def test_ladder_local_tests_equal_the_ground_predicate():
     # locally: an up-move image is a ground pair, and a down-move image
     # is taken exactly when it is one.  A down move the local test
     # refuses routes to the sector, whose image is trusted untested: it
-    # is a ground pair, or the sector is out of scope or fixed (None)
-    counts = {"up": 0, "down": 0, "sector": 0, "none": 0}
+    # is a ground pair, a fixed point, or None, where the sector is out
+    # of scope or the reduced map's fixed point is none of the pipeline's.
+    # A fixed state takes no crossing: the up move does not apply, and
+    # the down-move image leaves the ground set
+    counts = {"up": 0, "down": 0, "sector": 0, "none": 0, "fixed": 0}
     for pl, k, a in OO_OE_POINTS:
         scope = pipelines._SCOPES[pl]
 
@@ -593,24 +621,30 @@ def test_ladder_local_tests_equal_the_ground_predicate():
         for w in range(21):
             for A, B in ground.pairs(w):
                 out = pipelines._route_triple((A, B), pl, k, a)
-                if isinstance(out, FixedPoint):
-                    continue
                 mid, D = pipelines._rho(*pipelines._merge_pairs(B), pl)
                 a1 = A[0] if A else 0
-                if mid and mid[0] > a1:
+                up = bool(mid) and mid[0] > a1
+                if up:
                     Y = un_transform(((mid[0],) + A, mid[1:], D, ()), pl)
+                elif A:
+                    Y = un_transform((A[1:], mid + (a1,), D, ()), pl)
+                if isinstance(out, FixedPoint):
+                    assert not up, (pl, k, a, A, B)
+                    assert not A or fault(Y) is not None, (pl, k, a, A, B)
+                    counts["fixed"] += 1
+                    continue
+                if up:
                     assert out == Y, (pl, k, a, A, B)
                     counts["up"] += 1
                 elif A:
-                    Y = un_transform((A[1:], tuple(sorted(
-                        mid + (a1,), reverse=True)), D, ()), pl)
                     if fault(Y) is None:
                         assert out == Y, (pl, k, a, A, B)
                         counts["down"] += 1
                     else:
                         counts["none" if out is None else "sector"] += 1
                 assert out is None or fault(out) is None, (pl, k, a, A, B, out)
-    assert counts == {"up": 5624, "down": 8512, "sector": 803, "none": 611}
+    assert counts == {"up": 5624, "down": 8512, "sector": 803, "none": 611,
+                      "fixed": 1138}
 
 
 def test_carry_moves_are_symmetric():
