@@ -33,10 +33,11 @@ column of n parts, A's top n or B's parts k-1 apart.
 
 Public functions validate their input (parameters and pair) once.  The
 ``_``-prefixed kernels trust it: their pair is a member of P_{k,a} with
-k >= 2 and 1 <= a <= k, and they never re-validate.  Each public entry
-point is a thin wrapper that validates and calls a kernel, so callers
-that generate valid pairs themselves (the parity pipelines and the law
-sweeps) call the kernels directly.
+1 <= a <= k, and they never re-validate.  At k = 1, which the public
+entry points refuse, B is empty and _involute is Franklin's pairing.
+Each public entry point is a thin wrapper that validates and calls a
+kernel, so callers that generate valid pairs themselves (the parity
+pipelines and the law sweeps) call the kernels directly.
 """
 
 from __future__ import annotations
@@ -108,10 +109,10 @@ def _check_pair(pair, k, a, parity=None, family="B"):
 
 
 def _blocked(a1, B, k, a):
-    # moving a1 >= B[0] on top of B in B_{k,a} would leave it, read at
-    # that one point, not by _member: the window a1, B[0..k-2] spans less
-    # than 2 (the window or the cap k-1), or a1 is the a-th 1 (cap a-1)
-    return ((len(B) >= k - 1 and a1 - B[k - 2] < 2)
+    # a1 >= B[0] put on top of B in B_{k,a} leaves it, read here, not by
+    # _member: k = 1 (no part joins B), the window a1, B[0..k-2] spans
+    # less than 2 (the window or the cap k-1), or a1 is the a-th 1 (cap a-1)
+    return (k < 2 or (len(B) >= k - 1 and a1 - B[k - 2] < 2)
             or (a1 == 1 and len(B) >= a - 1))
 
 
@@ -173,7 +174,8 @@ def _uclass(A, B, k):
     """The class of a blocked pair, which it trusts to be one, with its
     witness i and parameters."""
     i = _witness(A[0], B, k)
-    p, q, r = A[-1], _staircase_prefix(A), _chain(B, k - 1, k - 1)
+    p, q = A[-1], _staircase_prefix(A)
+    r = _chain(B, k - 1, k - 1) if k > 1 else p  # no column of B at k = 1
     s = _chain(B, i - 1, k - 1) if 2 <= i <= k - 1 else None
     n = min(p, q, r) if s is None else min(p, q, r, s)
     if p == n:
@@ -344,19 +346,3 @@ def _fixed_gf(k, a, N):
     """gordon_fixed_gf on input it trusts."""
     return series.theta_sum(2 * k + 1, 2 * (k - a) + 1, N)
 
-
-# --- degenerate single-column case (k = 1), used by the parity
-# --- pipelines after their halving step; B must be empty there
-
-def _involute_k1(pair):
-    """Involution on pairs (A | ()) it trusts, A a tuple of distinct
-    parts: the classic pentagonal-number pairing.  A template is fixed;
-    otherwise compare the smallest part p with the staircase prefix q,
-    and the smaller one is peeled off or spread back."""
-    A = pair[0]
-    if not A:
-        return _EMPTY
-    p = A[-1]
-    n = min(p, _staircase_prefix(A))
-    cls = 1 if p == n else 2  # alpha^-1 or alpha, at i = k = 1
-    return _match_template(pair, 1, 1) or _apply(A, (), 1, 1, cls, n)

@@ -68,7 +68,7 @@ from typing import Callable, NamedTuple
 
 from . import partitions, series
 from .gordon import (FixedPoint, _check_pair, _fixed_gf, _fixed_pair,
-                     _involute, _involute_k1, _pair_fault, _template_index,
+                     _involute, _pair_fault, _template_index,
                      _trace_label, gordon_fixed_point)
 from .partitions import ParameterError, _as_parts, _as_sides, _as_weight
 from .series import TruncatedSeries
@@ -446,13 +446,14 @@ def pipeline_fixed_gf(pipeline: str, k: int, a: int, N: int) -> TruncatedSeries:
 
 def _reduced_image(A, mid, rest, D, k, a):
     """The base involution at (k//2, a//2) on A and the doubled middle
-    parts mid, both halved, which it trusts: the Gordon kernel, or at
-    k//2 = 1 the k = 1 pairing (mid empty).  A FixedPoint is returned as
-    it is, and a partner (Ah, G) joins as (rest + 2 Ah, D + G + G).  EE's
-    half branch passes O as rest and D, the OO/OE sector () and D."""
+    parts mid, both halved, which it trusts: the Gordon kernel, at k//2 =
+    1 Franklin's pentagonal pairing (mid empty).  A FixedPoint is returned
+    as it is, and a partner (Ah, G) joins as (rest + 2 Ah, D + G + G).
+    EE's half branch passes O as rest and D, the OO/OE sector () and D."""
     kk, aa = inner_params(k, a)
     half = (tuple(x // 2 for x in A), tuple(c // 2 for c in mid))
-    out = _involute(half, kk, aa) if kk >= 2 else _involute_k1(half)
+    # kk = 1: a only sizes templates' B, empty at a = 1 (OO (3, 1) has aa 0)
+    out = _involute(half, kk, aa or 1)
     if isinstance(out, FixedPoint):
         return out
     Ah, G = out
@@ -479,9 +480,7 @@ def _involute_ee(pair, k, a):
                 odd.add(v)
     if odd:
         x = max(odd)
-        if x in A:
-            return (_adel(A, x), _brepl(B, (), (x,)))
-        return (_ains(A, x), _brepl(B, (x,), ()))
+        return _flip(A, B, x, (), (x,))
     C, O = _merge_pairs(B)
     return _reduced_image(tuple(x for x in A if x % 2 == 0), C, O, O, k, a)
 
@@ -550,11 +549,11 @@ def _route_triple(state, pipeline, k, a):
     if A and (c(v) + 2 + max(c(v - 1), c(v + 1)) < k
               and (v > 1 or c(1) + 2 < a)):
         return (A[1:], tuple(sorted(B + (v, v), reverse=True)))
-    # the sector, in scope when the middle is empty at kk = 1, or halves
-    # into B_{kk,aa} above it
+    # the sector, in scope when the middle halves into B_{kk,aa}: only
+    # the empty middle at kk = 1 (aa = 0 too), and aa >= 1 at kk > 1
     kk, aa = inner_params(k, a)
-    if (mid if kk < 2 else aa < 1 or not partitions._member(
-            tuple(x // 2 for x in mid), "B", kk, aa)):
+    if aa < 1 < kk or not partitions._member(
+            tuple(x // 2 for x in mid), "B", kk, aa):
         return None
     out = _reduced_image(A, mid, (), D, k, a)
     if isinstance(out, FixedPoint) and (

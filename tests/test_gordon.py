@@ -13,7 +13,6 @@ from qgordon.gordon import (
     UClass,
     _blocked,
     _fixed_pair,
-    _involute_k1,
     _pair_fault,
     apply_map,
     classify,
@@ -135,6 +134,22 @@ def test_blocked_is_membership_of_the_extended_b():
     assert cases == 47980
 
 
+def test_k1_blocks_every_part_and_admits_only_the_empty_b():
+    # at k = 1 the window cap k - 1 = 0 lets no part into B, so every top
+    # part is blocked and B_{1,a} is the empty partition alone, at a = 1
+    # and at the a = 0 that OO (3, 1) halves to
+    for a1 in range(1, 7):
+        assert _blocked(a1, (), 1, 1)
+        assert not partitions._member((a1,), "B", 1, 1)
+    # B_{9,9} holds every partition of weight <= 8 (67 of them)
+    every = [p for w in range(9)
+             for p in partitions.enumerate_family("B", 9, 9, w)]
+    assert len(every) == 67
+    for a in (0, 1):
+        for p in every:
+            assert partitions._member(p, "B", 1, a) == (p == ()), (p, a)
+
+
 def test_inline_step1_agrees_with_classify():
     # the kernel decides the step-1 moves without classifying; every pair
     # of P_{k,a} must get the image its _classify label names: the move's
@@ -245,15 +260,20 @@ def test_global_signed_sum_cancels_to_theta():
 
 
 def test_single_column_engine():
-    fixed = [0] * 21
-    for w in range(21):
+    # at k = 1, B_{1,1} holds only the empty partition, and the kernel is
+    # Franklin's pentagonal pairing on the distinct partitions (8,697 to
+    # weight 40): its signed fixed points are Euler's theta_sum(3, 1)
+    fixed, seen = [0] * 41, 0
+    for w in range(41):
         for A in partitions.enumerate_distinct(w):
-            out = _involute_k1((A, ()))
+            out = gordon._involute((A, ()), 1, 1)
+            seen += 1
             if isinstance(out, FixedPoint):
                 fixed[w] += -1 if len(A) % 2 else 1
             else:
-                assert _involute_k1(out) == (A, ())
-    assert fixed == list(series.theta_sum(3, 1, 20).coeffs)
+                assert gordon._involute(out, 1, 1) == (A, ())
+    assert seen == 8697
+    assert fixed == list(series.theta_sum(3, 1, 40).coeffs)
 
 
 def test_templates_are_fixed_before_any_map_runs(monkeypatch):
@@ -274,7 +294,7 @@ def test_templates_are_fixed_before_any_map_runs(monkeypatch):
     for n in range(1, 13):
         for family in (1, 2):
             want = FixedPoint(family, n)
-            assert _involute_k1(_fixed_pair(family, n, 1, 1)) == want
+            assert gordon._involute(_fixed_pair(family, n, 1, 1), 1, 1) == want
             for k in range(2, 7):
                 for a in range(1, k + 1):
                     pair = gordon_fixed_point(family, n, k, a)

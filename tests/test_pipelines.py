@@ -788,8 +788,7 @@ def _involute_ee_merge_first(pair, k, a):
         rest.remove(x)
         return tuple(sorted(A + (x,), reverse=True)), tuple(rest)
     half = (tuple(x // 2 for x in A if x % 2 == 0), G)
-    out = (gordon._involute(half, k // 2, a // 2) if k >= 4
-           else gordon._involute_k1(half))
+    out = gordon._involute(half, k // 2, a // 2)
     if isinstance(out, FixedPoint):
         return out
     Ah, G2 = out
