@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import operator
 import os
+import threading
 import time
 from collections import Counter
+from contextlib import suppress
 from functools import reduce
+from itertools import islice
 from typing import NamedTuple
 
 from . import partitions, pipelines, series
@@ -214,6 +217,160 @@ def _image_fault(pair, out, w, member):
     return "map", out, None
 
 
+def _workers():
+    """How many processes a sweep may use: one per CPU this process may
+    run on, or one alone where os cannot fork or another thread runs,
+    since a forked child holds a copy of the forking thread only."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _deal(ground, N, workers):
+    """The weight classes 0..N dealt to workers, one ascending list each:
+    the heaviest class first, each to the least-loaded worker, so the
+    first worker takes the first pick.  A class weighs its pair count,
+    summed over its bucket products."""
+    size = [sum(len(ground.As[wa]) * len(ground.Bs[w - wa])
+                for wa in range(w + 1)) for w in range(N + 1)]
+    loads, hands = [0] * workers, [[] for _ in range(workers)]
+    for w in sorted(range(N + 1), key=lambda w: (size[w], w), reverse=True):
+        i = loads.index(min(loads))
+        loads[i] += size[w]
+        hands[i].append(w)
+    return [sorted(hand) for hand in hands]
+
+
+def _sweep_class(ground, w, involute, k, a):
+    """Sweep the weight class w: (fault, signed fixed count, the
+    configuration being checked at the fault), where fault is the first
+    violated law as (law, configuration, image), or None when the class
+    passes."""
+    cls = dict.fromkeys(ground.pairs(w), True)
+    fixed = 0
+    for cfg, todo in cls.items():
+        if not todo:    # the partner of a configuration checked
+            continue
+        try:
+            out = involute(cfg, k, a)
+        except Exception:
+            return ("map", cfg, None), fixed, cfg
+        try:
+            member = out in cls
+        except Exception:
+            member = False
+        if member and (len(cfg[0]) + len(out[0])) % 2:
+            cls[out] = False
+            try:
+                back = involute(out, k, a)
+            except Exception:
+                return ("map", out, None), fixed, cfg
+            if back != cfg:
+                return ("involution", cfg, out), fixed, cfg
+        elif isinstance(out, FixedPoint):
+            fixed += -1 if len(cfg[0]) % 2 else 1
+        else:
+            return _image_fault(cfg, out, w, cls.__contains__), fixed, cfg
+    return None, fixed, None
+
+
+class _Crew:
+    """The forked children of one sweep, and what they reported.  Each
+    child sweeps a hand of weight classes in ascending order up to its
+    first failing one, and writes one line of three ints per class to its
+    pipe: the weight, then 0 and the signed fixed count for a class that
+    passed, 1 and a position when the map failed on the configuration at
+    that position in enumeration order (a fault ("map", configuration,
+    None)), or 2 and 0 when the class failed otherwise.  It never sends
+    an image, and leaves through os._exit, whatever happens."""
+
+    def __init__(self, hands, ground, sweep, low):
+        self.low = low      # the lowest weight known to fail
+        self.fixed = {}     # weight -> signed fixed count of a class passed
+        self.raised = {}    # weight -> position of a configuration failed
+        self.pids = []
+        self.hands = {}     # read end -> hand, while its child may report
+        self.rest = {}      # read end -> the start of a line not yet whole
+        if any(hands):
+            # imported here, so that a process that never forks, as most
+            # CLI calls, does not pay for them at start
+            import select
+            import signal
+            self.poll, self.sigkill = select.poll(), signal.SIGKILL
+            for hand in filter(None, hands):
+                self._fork(hand, ground, sweep)
+
+    def _fork(self, hand, ground, sweep):
+        r, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:     # the hand is left unreported, so swept here
+            os.close(r)
+            os.close(wfd)
+            return
+        if pid == 0:
+            try:
+                for w in hand:
+                    fault, fixed, cfg = sweep(w)
+                    if fault is None:
+                        line = w, 0, fixed
+                    elif fault == ("map", cfg, None):
+                        line = w, 1, list(ground.pairs(w)).index(cfg)
+                    else:
+                        line = w, 2, 0
+                    os.write(wfd, b"%d %d %d\n" % line)
+                    if fault is not None:
+                        break
+            finally:
+                os._exit(0)
+        os.close(wfd)
+        self.pids.append(pid)
+        self.hands[r], self.rest[r] = hand, b""
+        self.poll.register(r)
+
+    def _owed(self):
+        """Whether a child that may still report owes a class below low."""
+        return any(w < self.low and w not in self.fixed
+                   for hand in self.hands.values() for w in hand)
+
+    def listen(self, wait=False):
+        """Read what the children have sent, and return low.  With wait,
+        read until no child owes a class below low."""
+        while self.hands and (not wait or self._owed()):
+            events = self.poll.poll(None if wait else 0)
+            if not events:
+                break
+            for fd, _ in events:
+                data = os.read(fd, 1 << 16)
+                *lines, self.rest[fd] = (self.rest[fd] + data).split(b"\n")
+                for line in lines:
+                    w, status, n = map(int, line.split())
+                    if status == 0:
+                        self.fixed[w] = n
+                    else:
+                        self.low = min(self.low, w)
+                        if status == 1:
+                            self.raised[w] = n
+                if not data:    # the child is gone
+                    self.poll.unregister(fd)
+                    os.close(fd)
+                    del self.hands[fd]
+        return self.low
+
+    def close(self):
+        """Close the pipes, and kill and reap every child."""
+        for fd in self.hands:
+            os.close(fd)
+        for pid in self.pids:
+            # where SIGCHLD is ignored, a child that left is reaped already
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, self.sigkill)
+                os.waitpid(pid, 0)
+
+
 def check_involution_laws(scope: str, k: int, a: int,
                           N: int) -> VerificationReport:
     """Exhaustive sweep of the scope's ground set up to weight N: the
@@ -233,7 +390,21 @@ def check_involution_laws(scope: str, k: int, a: int,
     map that raises is a failing law "map" with no image, not an
     exception.  The report carries the first violating configuration in
     enumeration order, or the first differing coefficient when only the
-    series comparison fails."""
+    series comparison fails.
+
+    Partners share a weight, so the weight classes are swept apart, on
+    one process per CPU this process may use (_workers).  The classes are
+    dealt heaviest first, each to the least-loaded process, and this
+    process keeps the first pick, the heaviest class; the others are
+    forked children (_Crew), which report each class's signed fixed
+    count, or that it failed, never an image.  Each process sweeps its
+    classes in ascending weight up to its first failure, and this one
+    begins no class above a failure it has heard of.  It then builds the
+    report from the lowest failing class: a configuration a child's map
+    raised on is read off its position, and a class that failed
+    otherwise, or that a child left unreported, is swept here again.  So
+    the report, apart from elapsed, is the one a sweep in one process
+    gives, and holds the same objects."""
     t0 = time.monotonic()
     rules = _scope_rules(scope, k, a)
     N = partitions._as_weight(N, "N")
@@ -243,43 +414,42 @@ def check_involution_laws(scope: str, k: int, a: int,
             "sweep to weight %d exceeds the cap %d; set RRG_MAX_SWEEP "
             "to raise it" % (N, cap))
     ident = "laws_" + scope
-    involute = rules.involute
     ground = pipelines._Ground(scope, k, a, N)
-    swept = [0] * (N + 1)
-    fault = None
+
+    def sweep(w):
+        return _sweep_class(ground, w, rules.involute, k, a)
+
+    own, *dealt = _deal(ground, N, _workers())
+    done = {}               # weight -> (fault, fixed) of a class swept here
+    crew = _Crew(dealt, ground, sweep, N + 1)
+    try:
+        for w in own:
+            if crew.listen() < w:   # a child's lower class failed
+                break
+            fault, fixed, _ = sweep(w)
+            done[w] = fault, fixed
+            if fault is not None:
+                crew.low = w
+                break
+        crew.listen(wait=True)
+    finally:
+        crew.close()
+    swept = []
     for w in range(N + 1):
-        cls = dict.fromkeys(ground.pairs(w), True)
-        for cfg, todo in cls.items():
-            if not todo:    # the partner of a configuration checked
-                continue
-            try:
-                out = involute(cfg, k, a)
-            except Exception:
-                fault = "map", cfg, None
-                break
-            try:
-                member = out in cls
-            except Exception:
-                member = False
-            if member and (len(cfg[0]) + len(out[0])) % 2:
-                cls[out] = False
-                try:
-                    back = involute(out, k, a)
-                except Exception:
-                    fault = "map", out, None
-                    break
-                if back != cfg:
-                    fault = "involution", cfg, out
-                    break
-            elif isinstance(out, FixedPoint):
-                swept[w] += -1 if len(cfg[0]) % 2 else 1
-            else:
-                fault = _image_fault(cfg, out, w, cls.__contains__)
-                break
+        if w in done:
+            fault, fixed = done[w]
+        elif w in crew.fixed:
+            fault, fixed = None, crew.fixed[w]
+        elif w in crew.raised:
+            cfg = next(islice(ground.pairs(w), crew.raised[w], None))
+            fault = "map", cfg, None
+        else:   # a child's class that failed, or one it left unreported
+            fault, fixed, _ = sweep(w)
         if fault is not None:
             return VerificationReport(ident, (k, a), N, "fail",
                                       counterexample=fault,
                                       elapsed=time.monotonic() - t0)
+        swept.append(fixed)
     got = TruncatedSeries(swept)
     want = rules.fixed_gf(k, a, N)
     n = series.first_discrepancy(got, want)

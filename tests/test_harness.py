@@ -2,7 +2,12 @@
 law sweeps with genuine failure detection, orbit traces, and the
 laws-imply-identity meta-test."""
 
+import os
+import signal
+import threading
+
 import pytest
+from test_acceptance import PIPELINE_GRID
 
 from qgordon import harness, partitions, pipelines, series
 from qgordon.gordon import FixedPoint
@@ -199,7 +204,7 @@ def _first_partners(k, a, w):
     raise AssertionError("weight %d has no partners" % w)
 
 
-def test_sweep_maps_each_configuration_once(monkeypatch):
+def test_sweep_maps_each_configuration_once(monkeypatch, serial):
     k, a, N = 3, 3, 12
     # ground-set sizes from counting DPs, not from the sweep's enumerator
     distinct = [1] + [0] * N
@@ -359,6 +364,153 @@ def test_list_partner_breaks_the_map_law_on_itself(monkeypatch):
     r = check_involution_laws("gordon", k, a, 5)
     assert r.status == "fail"
     assert r.counterexample == ("map", image, None)
+
+
+forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="os cannot fork")
+
+# the law sweeps of the sweep benchmark: acceptance criteria 5 (Gordon,
+# at weight 23) and 6 (pipelines, at weight 21), one weight above their
+# gates; OO (3, 3) fails at 21
+BENCH_SWEEPS = ([("gordon", k, a, 23) for k in (2, 3, 4)
+                 for a in range(1, k + 1)]
+                + [(s, k, a, 21) for s, k, a in PIPELINE_GRID])
+
+
+def _at_one_and_two_workers(monkeypatch, *sweep):
+    """repr of the sweep's report at one worker and at two, with elapsed
+    left out."""
+    reports = []
+    for n in (1, 2):
+        monkeypatch.setattr(harness, "_workers", lambda n=n: n)
+        r = check_involution_laws(*sweep)
+        reports.append(repr(r._replace(elapsed=None)))
+    return reports
+
+
+@forks
+@pytest.mark.parametrize("scope,k,a,N", BENCH_SWEEPS)
+def test_two_workers_report_as_one(monkeypatch, scope, k, a, N):
+    one, two = _at_one_and_two_workers(monkeypatch, scope, k, a, N)
+    assert one == two
+
+
+def _hands(k, a, N):
+    """The Gordon weight classes to N dealt to two workers: (this
+    process's, the child's)."""
+    return harness._deal(pipelines._Ground("gordon", k, a, N), N, 2)
+
+
+def test_classes_are_dealt_heaviest_first():
+    # the classes grow with the weight here: the heaviest, the top one,
+    # goes to this process and the next to the child, and dealing each
+    # to the less-loaded worker evens the loads out; lightest first
+    # would leave 950 pairs here and 682 there
+    ground = pipelines._Ground("gordon", 3, 3, 14)
+    size = [len(list(ground.pairs(w))) for w in range(15)]
+    own, child = _hands(3, 3, 14)
+    assert own[-1] == 14 and child[-1] == 13
+    assert sorted(own + child) == list(range(15))
+    assert sum(size[w] for w in own) == sum(size[w] for w in child) == 816
+
+
+def _failing_in(weights, raising=False):
+    """The Gordon map, but each pair of the given weights with a partner
+    is mapped to itself, which breaks the sign law, or raises."""
+
+    def kernel(pair, k, a):
+        out = GORDON_MAP(pair, k, a)
+        if sum(map(sum, pair)) in weights and not isinstance(out, FixedPoint):
+            if raising:
+                raise ConsistencyError("no partner for %r" % (pair,))
+            return pair
+        return out
+
+    return kernel
+
+
+@forks
+@pytest.mark.parametrize("picks,raising", [
+    ("c", False), ("p", False), ("cp", False), ("pc", False), ("c", True),
+    ("p", True)],
+    ids=["child", "parent", "both-child-lower", "both-parent-lower",
+         "child-raises", "parent-raises"])
+def test_a_failing_class_is_reported_as_in_one_process(monkeypatch, picks,
+                                                       raising):
+    # picks names whose classes fail, from the lowest weight up: the
+    # child's (c) or this process's (p), each at weight 8 or above
+    k, a, N = 3, 3, 14
+    own, child = _hands(k, a, N)
+    hand = {"c": [w for w in child if w >= 8], "p": [w for w in own if w >= 8]}
+    weights = [hand[picks[0]][0]]
+    if len(picks) == 2:
+        weights.append(min(w for w in hand[picks[1]] if w > weights[0]))
+    patch_map(monkeypatch, _failing_in(weights, raising))
+    one, two = _at_one_and_two_workers(monkeypatch, "gordon", k, a, N)
+    assert one == two
+    r = check_involution_laws("gordon", k, a, N)
+    law, cfg, _ = r.counterexample
+    assert law == ("map" if raising else "sign")
+    assert sum(map(sum, cfg)) == weights[0]
+
+
+@forks
+def test_a_series_failure_is_reported_as_in_one_process(monkeypatch):
+    real = series.theta_sum
+
+    def crooked(alpha, beta, N):
+        out = list(real(alpha, beta, N).coeffs)
+        out[11] += 1
+        return series.TruncatedSeries(out)
+
+    monkeypatch.setattr(series, "theta_sum", crooked)
+    one, two = _at_one_and_two_workers(monkeypatch, "gordon", 3, 3, 14)
+    assert one == two
+    assert "first_discrepancy=(11, " in two
+
+
+@forks
+def test_a_dying_child_leaves_the_report_as_in_one_process(monkeypatch):
+    # the map kills any process but this one: the child dies without a
+    # report, and this process sweeps the child's classes itself
+    pid = os.getpid()
+
+    def dying(pair, k, a):
+        if os.getpid() != pid:
+            os._exit(1)
+        return GORDON_MAP(pair, k, a)
+
+    patch_map(monkeypatch, dying)
+    one, two = _at_one_and_two_workers(monkeypatch, "gordon", 3, 3, 14)
+    assert one == two and "'pass'" in two
+    # no child returned here, and none is left running or unreaped
+    assert os.getpid() == pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks
+def test_an_ignored_sigchld_leaves_the_report_as_in_one_process(monkeypatch):
+    # the system reaps each child as it leaves, so no pid is left to
+    # kill or to wait for
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        one, two = _at_one_and_two_workers(monkeypatch, "gordon", 3, 3, 14)
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    assert one == two and "'pass'" in two
+
+
+def test_a_running_thread_keeps_the_sweep_in_one_process():
+    # a forked child would hold a copy of the forking thread only
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert harness._workers() == 1
+    finally:
+        stop.set()
+        thread.join(5)
+    assert not thread.is_alive()
 
 
 def test_sweep_cap(monkeypatch):

@@ -160,7 +160,8 @@ def fresh_flows():
     pipelines._flow.cache_clear()
 
 
-def test_each_ground_enumerates_a_weight_once(monkeypatch, fresh_flows):
+def test_each_ground_enumerates_a_weight_once(monkeypatch, fresh_flows,
+                                              serial):
     walks, lists = [], []
     real = partitions._walk_family
 
@@ -879,7 +880,7 @@ def test_ee_pairs_at_high_weight():
     assert blocked > 100
 
 
-def test_ee_reaches_no_ladder_and_no_matching(monkeypatch):
+def test_ee_reaches_no_ladder_and_no_matching(monkeypatch, serial):
     # EE maps as a product: no flow is built, no state routed, and no
     # carry move read
     calls = []
