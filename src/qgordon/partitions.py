@@ -284,11 +284,11 @@ def family_counts(family: str, k: int, a: int, limit: int):
     sizes (f_j + f_{j+1} <= k-1) and the parity filter is per size.
     Each step works on whole weight rows: the row of multiplicity f at
     size s is the sum of the rows whose previous multiplicity is at most
-    k-1-f, shifted up by f*s.  A row is one int of nb-byte slots, one per
-    weight: a sum of rows is one addition, a shift one shift and mask.
-    An entry counts distinct partitions of its weight, so it is at most
-    p(limit) < exp(pi*sqrt(2*limit/3)) (Apostol, Introduction to Analytic
-    Number Theory, Thm 14.5), under 4*isqrt(limit) + 4 bits: no carries.
+    k-1-f, moved up by f*s.  A row is one int of nb-byte slots with
+    weight w in slot limit - w, so a sum of rows is one addition and a
+    move one right shift, under which weights past limit fall off the
+    bottom: no mask.  An entry counts distinct partitions of its weight,
+    so it is at most p(limit), which _slot_bytes bounds: no carries.
     """
     check_params(k, a)
     limit = _as_weight(limit, "limit")
@@ -298,38 +298,38 @@ def family_counts(family: str, k: int, a: int, limit: int):
                                 modulus, limit)
     if family not in _PAIRED:
         raise ParameterError("unknown family %r" % (family,))
-    bits = 8 * _slot_bytes(limit)
-    mask = (1 << bits * (limit + 1)) - 1
+    nb = _slot_bytes(limit)
     # cur[c]: assignments of multiplicities to sizes > s with the size
     # s+1 multiplicity equal to c, packed by weight so far; a multiplicity
     # above L = min(k - 1, limit) weighs more than limit, so its row is 0
     # and is not kept
     L = min(k - 1, limit)
-    cur = [1] + [0] * L
+    cur = [1 << 8 * nb * limit] + [0] * L
     for s in range(limit, 0, -1):
-        # pre[m]: the same, summed over size s+1 multiplicities c <= m
-        pre = list(accumulate(cur))
+        # pre[m]: the same, summed over size s+1 multiplicities c <= m;
+        # a zero row is skipped, since x + 0 copies all of x
+        pre = list(accumulate(cur, lambda x, y: x + y if y else x))
         cap, step = _size_rule(family, k, a, s)
-        nxt = [pre[L]]
-        for f in range(1, L + 1):
-            shift = f * s
-            if f > cap or shift > limit or f % step:
-                nxt.append(0)
-            else:
-                nxt.append((pre[min(k - 1 - f, L)] << bits * shift) & mask)
-        cur = nxt
-    return _unpack(sum(cur), bits // 8, limit + 1)
+        cur = [pre[L]] + [0 if f > cap or f % step else
+                          pre[min(k - 1 - f, L)] >> 8 * nb * f * s
+                          for f in range(1, L + 1)]
+    return _unpack(sum(cur), nb, limit + 1, "big")
 
 
 def _slot_bytes(limit):
-    """Bytes per slot that hold any count of partitions of <= limit."""
-    return (4 * isqrt(limit) + 4) // 8 + 1
+    """Bytes per slot that hold any count of partitions of <= limit:
+    p(n) < exp(pi*sqrt(2n/3)) / n**(3/4) (de Azevedo Pribitkin, Ramanujan
+    J. 18, 2009), so log2 p(n) < 3.701*sqrt(n) - (3/4)*log2(n), rounded up
+    in integers, plus one spare bit; 1 byte for n < 2."""
+    bits = ((3701 * (isqrt(limit * 10 ** 6) + 1)) // 10 ** 6 + 2
+            - (3 * (limit.bit_length() - 1)) // 4)
+    return (bits + 7) // 8 if limit > 1 else 1
 
 
-def _unpack(x, nb, n):
-    """The n slots of nb bytes of a nonnegative int x, lowest first."""
-    raw = x.to_bytes(nb * n, "little")
-    return [int.from_bytes(raw[i:i + nb], "little")
+def _unpack(x, nb, n, order="little"):
+    """The n nb-byte slots of int x >= 0, low to high ("big": high to low)."""
+    raw = x.to_bytes(nb * n, order)
+    return [int.from_bytes(raw[i:i + nb], order)
             for i in range(0, nb * n, nb)]
 
 

@@ -94,11 +94,7 @@ class TruncatedSeries:
         a, b = self.coeffs, other.coeffs
         if (g := _lattice(b)) == 1:
             a, b, g = b, a, _lattice(a)
-        out = [0] * len(a)
-        for r in range(g):
-            if any(a[r::g]):
-                out[r::g] = _kronecker(a[r::g], b[:len(a) - r:g])
-        return TruncatedSeries(out)
+        return TruncatedSeries(_kronecker(a, b, g))
 
     __rmul__ = __mul__
 
@@ -139,25 +135,37 @@ def _lattice(c):
     return g if 0 < g * g <= len(c) else 1
 
 
-def _kronecker(a, b):
-    """a * b to n = len(a) = len(b) terms, one int product at X = 2^(8*nb):
-    |c_i| <= n*max|a|*max|b| < X/2, so no slot of c_i + X/2 borrows."""
-    n = len(a)
+def _kronecker(a, b, g):
+    """a * b to len(a) = len(b) terms, b in q^g: for each class r mod g
+    where a is not 0, one int product at X = 2^(8*nb) of a[r::g] and the
+    same length prefix of b[::g].  |c_i| <= n*max|a|*max|b| < X/2 for
+    n = len(b[::g]), so no slot of c_i + X/2 borrows.  An operand is
+    read from one string whose slot i holds c_i + half, and bias, half in
+    every slot, is taken off; b's string is built once for all classes."""
+    b = b[::g]
+    n = len(b)
     nb = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
           + n.bit_length() + 2 + 7) // 8
     half = 1 << (8 * nb - 1)
-    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
-    prod = (_pack(a, nb, half, bias) * _pack(b, nb, half, bias)
-            + bias) & ((1 << (8 * nb * n)) - 1)
-    return [c - half for c in partitions._unpack(prod, nb, n)]
+    halves = (bytes(nb - 1) + b"\x80") * n
+    packed = _biased(b, nb, half)
+    out = [0] * len(a)
+    for r in range(g):
+        if any(x := a[r::g]):
+            m = nb * len(x)
+            bias = int.from_bytes(halves[:m], "little")
+            prod = ((int.from_bytes(_biased(x, nb, half), "little") - bias)
+                    * (int.from_bytes(packed[:m], "little") - bias)
+                    + bias) & ((1 << 8 * m) - 1)
+            out[r::g] = [c - half
+                         for c in partitions._unpack(prod, nb, len(x))]
+    return out
 
 
-def _pack(coeffs, nb, half, bias):
-    """sum c_i X^i at X = 2^(8*nb), read from one string: slot i holds
-    c_i + half, in [0, X) as |c_i| < half, and bias, half in every slot,
-    is taken off."""
-    return int.from_bytes(b"".join([(c + half).to_bytes(nb, "little")
-                                    for c in coeffs]), "little") - bias
+def _biased(coeffs, nb, half):
+    """The nb-byte slots c_i + half, in [0, 2^(8*nb)) as |c_i| < half,
+    little-endian, as one string."""
+    return b"".join([(c + half).to_bytes(nb, "little") for c in coeffs])
 
 
 def mul(s, t):

@@ -359,10 +359,12 @@ def test_family_counts_at_huge_k(family):
 
 @pytest.mark.parametrize("family", ["B", "W", "Wbar"])
 def test_packed_rows_match_list_rows_at_depth(family):
-    # at limit 600 a slot is 13 bytes wide, at 300 it is 9
+    # at limit 600 a slot is 11 bytes wide and at 300 it is 8; 271 has
+    # the least slack of any limit up to 5000: p(271) fills all but 5 of
+    # its 7 bytes' bits
     for k in range(2, 6):
         for a in sorted({1, (k + 1) // 2, k}):
-            for limit in (300, 600):
+            for limit in (271, 300, 600):
                 got = partitions.family_counts(family, k, a, limit)
                 assert got == list_row_counts(family, k, a, limit), \
                     (family, k, a, limit)
@@ -373,6 +375,8 @@ def test_slot_holds_every_partition_count():
     assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[100] == 190569292
     for n, pn in enumerate(p):
         assert pn.bit_length() < 8 * partitions._slot_bytes(n), n
+        # and no more than a byte or so to spare: the bound stays sharp
+        assert n < 2 or 8 * partitions._slot_bytes(n) - pn.bit_length() < 16
 
 
 def test_count_family_uses_the_dp(monkeypatch):
