@@ -232,8 +232,8 @@ def _workers():
 def _deal(ground, N, workers):
     """The weight classes 0..N dealt to workers, one ascending list each:
     the heaviest class first, each to the least-loaded worker, so the
-    first worker takes the first pick.  A class weighs its pair count,
-    summed over its bucket products."""
+    first worker takes the first pick and the last the last.  A class
+    weighs its pair count, summed over its bucket products."""
     size = [sum(len(ground.As[wa]) * len(ground.Bs[w - wa])
                 for wa in range(w + 1)) for w in range(N + 1)]
     loads, hands = [0] * workers, [[] for _ in range(workers)]
@@ -278,38 +278,38 @@ def _sweep_class(ground, w, involute, k, a):
 
 
 class _Crew:
-    """The forked children of one sweep, and what they reported.  Each
-    child sweeps a hand of weight classes in ascending order up to its
-    first failing one, and writes one line of three ints per class to its
-    pipe: the weight, then 0 and the signed fixed count for a class that
-    passed, 1 and a position when the map failed on the configuration at
-    that position in enumeration order (a fault ("map", configuration,
-    None)), or 2 and 0 when the class failed otherwise.  It never sends
-    an image, and leaves through os._exit, whatever happens."""
+    """The forked children of one sweep, and one record of every class
+    reported.  Each child sweeps a hand of weight classes in ascending
+    order up to its first failing one, and writes one line of three ints
+    per class to the pipe all children share, in one os.write, far
+    shorter than PIPE_BUF, so no two lines interleave: the weight, then 0
+    and the signed fixed count for a class that passed, 1 and a position
+    when the map failed on the configuration at that position in
+    enumeration order (a fault ("map", configuration, None)), or 2 and 0
+    when the class failed otherwise.  It never sends an image, and leaves
+    through os._exit, whatever happens."""
 
     def __init__(self, hands, ground, sweep, low):
+        self.ground = ground
         self.low = low      # the lowest weight known to fail
-        self.fixed = {}     # weight -> signed fixed count of a class passed
-        self.raised = {}    # weight -> position of a configuration failed
+        self.done = {}      # weight -> (fault, fixed) of a class reported
+        self.owed = []      # the classes of the hands that forked
         self.pids = []
-        self.hands = {}     # read end -> hand, while its child may report
-        self.rest = {}      # read end -> the start of a line not yet whole
+        self.fd, self.rest = None, b""  # the read end, a line not yet whole
         if any(hands):
             # imported here, so that a process that never forks, as most
-            # CLI calls, does not pay for them at start
-            import select
+            # CLI calls, does not pay for it at start
             import signal
-            self.poll, self.sigkill = select.poll(), signal.SIGKILL
+            self.sigkill = signal.SIGKILL
+            self.fd, wfd = os.pipe()
             for hand in filter(None, hands):
-                self._fork(hand, ground, sweep)
+                self._fork(hand, sweep, wfd)
+            os.close(wfd)   # the read end sees EOF once every child is gone
 
-    def _fork(self, hand, ground, sweep):
-        r, wfd = os.pipe()
+    def _fork(self, hand, sweep, wfd):
         try:
             pid = os.fork()
         except OSError:     # the hand is left unreported, so swept here
-            os.close(r)
-            os.close(wfd)
             return
         if pid == 0:
             try:
@@ -318,7 +318,7 @@ class _Crew:
                     if fault is None:
                         line = w, 0, fixed
                     elif fault == ("map", cfg, None):
-                        line = w, 1, list(ground.pairs(w)).index(cfg)
+                        line = w, 1, list(self.ground.pairs(w)).index(cfg)
                     else:
                         line = w, 2, 0
                     os.write(wfd, b"%d %d %d\n" % line)
@@ -326,44 +326,37 @@ class _Crew:
                         break
             finally:
                 os._exit(0)
-        os.close(wfd)
         self.pids.append(pid)
-        self.hands[r], self.rest[r] = hand, b""
-        self.poll.register(r)
-
-    def _owed(self):
-        """Whether a child that may still report owes a class below low."""
-        return any(w < self.low and w not in self.fixed
-                   for hand in self.hands.values() for w in hand)
+        self.owed += hand
 
     def listen(self, wait=False):
         """Read what the children have sent, and return low.  With wait,
         read until no child owes a class below low."""
-        while self.hands and (not wait or self._owed()):
-            events = self.poll.poll(None if wait else 0)
-            if not events:
+        while self.owed and (not wait or any(
+                w < self.low and w not in self.done for w in self.owed)):
+            os.set_blocking(self.fd, wait)
+            try:
+                data = os.read(self.fd, 1 << 16)
+            except BlockingIOError:     # nothing sent yet
                 break
-            for fd, _ in events:
-                data = os.read(fd, 1 << 16)
-                *lines, self.rest[fd] = (self.rest[fd] + data).split(b"\n")
-                for line in lines:
-                    w, status, n = map(int, line.split())
-                    if status == 0:
-                        self.fixed[w] = n
-                    else:
-                        self.low = min(self.low, w)
-                        if status == 1:
-                            self.raised[w] = n
-                if not data:    # the child is gone
-                    self.poll.unregister(fd)
-                    os.close(fd)
-                    del self.hands[fd]
+            if not data:    # every child is gone
+                self.owed = []
+            *lines, self.rest = (self.rest + data).split(b"\n")
+            for line in lines:
+                w, status, n = map(int, line.split())
+                if status == 0:
+                    self.done[w] = None, n
+                else:
+                    self.low = min(self.low, w)
+                    if status == 1:
+                        cfg = next(islice(self.ground.pairs(w), n, None))
+                        self.done[w] = ("map", cfg, None), None
         return self.low
 
     def close(self):
-        """Close the pipes, and kill and reap every child."""
-        for fd in self.hands:
-            os.close(fd)
+        """Close the pipe, and kill and reap every child."""
+        if self.fd is not None:
+            os.close(self.fd)
         for pid in self.pids:
             # where SIGCHLD is ignored, a child that left is reaped already
             with suppress(ProcessLookupError, ChildProcessError):
@@ -394,17 +387,19 @@ def check_involution_laws(scope: str, k: int, a: int,
 
     Partners share a weight, so the weight classes are swept apart, on
     one process per CPU this process may use (_workers).  The classes are
-    dealt heaviest first, each to the least-loaded process, and this
-    process keeps the first pick, the heaviest class; the others are
-    forked children (_Crew), which report each class's signed fixed
-    count, or that it failed, never an image.  Each process sweeps its
-    classes in ascending weight up to its first failure, and this one
-    begins no class above a failure it has heard of.  It then builds the
-    report from the lowest failing class: a configuration a child's map
-    raised on is read off its position, and a class that failed
-    otherwise, or that a child left unreported, is swept here again.  So
-    the report, apart from elapsed, is the one a sweep in one process
-    gives, and holds the same objects."""
+    dealt heaviest first, each to the least-loaded process.  This process
+    keeps the last hand, and forked children (_Crew) sweep the others,
+    so the top class, whose first pairs are the costliest single map
+    calls, runs in a child, which can be killed.  A child reports each
+    class's signed fixed count, or that it failed, never an image.  Each
+    process sweeps its classes in ascending weight up to its first
+    failure, and this one begins no class above a failure it has heard
+    of.  It then builds the report from the lowest failing class: a
+    configuration a child's map raised on is read off its position when
+    its line arrives, and a class that failed otherwise, or that a child
+    left unreported, is swept here again.  So the report, apart from
+    elapsed, is the one a sweep in one process gives, and holds the same
+    objects."""
     t0 = time.monotonic()
     rules = _scope_rules(scope, k, a)
     N = partitions._as_weight(N, "N")
@@ -419,15 +414,14 @@ def check_involution_laws(scope: str, k: int, a: int,
     def sweep(w):
         return _sweep_class(ground, w, rules.involute, k, a)
 
-    own, *dealt = _deal(ground, N, _workers())
-    done = {}               # weight -> (fault, fixed) of a class swept here
+    *dealt, own = _deal(ground, N, _workers())
     crew = _Crew(dealt, ground, sweep, N + 1)
     try:
         for w in own:
             if crew.listen() < w:   # a child's lower class failed
                 break
             fault, fixed, _ = sweep(w)
-            done[w] = fault, fixed
+            crew.done[w] = fault, fixed
             if fault is not None:
                 crew.low = w
                 break
@@ -436,15 +430,9 @@ def check_involution_laws(scope: str, k: int, a: int,
         crew.close()
     swept = []
     for w in range(N + 1):
-        if w in done:
-            fault, fixed = done[w]
-        elif w in crew.fixed:
-            fault, fixed = None, crew.fixed[w]
-        elif w in crew.raised:
-            cfg = next(islice(ground.pairs(w), crew.raised[w], None))
-            fault = "map", cfg, None
-        else:   # a child's class that failed, or one it left unreported
-            fault, fixed, _ = sweep(w)
+        # a class failed in a child other than by a raise, or left
+        # unreported, is swept here again
+        fault, fixed = crew.done.get(w) or sweep(w)[:2]
         if fault is not None:
             return VerificationReport(ident, (k, a), N, "fail",
                                       counterexample=fault,

@@ -376,11 +376,11 @@ BENCH_SWEEPS = ([("gordon", k, a, 23) for k in (2, 3, 4)
                 + [(s, k, a, 21) for s, k, a in PIPELINE_GRID])
 
 
-def _at_one_and_two_workers(monkeypatch, *sweep):
-    """repr of the sweep's report at one worker and at two, with elapsed
-    left out."""
+def _by_workers(monkeypatch, *sweep):
+    """repr of the sweep's report at one worker, at two, and at three,
+    where two children write one pipe, with elapsed left out."""
     reports = []
-    for n in (1, 2):
+    for n in (1, 2, 3):
         monkeypatch.setattr(harness, "_workers", lambda n=n: n)
         r = check_involution_laws(*sweep)
         reports.append(repr(r._replace(elapsed=None)))
@@ -390,25 +390,26 @@ def _at_one_and_two_workers(monkeypatch, *sweep):
 @forks
 @pytest.mark.parametrize("scope,k,a,N", BENCH_SWEEPS)
 def test_two_workers_report_as_one(monkeypatch, scope, k, a, N):
-    one, two = _at_one_and_two_workers(monkeypatch, scope, k, a, N)
-    assert one == two
+    one, two, three = _by_workers(monkeypatch, scope, k, a, N)
+    assert one == two == three
 
 
 def _hands(k, a, N):
     """The Gordon weight classes to N dealt to two workers: (this
-    process's, the child's)."""
-    return harness._deal(pipelines._Ground("gordon", k, a, N), N, 2)
+    process's, the child's), the last hand and the first."""
+    hands = harness._deal(pipelines._Ground("gordon", k, a, N), N, 2)
+    return hands[-1], hands[0]
 
 
 def test_classes_are_dealt_heaviest_first():
     # the classes grow with the weight here: the heaviest, the top one,
-    # goes to this process and the next to the child, and dealing each
+    # goes to the child and the next to this process, and dealing each
     # to the less-loaded worker evens the loads out; lightest first
-    # would leave 950 pairs here and 682 there
+    # would leave 950 pairs in one process and 682 in the other
     ground = pipelines._Ground("gordon", 3, 3, 14)
     size = [len(list(ground.pairs(w))) for w in range(15)]
     own, child = _hands(3, 3, 14)
-    assert own[-1] == 14 and child[-1] == 13
+    assert own[-1] == 13 and child[-1] == 14
     assert sorted(own + child) == list(range(15))
     assert sum(size[w] for w in own) == sum(size[w] for w in child) == 816
 
@@ -445,8 +446,8 @@ def test_a_failing_class_is_reported_as_in_one_process(monkeypatch, picks,
     if len(picks) == 2:
         weights.append(min(w for w in hand[picks[1]] if w > weights[0]))
     patch_map(monkeypatch, _failing_in(weights, raising))
-    one, two = _at_one_and_two_workers(monkeypatch, "gordon", k, a, N)
-    assert one == two
+    one, two, three = _by_workers(monkeypatch, "gordon", k, a, N)
+    assert one == two == three
     r = check_involution_laws("gordon", k, a, N)
     law, cfg, _ = r.counterexample
     assert law == ("map" if raising else "sign")
@@ -463,15 +464,15 @@ def test_a_series_failure_is_reported_as_in_one_process(monkeypatch):
         return series.TruncatedSeries(out)
 
     monkeypatch.setattr(series, "theta_sum", crooked)
-    one, two = _at_one_and_two_workers(monkeypatch, "gordon", 3, 3, 14)
-    assert one == two
+    one, two, three = _by_workers(monkeypatch, "gordon", 3, 3, 14)
+    assert one == two == three
     assert "first_discrepancy=(11, " in two
 
 
 @forks
 def test_a_dying_child_leaves_the_report_as_in_one_process(monkeypatch):
-    # the map kills any process but this one: the child dies without a
-    # report, and this process sweeps the child's classes itself
+    # the map kills any process but this one: each child dies without a
+    # report, and this process sweeps the children's classes itself
     pid = os.getpid()
 
     def dying(pair, k, a):
@@ -480,8 +481,8 @@ def test_a_dying_child_leaves_the_report_as_in_one_process(monkeypatch):
         return GORDON_MAP(pair, k, a)
 
     patch_map(monkeypatch, dying)
-    one, two = _at_one_and_two_workers(monkeypatch, "gordon", 3, 3, 14)
-    assert one == two and "'pass'" in two
+    one, two, three = _by_workers(monkeypatch, "gordon", 3, 3, 14)
+    assert one == two == three and "'pass'" in two
     # no child returned here, and none is left running or unreaped
     assert os.getpid() == pid
     with pytest.raises(ChildProcessError):
@@ -494,10 +495,10 @@ def test_an_ignored_sigchld_leaves_the_report_as_in_one_process(monkeypatch):
     # kill or to wait for
     old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        one, two = _at_one_and_two_workers(monkeypatch, "gordon", 3, 3, 14)
+        one, two, three = _by_workers(monkeypatch, "gordon", 3, 3, 14)
     finally:
         signal.signal(signal.SIGCHLD, old)
-    assert one == two and "'pass'" in two
+    assert one == two == three and "'pass'" in two
 
 
 def test_a_running_thread_keeps_the_sweep_in_one_process():

@@ -218,7 +218,7 @@ def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
     assert calls == []
 
 
-def test_flows_are_kept_for_the_last_weights_only(fresh_flows):
+def test_flows_are_kept_for_the_last_weights_only(fresh_flows, serial):
     assert harness.check_involution_laws("OO", 5, 5, 21).passed
     info = pipelines._flow.cache_info()
     assert info.currsize <= info.maxsize
