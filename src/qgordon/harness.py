@@ -21,7 +21,6 @@ import operator
 import os
 import threading
 import time
-from collections import Counter
 from contextlib import suppress
 from functools import reduce
 from itertools import islice
@@ -84,9 +83,8 @@ def _jtp(m, a, N):
 
 def _walked_gf(family, k, a, N):
     """Series counting the family's members at weights 0..N, from one
-    enumeration walk that is counted as it streams."""
-    counts = Counter(map(sum, partitions._walk_family(family, k, a, 0, N)))
-    return TruncatedSeries([counts[n] for n in range(N + 1)])
+    enumeration walk (partitions._walked_counts)."""
+    return TruncatedSeries(partitions._walked_counts(family, k, a, N))
 
 
 def _family_b_at_q2(k, a, N):

@@ -24,9 +24,10 @@ tables it builds per call, bounded by _TAIL_WEIGHT.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain, groupby, starmap
-from math import inf, isqrt
-from operator import add, index
+from collections import deque
+from itertools import accumulate, chain, groupby
+from math import comb, factorial, inf, isqrt
+from operator import add, index, itemgetter
 
 FAMILIES = ("A", "B", "W", "Wbar")
 
@@ -159,7 +160,16 @@ def _walk_family(family, k, a, lo, hi):
 def _walk(rule, k, lo, hi):
     """The partitions with weight in lo..hi whose multiplicities keep
     rule[s], the (cap, step) of size s, and the window f_s + f_(s+1) <=
-    k-1, each once, in descending lexicographic order within a weight.
+    k-1, each once, in descending lexicographic order within a weight:
+    _walk_heads' members, head by head."""
+    return chain.from_iterable(map(itemgetter(0),
+                                   _walk_heads(rule, k, lo, hi)))
+
+
+def _walk_heads(rule, k, lo, hi):
+    """_walk's members as one run per head, (members, n, sizes): the
+    head's members in their order, an iterator, of which sizes[i] weigh
+    n + i.
 
     A member is a head, its parts above the split size S (_TAIL_WEIGHT),
     and a tail, its parts of at most S.  Only heads are searched, picking
@@ -200,16 +210,27 @@ def _walk(rule, k, lo, hi):
     tables = []
     for m in range(min(k - 1, hi // (split + 1)) + 1):
         kept = [[t for t in ts if t.count(split) < k - m] for ts in by_weight]
+        sizes = list(map(len, kept))
         tables.append((tuple(chain.from_iterable(kept)),
-                       [0, *accumulate(map(len, kept))]))
+                       [0, *accumulate(sizes)], sizes))
+    for head, w, m in prefixes((), hi, 0, 0, split, lo, hi):
+        tails, starts, sizes = tables[m]
+        u, v = max(lo - w, 0), min(hi - w, top) + 1
+        yield (map(head.__add__, tails[starts[u]:starts[v]]), w + u,
+               sizes[u:v])
 
-    def completions(head, w, m):
-        tails, starts = tables[m]
-        return map(head.__add__, tails[starts[max(lo - w, 0)]:
-                                       starts[min(hi - w, top) + 1]])
 
-    return chain.from_iterable(
-        starmap(completions, prefixes((), hi, 0, 0, split, lo, hi)))
+def _walked_counts(family, k, a, N):
+    """The family's members at each weight 0..N, counted from one walk:
+    every member is built, and counted at its head's weight plus its
+    tail's.  Counting the tables without building the members would be a
+    second counting DP, which this count stays independent of."""
+    counts = [0] * (N + 1)
+    rule = [_size_rule(family, k, a, s) for s in range(N + 1)]
+    for members, n, sizes in _walk_heads(rule, k, 0, N):
+        deque(members, 0)
+        counts[n:n + len(sizes)] = map(add, counts[n:n + len(sizes)], sizes)
+    return counts
 
 
 def enumerate_family(family: str, k: int, a: int, n: int):
@@ -287,8 +308,9 @@ def family_counts(family: str, k: int, a: int, limit: int):
     k-1-f, moved up by f*s.  A row is one int of nb-byte slots with
     weight w in slot limit - w, so a sum of rows is one addition and a
     move one right shift, under which weights past limit fall off the
-    bottom: no mask.  An entry counts distinct partitions of its weight,
-    so it is at most p(limit), which _slot_bytes bounds: no carries.
+    bottom: no mask.  After the step for size s an entry counts distinct
+    partitions of its weight into parts >= s, which _step_bytes bounds,
+    so the slots widen as s falls: no carries.
     """
     check_params(k, a)
     limit = _as_weight(limit, "limit")
@@ -298,14 +320,26 @@ def family_counts(family: str, k: int, a: int, limit: int):
                                 modulus, limit)
     if family not in _PAIRED:
         raise ParameterError("unknown family %r" % (family,))
-    nb = _slot_bytes(limit)
     # cur[c]: assignments of multiplicities to sizes > s with the size
     # s+1 multiplicity equal to c, packed by weight so far; a multiplicity
     # above L = min(k - 1, limit) weighs more than limit, so its row is 0
-    # and is not kept
-    L = min(k - 1, limit)
-    cur = [1 << 8 * nb * limit] + [0] * L
-    for s in range(limit, 0, -1):
+    # and is not kept.  Two parts above limit // 2 weigh more than limit,
+    # so the steps for those sizes leave the empty partition and each
+    # single part its size rule allows, f = 1: 1-byte slots, and a part
+    # of size h = limit // 2 + 1, the first step's s+1, in cur[1]
+    L, h = min(k - 1, limit), limit // 2 + 1
+    row = bytearray(limit + 1)
+    row[0] = 1
+    for s in range(h, limit + 1):
+        cap, step = _size_rule(family, k, a, s)
+        row[s] = cap >= 1 and step == 1
+    cur = [0] * (L + 1)
+    if L:
+        cur[1], row[h] = row[h] << 8 * (limit - h), 0
+    cur[0], nb = int.from_bytes(row, "big"), 1
+    for s, wide in _step_bytes(limit):
+        if wide > nb:
+            cur, nb = [_widen(x, nb, wide, limit + 1) for x in cur], wide
         # pre[m]: the same, summed over size s+1 multiplicities c <= m;
         # a zero row is skipped, since x + 0 copies all of x
         pre = list(accumulate(cur, lambda x, y: x + y if y else x))
@@ -324,6 +358,34 @@ def _slot_bytes(limit):
     bits = ((3701 * (isqrt(limit * 10 ** 6) + 1)) // 10 ** 6 + 2
             - (3 * (limit.bit_length() - 1)) // 4)
     return (bits + 7) // 8 if limit > 1 else 1
+
+
+def _step_bytes(limit):
+    """(s, nb) for s = limit // 2 down to 1: nb-byte slots hold the number
+    of partitions of any weight <= limit into parts >= s.  Those have at
+    most limit // s parts, and the partitions of n into j parts map one
+    to one onto those of n + j(j-1)/2 into j distinct parts, of which
+    there are at most C(n + j(j-1)/2 - 1, j - 1) / j!.  So 1 plus that
+    at n = limit, summed over j <= limit // s, bounds them; the sum gains
+    one term per new j as s falls, and stops once it needs
+    _slot_bytes(limit) bytes, which hold p(limit)."""
+    top = _slot_bytes(limit)
+    nb, bound, j = 1, 2, 1
+    for s in range(limit // 2, 0, -1):
+        while nb < top and j < limit // s:
+            j += 1
+            bound += comb(limit + j * (j - 1) // 2 - 1, j - 1) // factorial(j)
+            nb = min(top, (bound.bit_length() + 7) // 8)
+        yield s, nb
+
+
+def _widen(x, nb, wide, n):
+    """Int x's n big-endian nb-byte slots as wide-byte slots, wide > nb."""
+    raw = x.to_bytes(nb * n, "big")
+    out = bytearray(wide * n)
+    for i in range(nb):
+        out[wide - nb + i::wide] = raw[i::nb]
+    return int.from_bytes(out, "big")
 
 
 def _unpack(x, nb, n, order="little"):

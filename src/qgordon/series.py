@@ -141,24 +141,33 @@ def _kronecker(a, b, g):
     same length prefix of b[::g].  |c_i| <= n*max|a|*max|b| < X/2 for
     n = len(b[::g]), so no slot of c_i + X/2 borrows.  An operand is
     read from one string whose slot i holds c_i + half, and bias, half in
-    every slot, is taken off; b's string is built once for all classes."""
+    every slot, is taken off; b's string is built once for all classes.
+
+    When at most a sixth of b[::g]'s terms are live (nonzero; at g = 1
+    b is the sparser side), the product is instead the sum, over the
+    live terms c_j, of c_j times a[r::g] shifted j slots, and n in the
+    slot bound is the number of live terms."""
     b = b[::g]
-    n = len(b)
+    if g == 1 and a.count(0) > b.count(0):
+        a, b = b, a
+    live = [(j, c) for j, c in enumerate(b) if c]
+    sparse = 6 * len(live) <= len(b)
     nb = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-          + n.bit_length() + 2 + 7) // 8
+          + (len(live) if sparse else len(b)).bit_length() + 2 + 7) // 8
     half = 1 << (8 * nb - 1)
-    halves = (bytes(nb - 1) + b"\x80") * n
-    packed = _biased(b, nb, half)
+    halves = (bytes(nb - 1) + b"\x80") * len(b)
+    packed = None if sparse else _biased(b, nb, half)
     out = [0] * len(a)
     for r in range(g):
         if any(x := a[r::g]):
             m = nb * len(x)
             bias = int.from_bytes(halves[:m], "little")
-            prod = ((int.from_bytes(_biased(x, nb, half), "little") - bias)
-                    * (int.from_bytes(packed[:m], "little") - bias)
-                    + bias) & ((1 << 8 * m) - 1)
-            out[r::g] = [c - half
-                         for c in partitions._unpack(prod, nb, len(x))]
+            x = int.from_bytes(_biased(x, nb, half), "little") - bias
+            prod = (sum([c * x << 8 * nb * j for j, c in live if nb * j < m])
+                    if sparse else
+                    x * (int.from_bytes(packed[:m], "little") - bias))
+            out[r::g] = [c - half for c in partitions._unpack(
+                (prod + bias) & ((1 << 8 * m) - 1), nb, m // nb)]
     return out
 
 

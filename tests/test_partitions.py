@@ -259,6 +259,7 @@ def test_walk_covers_each_weight_in_enumeration_order():
                 for p in walk:
                     counts[sum(p)] += 1
                 assert counts == partitions.family_counts(family, k, a, N)
+                assert counts == partitions._walked_counts(family, k, a, N)
                 inner = list(partitions._walk_family(family, k, a, 11, 23))
                 assert inner == [p for p in walk if 11 <= sum(p) <= 23]
 
@@ -368,6 +369,35 @@ def test_packed_rows_match_list_rows_at_depth(family):
                 got = partitions.family_counts(family, k, a, limit)
                 assert got == list_row_counts(family, k, a, limit), \
                     (family, k, a, limit)
+
+
+@pytest.mark.parametrize("family", ["B", "W", "Wbar"])
+def test_packed_rows_match_list_rows_across_every_widening(family):
+    # at limit 1200 the slots widen 14 times below the top half, from 1
+    # byte to _slot_bytes(1200), 16 bytes
+    for k in (3, 5):
+        for a in (1, k):
+            assert (partitions.family_counts(family, k, a, 1200)
+                    == list_row_counts(family, k, a, 1200)), (family, k, a)
+
+
+def test_step_slots_hold_every_count_into_large_parts():
+    # after the step for size s, a packed row counts partitions of weight
+    # <= limit into parts >= s; here the largest such count, from a plain
+    # list DP, must fit the step's slots: 1 byte above limit // 2, where
+    # a row holds the empty partition and single parts, and _step_bytes'
+    # width below it, which never shrinks and stops at _slot_bytes
+    for limit in [*range(61), 271, 600, 1200]:
+        steps = list(partitions._step_bytes(limit))
+        assert [s for s, _ in steps] == list(range(limit // 2, 0, -1))
+        widths = dict(steps)
+        assert [nb for _, nb in steps] == sorted(widths.values())
+        assert max(widths.values(), default=1) <= partitions._slot_bytes(limit)
+        dp = [1] + [0] * limit
+        for s in range(limit, 0, -1):
+            for w in range(s, limit + 1):
+                dp[w] += dp[w - s]
+            assert max(dp) < 256 ** widths.get(s, 1), (limit, s)
 
 
 def test_slot_holds_every_partition_count():

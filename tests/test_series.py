@@ -1,5 +1,6 @@
 """Tests for exact truncated q-series arithmetic and builders."""
 
+import random
 from operator import add
 
 import pytest
@@ -155,6 +156,26 @@ def test_lattice_products_match_schoolbook(pair):
     want = schoolbook(a, b)
     assert coeffs(s * t) == want
     assert coeffs(t * s) == want
+
+
+def test_sparse_factor_products_match_schoolbook():
+    # a factor with at most a sixth of its terms live (of b[::g] in q^g)
+    # is multiplied as shifted sums of the other side: here just either
+    # side of that share, with signed 100-bit terms, at g = 1 with either
+    # side sparse, and in q^2 and q^3, where the dense side has every
+    # class mod g
+    rng = random.Random(5)
+    for n, g in ((60, 1), (61, 1), (47, 2), (120, 3)):
+        slots = range(g, n + 1, g)
+        for live in ((len(slots) + 1) // 6, (len(slots) + 1) // 6 + 1):
+            b = [0] * (n + 1)
+            # exponent g is live, so b lives in q^g and in no coarser q^h
+            for j in [g, *rng.sample(slots[1:], live - 1)]:
+                b[j] = rng.choice((-1, 1)) * rng.randrange(1, 2 ** 100)
+            a = [rng.randrange(-2 ** 100, 2 ** 100) for _ in range(n + 1)]
+            want = schoolbook(a, b)
+            assert coeffs(TruncatedSeries(a) * TruncatedSeries(b)) == want
+            assert coeffs(TruncatedSeries(b) * TruncatedSeries(a)) == want
 
 
 def test_mul_extreme_operands():
