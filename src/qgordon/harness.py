@@ -35,15 +35,10 @@ from .series import TruncatedSeries
 SCOPES = tuple(pipelines._SCOPES)
 
 
-def sweep_cap() -> int:
-    """Weight cap for exhaustive sweeps: RRG_MAX_SWEEP, or 30 when it is
-    unset.  A value that is not an integer is a ParameterError."""
-    value = os.environ.get("RRG_MAX_SWEEP", "30")
-    try:
-        return int(value)
-    except ValueError:
-        raise ParameterError("RRG_MAX_SWEEP must be an integer, got %r"
-                             % (value,)) from None
+# the most ground pairs one sweep may walk, summed over its weight
+# classes: Gordon (4, 4) to weight 47 has 8,386,543 and passes in about
+# 5 s on two CPUs, with peaks under 300 MB per process
+_SWEEP_PAIRS = 1 << 23
 
 
 class VerificationReport(NamedTuple):
@@ -81,12 +76,6 @@ def _jtp(m, a, N):
     return _poch(N, (a, m), (m - a, m), (m, m))
 
 
-def _walked_gf(family, k, a, N):
-    """Series counting the family's members at weights 0..N, from one
-    enumeration walk (partitions._walked_counts)."""
-    return TruncatedSeries(partitions._walked_counts(family, k, a, N))
-
-
 def _family_b_at_q2(k, a, N):
     """B_{k,a}(q^2) truncated at N; at k = 1 B holds only the empty
     partition."""
@@ -106,7 +95,8 @@ _IDENTITIES = {
     # window counts equal residue-class counts; the B side enumerates,
     # so it stays independent of the DPs
     "rrg_counts": ("gordon", lambda k, a, N: (
-        series.family_gf("A", k, a, N), None, _walked_gf("B", k, a, N))),
+        series.family_gf("A", k, a, N), None,
+        TruncatedSeries(partitions._walked_counts("B", k, a, N)))),
     # signed pair sum collapses to a theta series
     "ebf": ("gordon", lambda k, a, N: (
         series.family_gf("B", k, a, N), _poch(N, (1, 1)),
@@ -227,17 +217,15 @@ def _workers():
         return os.cpu_count() or 1
 
 
-def _deal(ground, N, workers):
-    """The weight classes 0..N dealt to workers, one ascending list each:
-    the heaviest class first, each to the least-loaded worker, so the
-    first worker takes the first pick and the last the last.  A class
-    weighs its pair count, summed over its bucket products."""
-    size = [sum(len(ground.As[wa]) * len(ground.Bs[w - wa])
-                for wa in range(w + 1)) for w in range(N + 1)]
+def _deal(size, workers):
+    """The weight classes w, of size[w] pairs each, dealt to workers, one
+    ascending list each: the heaviest class first, each to the
+    least-loaded worker, so the first worker takes the first pick and
+    the last the last."""
     loads, hands = [0] * workers, [[] for _ in range(workers)]
-    for w in sorted(range(N + 1), key=lambda w: (size[w], w), reverse=True):
+    for n, w in sorted(zip(size, range(len(size))), reverse=True):
         i = loads.index(min(loads))
-        loads[i] += size[w]
+        loads[i] += n
         hands[i].append(w)
     return [sorted(hand) for hand in hands]
 
@@ -369,6 +357,11 @@ def check_involution_laws(scope: str, k: int, a: int,
     fixed configurations, and the signed fixed count must equal the
     fixed-point generating function, a theta series.
 
+    The pair count of each weight class is read off the ground set's
+    generating function first (pipelines._class_sizes), and a sweep of
+    more than _SWEEP_PAIRS pairs in all is refused with ParameterError
+    before any class is built.
+
     The sweep generates its ground set, so it maps through the scope's
     trusting kernel.  Each weight class is built once, as a dict from
     pair to "not yet checked" in enumeration order, and a partner's
@@ -401,18 +394,18 @@ def check_involution_laws(scope: str, k: int, a: int,
     t0 = time.monotonic()
     rules = _scope_rules(scope, k, a)
     N = partitions._as_weight(N, "N")
-    cap = sweep_cap()
-    if N > cap:
+    size = pipelines._class_sizes(scope, k, a, N)
+    if sum(size) > _SWEEP_PAIRS:
         raise ParameterError(
-            "sweep to weight %d exceeds the cap %d; set RRG_MAX_SWEEP "
-            "to raise it" % (N, cap))
+            "sweep to weight %d has %d pairs, over the budget of %d"
+            % (N, sum(size), _SWEEP_PAIRS))
     ident = "laws_" + scope
     ground = pipelines._Ground(scope, k, a, N)
 
     def sweep(w):
         return _sweep_class(ground, w, rules.involute, k, a)
 
-    *dealt, own = _deal(ground, N, _workers())
+    *dealt, own = _deal(size, _workers())
     crew = _Crew(dealt, ground, sweep, N + 1)
     try:
         for w in own:

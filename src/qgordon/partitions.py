@@ -53,15 +53,17 @@ def check_params(k: int, a: int) -> None:
         raise ParameterError("need 1 <= a <= k, got a=%r k=%r" % (a, k))
 
 
-def _as_weight(n, name="n"):
-    """n, a weight, truncation or index, as an int >= 0 read by
-    operator.index; ParameterError, naming it name, otherwise."""
+def _as_weight(n, name="n", low=0):
+    """n, a weight, truncation or other integer argument, as an int >=
+    low (any int when low is None) read by operator.index;
+    ParameterError, naming it name, otherwise."""
     try:
-        if index(n) >= 0:
+        if low is None or index(n) >= low:
             return index(n)
     except TypeError:
         pass
-    raise ParameterError("%s must be an integer >= 0, got %r" % (name, n))
+    raise ParameterError("%s must be an integer%s, got %r"
+                         % (name, "" if low is None else " >= %d" % low, n))
 
 
 def _as_sides(config, n):

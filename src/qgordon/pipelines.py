@@ -218,6 +218,16 @@ class _Ground:
                                    for wa in range(w, -1, -1))
 
 
+def _class_sizes(scope, k, a, top):
+    """The pair count of each weight class 0..top of the scope's ground
+    set, counted without a walk: (-q^e; q^e)_inf for A's distinct parts,
+    e = 2 when they must be even, times B's family series."""
+    ground = _SCOPES[scope]
+    e = 2 if ground.parity == "even" else 1
+    return (series.poch_inf(e, e, top, -1)
+            * series.family_gf(ground.family, k, a, top)).coeffs
+
+
 def enumerate_ground(pipeline: str, k: int, a: int, n: int):
     """All ground-set pairs of weight exactly n, A-weight descending."""
     check_pipeline(pipeline, k, a)

@@ -15,6 +15,7 @@ from math import gcd
 from operator import add, index, sub
 
 from . import partitions
+from .partitions import ParameterError, _as_weight
 
 
 class TruncatedSeries:
@@ -207,12 +208,9 @@ def poch_inf(a, m, N, sign=1):
     n divides it by (1 - Q^n), keeps it through Q^((N - e) // m) for the
     term's exponent e and adds it at e, e+m, ..., so about sqrt(2N/m)
     steps on rows of N/m terms replace the factor-by-factor product."""
-    if a < 1 or m < 1:
-        raise ValueError("need a >= 1 and m >= 1, got a=%r m=%r" % (a, m))
+    a, m, N = _as_weight(a, "a", 1), _as_weight(m, "m", 1), _as_weight(N, "N")
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if N < 0:
-        raise ValueError("N must be >= 0")
+        raise ParameterError("sign must be +1 or -1, got %r" % (sign,))
     acc = [1] + [0] * N
     row = acc[:N // m + 1]
     n, e = 1, a
@@ -234,12 +232,10 @@ def theta_sum(alpha, beta, N):
     an integer.  Iteration runs n = 0, 1, -1, 2, -2, ... and stops once
     the quadratic term dominates past the truncation in both directions.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be positive, got %r" % (alpha,))
+    alpha, beta = _as_weight(alpha, "alpha", 1), _as_weight(beta, "beta", None)
+    N = _as_weight(N, "N")
     if (alpha + beta) % 2:
-        raise ValueError("alpha + beta must be even for integer exponents")
-    if N < 0:
-        raise ValueError("N must be >= 0")
+        raise ParameterError("alpha + beta must be even for integer exponents")
     out = [1] + [0] * N  # n = 0
     r = 1
     while True:
@@ -247,7 +243,7 @@ def theta_sum(alpha, beta, N):
         for n in (r, -r):
             e = (alpha * n * n + beta * n) // 2
             if e < 0:
-                raise ValueError("theta exponent went negative at n=%d" % n)
+                raise ParameterError("theta exponent < 0 at n=%d" % n)
             if e <= N:
                 out[e] += -1 if r % 2 else 1
                 hit = True
@@ -262,11 +258,9 @@ def theta_sum(alpha, beta, N):
 def restricted_gf(forbidden_residues, modulus, N):
     """Generating function of partitions whose parts avoid the given
     residue classes mod ``modulus``, truncated at N."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    forbidden = {r % modulus for r in forbidden_residues}
+    modulus, N = _as_weight(modulus, "modulus", 1), _as_weight(N, "N")
+    forbidden = {_as_weight(r, "residue", None) % modulus
+                 for r in forbidden_residues}
     return TruncatedSeries(partitions._avoiding_counts(forbidden, modulus, N))
 
 
@@ -282,8 +276,7 @@ def multisum_rrg(k, a, N):
     Each n_j = 0, 1, ... divides the row by (1 - q^{n_j}) and adds it at s
     into rows[M] of level j, M = d + n_j, until s + jM^2 + [j >= a]M > N."""
     partitions.check_params(k, a)
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    N = _as_weight(N, "N")
     rows = [[1] + [0] * N]
     for j in range(min(k - 1, N), 0, -1):
         nxt = []
@@ -310,11 +303,10 @@ def multisum_rrg(k, a, N):
 
 def dilate(s, m, N):
     """The series s(q^m) truncated at N; s must reach q^(N // m)."""
-    if m < 1 or N < 0:
-        raise ValueError("need m >= 1 and N >= 0, got m=%r N=%r" % (m, N))
+    m, N = _as_weight(m, "m", 1), _as_weight(N, "N")
     if s.truncation < N // m:
-        raise ValueError("s is truncated at %d, below %d"
-                         % (s.truncation, N // m))
+        raise ParameterError("s is truncated at %d, below %d"
+                             % (s.truncation, N // m))
     out = [0] * (N + 1)
     out[::m] = s.coeffs[:N // m + 1]
     return TruncatedSeries(out)
@@ -322,6 +314,4 @@ def dilate(s, m, N):
 
 def family_gf(family, k, a, N):
     """Series whose coefficient of q^n is count_family(family, k, a, n)."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
     return TruncatedSeries(partitions.family_counts(family, k, a, N))

@@ -217,9 +217,8 @@ def test_trace_pairs_the_residue(capsys):
     assert pipelines.involute_pipeline(((), (16, 16)), "OE", 3, 2) == ((32,), ())
 
 
-def test_trace_ignores_the_sweep_cap(capsys, monkeypatch):
-    # a trace is no sweep: a malformed cap must not reach its map
-    monkeypatch.setenv("RRG_MAX_SWEEP", "thirty")
+def test_trace_maps_one_pair(capsys):
+    # a trace is no sweep: its map pairs B = (10, 10) with A = (20,)
     code, out, _ = run(capsys, "trace", "--scope", "oe", "--k", "5",
                        "--a", "4", "--pair", "20;", "--format", "json")
     assert code == 0
@@ -259,12 +258,14 @@ def test_map_exception_exits_3(capsys, monkeypatch):
     assert err.splitlines()[0] == "error: maximum recursion depth exceeded"
 
 
-def test_malformed_sweep_cap_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("RRG_MAX_SWEEP", "thirty")
-    code, out, err = run(capsys, "verify", "--scope", "gordon", "--k", "2",
-                         "--a", "2", "--truncate", "8")
+def test_over_budget_sweep_exits_2(capsys):
+    # Gordon (3, 3) to weight 80 has 951,351,637 pairs, refused before a
+    # weight class is built
+    code, out, err = run(capsys, "verify", "--scope", "gordon", "--k", "3",
+                         "--a", "3", "--truncate", "80")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "RRG_MAX_SWEEP" in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "951351637 pairs" in err
 
 
 def test_verify_needs_identity_xor_scope(capsys):

@@ -18,7 +18,6 @@ from qgordon.harness import (
     VerificationReport,
     check_identity,
     check_involution_laws,
-    sweep_cap,
     trace_orbit,
 )
 from qgordon.partitions import ParameterError
@@ -397,7 +396,7 @@ def test_two_workers_report_as_one(monkeypatch, scope, k, a, N):
 def _hands(k, a, N):
     """The Gordon weight classes to N dealt to two workers: (this
     process's, the child's), the last hand and the first."""
-    hands = harness._deal(pipelines._Ground("gordon", k, a, N), N, 2)
+    hands = harness._deal(pipelines._class_sizes("gordon", k, a, N), 2)
     return hands[-1], hands[0]
 
 
@@ -514,17 +513,19 @@ def test_a_running_thread_keeps_the_sweep_in_one_process():
     assert not thread.is_alive()
 
 
-def test_sweep_cap(monkeypatch):
-    assert sweep_cap() == 30
-    with pytest.raises(ParameterError):
-        check_involution_laws("gordon", 3, 3, 31)
+def test_sweep_budget():
+    # the budget bounds the pairs a sweep walks, not its weight: Gordon
+    # (4, 4) to 47 is just under it, and to 48 over it
+    assert harness._SWEEP_PAIRS == 1 << 23
+    assert sum(pipelines._class_sizes("gordon", 4, 4, 47)) == 8_386_543
+    for scope, k, a, N in [("gordon", 4, 4, 48), ("gordon", 3, 3, 80),
+                           ("OO", 3, 3, 120)]:
+        pairs = sum(pipelines._class_sizes(scope, k, a, N))
+        assert pairs > harness._SWEEP_PAIRS
+        with pytest.raises(ParameterError, match="%d pairs" % pairs):
+            check_involution_laws(scope, k, a, N)
     with pytest.raises(ParameterError):
         check_involution_laws("gordon", 3, 3, -1)
-    monkeypatch.setenv("RRG_MAX_SWEEP", "34")
-    assert sweep_cap() == 34
-    monkeypatch.setenv("RRG_MAX_SWEEP", "not a number")
-    with pytest.raises(ParameterError, match="RRG_MAX_SWEEP"):
-        sweep_cap()
 
 
 def test_report_records_are_frozen_tuples_with_stable_reprs():

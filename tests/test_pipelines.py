@@ -152,6 +152,25 @@ def test_ground_classes_follow_enumerate_family():
         assert len(ground.Bs) == len(ground.As) == 21
 
 
+def test_class_sizes_count_the_walked_buckets():
+    # the pair counts a sweep is budgeted by, from the counting DP and
+    # Euler's product, against the buckets of the two walks
+    for scope, k, a in SCOPE_GRID:
+        ground = pipelines._Ground(scope, k, a, 20)
+        assert pipelines._class_sizes(scope, k, a, 20) == [
+            sum(len(ground.As[wa]) * len(ground.Bs[w - wa])
+                for wa in range(w + 1)) for w in range(21)], (scope, k, a)
+
+
+def test_over_budget_sweep_builds_no_ground(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a ground set was built")
+
+    monkeypatch.setattr(pipelines, "_Ground", refuse)
+    with pytest.raises(ParameterError, match="951351637 pairs"):
+        harness.check_involution_laws("gordon", 3, 3, 80)
+
+
 @pytest.fixture
 def fresh_flows():
     """No flow built before the test, and none it built kept after it."""
@@ -191,8 +210,6 @@ def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
     calls = []
     monkeypatch.setattr(partitions, "enumerate_family",
                         lambda *args: calls.append(args))
-    # a garbage cap: one-pair maps must not read it
-    monkeypatch.setenv("RRG_MAX_SWEEP", "thirty")
     pair = ((10, 8, 5), (5, 4, 4, 4, 4))
     partner = involute_pipeline(pair, "EE", 6, 6)
     assert partner == ((10, 5), (5, 5, 5, 4, 4, 3, 3))
@@ -205,8 +222,7 @@ def test_one_pair_maps_enumerate_nothing(monkeypatch, fresh_flows):
     assert partner == ((), (10, 10))
     assert involute_pipeline(partner, "OE", 5, 4) == pair
     assert harness.trace_orbit(pair, "OE", 5, 4).terminal == "partner"
-    # unset, the default cap of 30 does not bound a one-pair map either
-    monkeypatch.delenv("RRG_MAX_SWEEP")
+    # and at weight 60, which no sweep in the tests reaches
     pair = ((60,), ())
     assert pipelines._flow("OE", 5, 4, 60).safe(pair) is None
     partner = involute_pipeline(pair, "OE", 5, 4)
@@ -596,8 +612,7 @@ FRONTIER_40 = {
 
 
 @pytest.mark.parametrize("pl,k,a", [p for p in FRONTIER_40 if FRONTIER_40[p]])
-def test_frontier_failures(pl, k, a, monkeypatch):
-    monkeypatch.setenv("RRG_MAX_SWEEP", "40")
+def test_frontier_failures(pl, k, a):
     r = harness.check_involution_laws(pl, k, a, 40)
     assert (r.status, r.counterexample) == ("fail", FRONTIER_40[(pl, k, a)])
 

@@ -400,19 +400,40 @@ def test_restricted_gf():
 
 
 @pytest.mark.parametrize("build, error", [
-    (lambda: series.poch_inf(1, 1, -1), ValueError),
-    (lambda: series.theta_sum(7, 1, -1), ValueError),
+    (lambda: series.poch_inf(1, 1, -1), ParameterError),
+    (lambda: series.theta_sum(7, 1, -1), ParameterError),
     (lambda: gordon_fixed_gf(3, 3, -1), ParameterError),
     (lambda: pipeline_fixed_gf("EE", 2, 2, -1), ParameterError),
     (lambda: pipeline_e_factor("OO", -2), ParameterError),
-    (lambda: series.multisum_rrg(3, 3, -1), ValueError),
-    (lambda: series.family_gf("B", 3, 3, -1), ValueError),
+    (lambda: series.multisum_rrg(3, 3, -1), ParameterError),
+    (lambda: series.family_gf("B", 3, 3, -1), ParameterError),
 ], ids=["poch_inf", "theta_sum", "gordon_fixed_gf", "pipeline_fixed_gf",
         "pipeline_e_factor", "multisum_rrg", "family_gf"])
 def test_negative_truncation_rejected(build, error):
     with pytest.raises(error) as info:
         build()
     assert info.type is error
+
+
+@pytest.mark.parametrize("build", [
+    lambda: series.poch_inf(1, 1, 2.0),
+    lambda: series.poch_inf(1.5, 1, 4),
+    lambda: series.poch_inf(1, 1, 4, sign=1.5),
+    lambda: series.theta_sum(3, 1, 2.5),
+    lambda: series.theta_sum(3, 1.0, 4),
+    lambda: series.restricted_gf((0,), 5, 3.0),
+    lambda: series.restricted_gf((0.5,), 5, 3),
+    lambda: series.multisum_rrg(3, 2, 4.0),
+    lambda: series.family_gf("B", 3, 3, 4.0),
+    lambda: series.dilate(TruncatedSeries.one(2), 2.0, 4),
+], ids=["poch_inf-N", "poch_inf-a", "poch_inf-sign", "theta_sum-N",
+        "theta_sum-beta", "restricted_gf-N", "restricted_gf-residue",
+        "multisum_rrg-N", "family_gf-N", "dilate-m"])
+def test_builders_refuse_a_float(build):
+    # a float argument is a ParameterError, not a TypeError from list
+    # arithmetic, nor a value rounded to an int
+    with pytest.raises(ParameterError):
+        build()
 
 
 def test_multisum_fixed_cases():
