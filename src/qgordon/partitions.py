@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from itertools import accumulate, chain, groupby
-from math import comb, factorial, inf, isqrt
+from math import inf
 from operator import add, index, itemgetter
 
 FAMILIES = ("A", "B", "W", "Wbar")
@@ -310,9 +310,12 @@ def family_counts(family: str, k: int, a: int, limit: int):
     k-1-f, moved up by f*s.  A row is one int of nb-byte slots with
     weight w in slot limit - w, so a sum of rows is one addition and a
     move one right shift, under which weights past limit fall off the
-    bottom: no mask.  After the step for size s an entry counts distinct
-    partitions of its weight into parts >= s, which _step_bytes bounds,
-    so the slots widen as s falls: no carries.
+    bottom: no mask.  Every row is nonnegative, so no slot of a new row
+    exceeds the largest slot of pre[L], the sum of the L+1 rows the step
+    reads, and the next pre[L], a sum of L+1 new rows, exceeds it less
+    than 2^g-fold, g = (L+1).bit_length(): while the top g bits of every
+    slot of pre[L] are clear, nothing carries, and on a hit the rows
+    widen by ceil(g/8) bytes first.
     """
     check_params(k, a)
     limit = _as_weight(limit, "limit")
@@ -339,12 +342,16 @@ def family_counts(family: str, k: int, a: int, limit: int):
     if L:
         cur[1], row[h] = row[h] << 8 * (limit - h), 0
     cur[0], nb = int.from_bytes(row, "big"), 1
-    for s, wide in _step_bytes(limit):
-        if wide > nb:
-            cur, nb = [_widen(x, nb, wide, limit + 1) for x in cur], wide
+    g = (L + 1).bit_length()
+    top = _top_bits(nb, g, limit + 1)
+    for s in range(h - 1, 0, -1):
         # pre[m]: the same, summed over size s+1 multiplicities c <= m;
         # a zero row is skipped, since x + 0 copies all of x
         pre = list(accumulate(cur, lambda x, y: x + y if y else x))
+        if pre[L] & top:
+            wide = nb + (g + 7) // 8
+            pre, nb = [_widen(x, nb, wide, limit + 1) for x in pre], wide
+            top = _top_bits(nb, g, limit + 1)
         cap, step = _size_rule(family, k, a, s)
         cur = [pre[L]] + [0 if f > cap or f % step else
                           pre[min(k - 1 - f, L)] >> 8 * nb * f * s
@@ -352,33 +359,11 @@ def family_counts(family: str, k: int, a: int, limit: int):
     return _unpack(sum(cur), nb, limit + 1, "big")
 
 
-def _slot_bytes(limit):
-    """Bytes per slot that hold any count of partitions of <= limit:
-    p(n) < exp(pi*sqrt(2n/3)) / n**(3/4) (de Azevedo Pribitkin, Ramanujan
-    J. 18, 2009), so log2 p(n) < 3.701*sqrt(n) - (3/4)*log2(n), rounded up
-    in integers, plus one spare bit; 1 byte for n < 2."""
-    bits = ((3701 * (isqrt(limit * 10 ** 6) + 1)) // 10 ** 6 + 2
-            - (3 * (limit.bit_length() - 1)) // 4)
-    return (bits + 7) // 8 if limit > 1 else 1
-
-
-def _step_bytes(limit):
-    """(s, nb) for s = limit // 2 down to 1: nb-byte slots hold the number
-    of partitions of any weight <= limit into parts >= s.  Those have at
-    most limit // s parts, and the partitions of n into j parts map one
-    to one onto those of n + j(j-1)/2 into j distinct parts, of which
-    there are at most C(n + j(j-1)/2 - 1, j - 1) / j!.  So 1 plus that
-    at n = limit, summed over j <= limit // s, bounds them; the sum gains
-    one term per new j as s falls, and stops once it needs
-    _slot_bytes(limit) bytes, which hold p(limit)."""
-    top = _slot_bytes(limit)
-    nb, bound, j = 1, 2, 1
-    for s in range(limit // 2, 0, -1):
-        while nb < top and j < limit // s:
-            j += 1
-            bound += comb(limit + j * (j - 1) // 2 - 1, j - 1) // factorial(j)
-            nb = min(top, (bound.bit_length() + 7) // 8)
-        yield s, nb
+def _top_bits(nb, g, n):
+    """The mask of the top g bits (all of them, if g >= 8*nb) of each of
+    an int's n nb-byte slots."""
+    slot = (1 << 8 * nb) - (1 << max(8 * nb - g, 0))
+    return int.from_bytes(slot.to_bytes(nb, "big") * n, "big")
 
 
 def _widen(x, nb, wide, n):

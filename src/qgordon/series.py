@@ -23,9 +23,9 @@ class TruncatedSeries:
 
     coeffs holds exact ints c_0..c_N; the constructor takes integers only
     (operator.index), so a float or a string raises TypeError instead of
-    being rounded or parsed.  Binary operations require equal
-    truncations; mixing them silently would let a short series masquerade
-    as exact at higher order.
+    being rounded or parsed, and ParameterError as the truncation.
+    Binary operations require equal truncations; mixing them silently
+    would let a short series masquerade as exact at higher order.
     """
 
     __slots__ = ("coeffs",)
@@ -33,8 +33,7 @@ class TruncatedSeries:
     def __init__(self, coeffs, truncation=None):
         coeffs = list(map(index, coeffs))
         if truncation is not None:
-            if truncation < 0:
-                raise ValueError("truncation must be >= 0")
+            truncation = _as_weight(truncation, "truncation")
             if len(coeffs) > truncation + 1:
                 raise ValueError("got %d coefficients for truncation %d"
                                  % (len(coeffs), truncation))

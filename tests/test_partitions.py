@@ -130,24 +130,6 @@ def list_row_counts(family, k, a, limit):
     return counts
 
 
-def pentagonal_p(limit):
-    """p(0..limit) by Euler's pentagonal number recurrence."""
-    p = [1] + [0] * limit
-    for n in range(1, limit + 1):
-        total, j = 0, 1
-        while True:
-            g = j * (3 * j - 1) // 2
-            if g > n:
-                break
-            sign = 1 if j % 2 else -1
-            total += sign * p[n - g]
-            if g + j <= n:
-                total += sign * p[n - g - j]
-            j += 1
-        p[n] = total
-    return p
-
-
 def reference_walk(family, k, a, lo, hi):
     """Members of weight lo..hi by one recursion over every part size,
     multiplicities descending, a member after its extensions: descending
@@ -360,9 +342,8 @@ def test_family_counts_at_huge_k(family):
 
 @pytest.mark.parametrize("family", ["B", "W", "Wbar"])
 def test_packed_rows_match_list_rows_at_depth(family):
-    # at limit 600 a slot is 11 bytes wide and at 300 it is 8; 271 has
-    # the least slack of any limit up to 5000: p(271) fills all but 5 of
-    # its 7 bytes' bits
+    # the slots end 3 to 6 bytes wide at limit 271, 4 to 6 at 300 and 5
+    # to 9 at 600
     for k in range(2, 6):
         for a in sorted({1, (k + 1) // 2, k}):
             for limit in (271, 300, 600):
@@ -373,40 +354,50 @@ def test_packed_rows_match_list_rows_at_depth(family):
 
 @pytest.mark.parametrize("family", ["B", "W", "Wbar"])
 def test_packed_rows_match_list_rows_across_every_widening(family):
-    # at limit 1200 the slots widen 14 times below the top half, from 1
-    # byte to _slot_bytes(1200), 16 bytes
+    # at limit 1200 the slots widen 8 to 12 times below the top half, a
+    # byte at a time, from 1 byte to 9 to 13
     for k in (3, 5):
         for a in (1, k):
             assert (partitions.family_counts(family, k, a, 1200)
                     == list_row_counts(family, k, a, 1200)), (family, k, a)
 
 
-def test_step_slots_hold_every_count_into_large_parts():
-    # after the step for size s, a packed row counts partitions of weight
-    # <= limit into parts >= s; here the largest such count, from a plain
-    # list DP, must fit the step's slots: 1 byte above limit // 2, where
-    # a row holds the empty partition and single parts, and _step_bytes'
-    # width below it, which never shrinks and stops at _slot_bytes
-    for limit in [*range(61), 271, 600, 1200]:
-        steps = list(partitions._step_bytes(limit))
-        assert [s for s, _ in steps] == list(range(limit // 2, 0, -1))
-        widths = dict(steps)
-        assert [nb for _, nb in steps] == sorted(widths.values())
-        assert max(widths.values(), default=1) <= partitions._slot_bytes(limit)
-        dp = [1] + [0] * limit
-        for s in range(limit, 0, -1):
-            for w in range(s, limit + 1):
-                dp[w] += dp[w - s]
-            assert max(dp) < 256 ** widths.get(s, 1), (limit, s)
+@pytest.mark.parametrize("family", ["B", "W", "Wbar"])
+def test_packed_rows_match_list_rows_at_large_k(family):
+    # L = min(k-1, limit) is 127, 255 and 299, so g = (L+1).bit_length()
+    # is 8, 9 and 9: the first headroom check finds no bit free in a
+    # 1-byte slot and widens by 1 or 2 bytes at once
+    for k, a in ((128, 64), (256, 1), (300, 300)):
+        assert (partitions.family_counts(family, k, a, 300)
+                == list_row_counts(family, k, a, 300)), (family, k, a)
 
 
-def test_slot_holds_every_partition_count():
-    p = pentagonal_p(5000)
-    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[100] == 190569292
-    for n, pn in enumerate(p):
-        assert pn.bit_length() < 8 * partitions._slot_bytes(n), n
-        # and no more than a byte or so to spare: the bound stays sharp
-        assert n < 2 or 8 * partitions._slot_bytes(n) - pn.bit_length() < 16
+def test_slots_are_no_wider_than_the_counts_need(monkeypatch):
+    # a widening from nb bytes adds ceil(g/8) only once the largest slot
+    # of the row sum has a bit set above its low 8*nb - g, and every
+    # count it holds is at most a final count, which so needs at least
+    # nb - floor((g-1)/8) bytes: the last width is at most ceil(g/8) +
+    # floor((g-1)/8) bytes above what the largest final count needs, 1
+    # for g <= 8 and 3 for g = 9
+    widths = []
+    widen = partitions._widen
+
+    def recording(x, nb, wide, n):
+        widths.append(wide)
+        return widen(x, nb, wide, n)
+
+    monkeypatch.setattr(partitions, "_widen", recording)
+    for family in ("B", "W", "Wbar"):
+        for k, a, limit in ((2, 1, 1200), (3, 2, 1200), (5, 4, 1200),
+                            (5, 1, 600), (9, 5, 600), (128, 64, 300),
+                            (300, 300, 300), (3, 3, 47), (4, 2, 8)):
+            widths.clear()
+            counts = partitions.family_counts(family, k, a, limit)
+            g = min(k, limit + 1).bit_length()
+            need = (max(counts).bit_length() + 7) // 8
+            spare = (g + 7) // 8 + (g - 1) // 8
+            assert need <= max(widths, default=1) <= need + spare, \
+                (family, k, a, limit, widths[-1:], need)
 
 
 def test_count_family_uses_the_dp(monkeypatch):

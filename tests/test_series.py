@@ -426,9 +426,12 @@ def test_negative_truncation_rejected(build, error):
     lambda: series.multisum_rrg(3, 2, 4.0),
     lambda: series.family_gf("B", 3, 3, 4.0),
     lambda: series.dilate(TruncatedSeries.one(2), 2.0, 4),
+    lambda: TruncatedSeries([1], 2.5),
+    lambda: TruncatedSeries([1], "3"),
 ], ids=["poch_inf-N", "poch_inf-a", "poch_inf-sign", "theta_sum-N",
         "theta_sum-beta", "restricted_gf-N", "restricted_gf-residue",
-        "multisum_rrg-N", "family_gf-N", "dilate-m"])
+        "multisum_rrg-N", "family_gf-N", "dilate-m", "TruncatedSeries-float",
+        "TruncatedSeries-str"])
 def test_builders_refuse_a_float(build):
     # a float argument is a ParameterError, not a TypeError from list
     # arithmetic, nor a value rounded to an int
