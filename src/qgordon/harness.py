@@ -40,6 +40,12 @@ SCOPES = tuple(pipelines._SCOPES)
 # 5 s on two CPUs, with peaks under 300 MB per process
 _SWEEP_PAIRS = 1 << 23
 
+# how long a sweep runs in its caller alone before it deals the classes
+# left to forked children: on two shared CPUs, dealing every class cost
+# each sweep of the sweep benchmark 2-5 ms more than it took alone (7-29
+# ms), so no sweep that short gains from a fork
+_ALONE_S = 0.05
+
 
 class VerificationReport(NamedTuple):
     identity: str
@@ -207,23 +213,52 @@ def _image_fault(pair, out, w, member):
 
 def _workers():
     """How many processes a sweep may use: one per CPU this process may
-    run on, or one alone where os cannot fork or another thread runs,
-    since a forked child holds a copy of the forking thread only."""
+    run on, but no more than its cgroup's CPU quota, or one alone where
+    os cannot fork or another thread runs, since a forked child holds a
+    copy of the forking thread only."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _cpu_quota() or cpus)
 
 
-def _deal(size, workers):
-    """The weight classes w, of size[w] pairs each, dealt to workers, one
-    ascending list each: the heaviest class first, each to the
-    least-loaded worker, so the first worker takes the first pick and
-    the last the last."""
+def _cpu_quota():
+    """The CPUs the cgroup's quota lets run at once, rounded up, or None
+    where there is no quota or none can be read: cgroup v2's cpu.max
+    holds the quota ("max" for none) and the period, and cgroup v1's
+    cpu.cfs_quota_us (-1 for none) and cpu.cfs_period_us hold them
+    apart."""
+    text = _cgroup("cpu.max")
+    if text is None:
+        text = "%s %s" % (_cgroup("cpu/cpu.cfs_quota_us"),
+                          _cgroup("cpu/cpu.cfs_period_us"))
+    try:
+        quota, period = map(int, text.split())
+    except ValueError:
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
+def _cgroup(name):
+    """The text of the cgroup file name, or None where it cannot be read."""
+    try:
+        with open("/sys/fs/cgroup/" + name) as f:
+            return f.read()
+    except OSError:
+        return None
+
+
+def _deal(size, workers, first=0):
+    """The weight classes w >= first, of size[w] pairs each, dealt to
+    workers, one ascending list each: the heaviest class first, each to
+    the least-loaded worker, so the first worker takes the first pick
+    and the last the last."""
     loads, hands = [0] * workers, [[] for _ in range(workers)]
-    for n, w in sorted(zip(size, range(len(size))), reverse=True):
+    for n, w in sorted(zip(size[first:], range(first, len(size))),
+                       reverse=True):
         i = loads.index(min(loads))
         loads[i] += n
         hands[i].append(w)
@@ -265,23 +300,35 @@ def _sweep_class(ground, w, involute, k, a):
 
 class _Crew:
     """The forked children of one sweep, and one record of every class
-    reported.  Each child sweeps a hand of weight classes in ascending
-    order up to its first failing one, and writes one line of three ints
-    per class to the pipe all children share, in one os.write, far
-    shorter than PIPE_BUF, so no two lines interleave: the weight, then 0
-    and the signed fixed count for a class that passed, 1 and a position
-    when the map failed on the configuration at that position in
-    enumeration order (a fault ("map", configuration, None)), or 2 and 0
-    when the class failed otherwise.  It never sends an image, and leaves
-    through os._exit, whatever happens."""
+    swept here or reported.  Each child sweeps a hand of weight classes
+    in ascending order up to its first failing one, and writes one line
+    of three ints per class to the pipe all children share, in one
+    os.write, far shorter than PIPE_BUF, so no two lines interleave: the
+    weight, then 0 and the signed fixed count for a class that passed, 1
+    and a position when the map failed on the configuration at that
+    position in enumeration order (a fault ("map", configuration,
+    None)), or 2 and 0 when the class failed otherwise.  It never sends
+    an image, and leaves through os._exit, whatever happens."""
 
-    def __init__(self, hands, ground, sweep, low):
-        self.ground = ground
+    def __init__(self, ground, sweep, low):
+        self.ground, self.sweep = ground, sweep
         self.low = low      # the lowest weight known to fail
-        self.done = {}      # weight -> (fault, fixed) of a class reported
+        self.done = {}      # weight -> (fault, fixed) of a class recorded
         self.owed = []      # the classes of the hands that forked
         self.pids = []
         self.fd, self.rest = None, b""  # the read end, a line not yet whole
+
+    def take(self, w):
+        """Sweep the class w in this process, record it, and return
+        whether it passed."""
+        fault, fixed, _ = self.sweep(w)
+        self.done[w] = fault, fixed
+        if fault is not None:
+            self.low = w
+        return fault is None
+
+    def fork(self, hands):
+        """Fork a child for each hand that holds a class."""
         if any(hands):
             # imported here, so that a process that never forks, as most
             # CLI calls, does not pay for it at start
@@ -289,10 +336,10 @@ class _Crew:
             self.sigkill = signal.SIGKILL
             self.fd, wfd = os.pipe()
             for hand in filter(None, hands):
-                self._fork(hand, sweep, wfd)
+                self._fork(hand, wfd)
             os.close(wfd)   # the read end sees EOF once every child is gone
 
-    def _fork(self, hand, sweep, wfd):
+    def _fork(self, hand, wfd):
         try:
             pid = os.fork()
         except OSError:     # the hand is left unreported, so swept here
@@ -300,7 +347,7 @@ class _Crew:
         if pid == 0:
             try:
                 for w in hand:
-                    fault, fixed, cfg = sweep(w)
+                    fault, fixed, cfg = self.sweep(w)
                     if fault is None:
                         line = w, 0, fixed
                     elif fault == ("map", cfg, None):
@@ -376,21 +423,23 @@ def check_involution_laws(scope: str, k: int, a: int,
     enumeration order, or the first differing coefficient when only the
     series comparison fails.
 
-    Partners share a weight, so the weight classes are swept apart, on
-    one process per CPU this process may use (_workers).  The classes are
-    dealt heaviest first, each to the least-loaded process.  This process
-    keeps the last hand, and forked children (_Crew) sweep the others,
-    so the top class, whose first pairs are the costliest single map
-    calls, runs in a child, which can be killed.  A child reports each
-    class's signed fixed count, or that it failed, never an image.  Each
-    process sweeps its classes in ascending weight up to its first
-    failure, and this one begins no class above a failure it has heard
-    of.  It then builds the report from the lowest failing class: a
-    configuration a child's map raised on is read off its position when
-    its line arrives, and a class that failed otherwise, or that a child
-    left unreported, is swept here again.  So the report, apart from
-    elapsed, is the one a sweep in one process gives, and holds the same
-    objects."""
+    Partners share a weight, so the weight classes are swept apart.
+    This process first sweeps them alone, in ascending weight, until one
+    fails or the sweep has run for _ALONE_S, since a fork costs more than
+    a short sweep can save.  The classes left then go to one process per
+    CPU this process may use (_workers), dealt heaviest first, each to
+    the least-loaded process.  This process keeps the last hand, and
+    forked children (_Crew) sweep the others, so the top class, whose
+    first pairs are the costliest single map calls, runs in a child,
+    which can be killed.  A child reports each class's signed fixed
+    count, or that it failed, never an image.  Each process sweeps its
+    classes in ascending weight up to its first failure, and this one
+    begins no class above a failure it has heard of.  It then builds
+    the report from the lowest failing class: a configuration a child's
+    map raised on is read off its position when its line arrives, and a
+    class that failed otherwise, or that a child left unreported, is
+    swept here again.  So the report, apart from elapsed, is the one a
+    sweep in one process gives, and holds the same objects."""
     t0 = time.monotonic()
     rules = _scope_rules(scope, k, a)
     N = partitions._as_weight(N, "N")
@@ -405,16 +454,16 @@ def check_involution_laws(scope: str, k: int, a: int,
     def sweep(w):
         return _sweep_class(ground, w, rules.involute, k, a)
 
-    *dealt, own = _deal(size, _workers())
-    crew = _Crew(dealt, ground, sweep, N + 1)
+    crew = _Crew(ground, sweep, N + 1)
     try:
+        w = 0
+        while w <= N and time.monotonic() - t0 < _ALONE_S and crew.take(w):
+            w += 1
+        *dealt, own = _deal(size[:crew.low], _workers(), w)
+        crew.fork(dealt)
         for w in own:
-            if crew.listen() < w:   # a child's lower class failed
-                break
-            fault, fixed, _ = sweep(w)
-            crew.done[w] = fault, fixed
-            if fault is not None:
-                crew.low = w
+            # stop above a child's lower class that failed, or at this one
+            if crew.listen() < w or not crew.take(w):
                 break
         crew.listen(wait=True)
     finally:

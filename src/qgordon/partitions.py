@@ -353,9 +353,11 @@ def family_counts(family: str, k: int, a: int, limit: int):
             pre, nb = [_widen(x, nb, wide, limit + 1) for x in pre], wide
             top = _top_bits(nb, g, limit + 1)
         cap, step = _size_rule(family, k, a, s)
+        # a multiplicity f > limit // s weighs more than limit: row 0
+        fits = min(L, limit // s)
         cur = [pre[L]] + [0 if f > cap or f % step else
                           pre[min(k - 1 - f, L)] >> 8 * nb * f * s
-                          for f in range(1, L + 1)]
+                          for f in range(1, fits + 1)] + [0] * (L - fits)
     return _unpack(sum(cur), nb, limit + 1, "big")
 
 

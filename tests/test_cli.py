@@ -395,13 +395,15 @@ def test_fixed_points_csv(capsys):
 
 # run in a fresh interpreter: the modules `import qgordon.cli` adds, then
 # those a json trace call and a law sweep forked across two processes
-# add, each beyond what the interpreter already holds
+# (with no class swept alone first) add, each beyond what the
+# interpreter already holds
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 bare = set(sys.modules)
 import qgordon.cli
 imported = set(sys.modules) - bare
 qgordon.harness._workers = lambda: 2
+qgordon.harness._ALONE_S = 0
 with contextlib.redirect_stdout(io.StringIO()):
     status = [qgordon.cli.main(argv.split()) for argv in (
         "trace --scope gordon --k 3 --a 2 --pair 9,8,5,3,1;6,2 --format json",

@@ -5,6 +5,7 @@ laws-imply-identity meta-test."""
 import os
 import signal
 import threading
+from types import SimpleNamespace
 
 import pytest
 from test_acceptance import PIPELINE_GRID
@@ -377,7 +378,9 @@ BENCH_SWEEPS = ([("gordon", k, a, 23) for k in (2, 3, 4)
 
 def _by_workers(monkeypatch, *sweep):
     """repr of the sweep's report at one worker, at two, and at three,
-    where two children write one pipe, with elapsed left out."""
+    where two children write one pipe, with elapsed left out.  No class
+    is swept alone first, so every class is dealt."""
+    monkeypatch.setattr(harness, "_ALONE_S", 0)
     reports = []
     for n in (1, 2, 3):
         monkeypatch.setattr(harness, "_workers", lambda n=n: n)
@@ -500,6 +503,60 @@ def test_an_ignored_sigchld_leaves_the_report_as_in_one_process(monkeypatch):
     assert one == two == three and "'pass'" in two
 
 
+def _no_fork():
+    raise AssertionError("the sweep forked")
+
+
+@forks
+def test_a_short_sweep_forks_nothing(monkeypatch):
+    # Gordon (3, 3) to 14 takes a few ms, far under _ALONE_S, so this
+    # process sweeps every class alone
+    monkeypatch.setattr(harness, "_workers", lambda: 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert check_involution_laws("gordon", 3, 3, 14).passed
+
+
+@forks
+@pytest.mark.parametrize("j", range(15))
+def test_a_handoff_after_any_class_reports_as_in_one_process(monkeypatch, j):
+    # a clock that reads 0 until this process has swept the class j and
+    # 1 s after ends the alone phase there; the classes above j are
+    # dealt, unless a class at or below j failed, which ends the sweep
+    # with no fork
+    k, a, N = 3, 3, 14
+    swept, forked = set(), []
+    sweep_class, fork = harness._sweep_class, os.fork
+
+    def recording(ground, w, *args):
+        swept.add(w)
+        return sweep_class(ground, w, *args)
+
+    def counting():
+        forked.append(1)
+        return fork()
+
+    for fail in [None] + [f for f in (j - 1, j, j + 1) if 1 <= f <= N]:
+        patch_map(monkeypatch, _failing_in([] if fail is None else [fail]))
+        monkeypatch.setattr(harness, "_workers", lambda: 1)
+        one = check_involution_laws("gordon", k, a, N)
+        assert (one.counterexample is None) == (fail is None)
+        monkeypatch.setattr(harness, "_sweep_class", recording)
+        monkeypatch.setattr(harness, "time", SimpleNamespace(
+            monotonic=lambda: float(j in swept)))
+        monkeypatch.setattr(os, "fork", counting)
+        for n in (2, 3):
+            swept.clear()
+            forked.clear()
+            monkeypatch.setattr(harness, "_workers", lambda n=n: n)
+            r = check_involution_laws("gordon", k, a, N)
+            assert repr(r._replace(elapsed=None)) == repr(
+                one._replace(elapsed=None)), (fail, n)
+            assert bool(forked) == (j < N and (fail is None or fail > j))
+            # a failure in the alone phase ends the sweep there
+            assert fail is None or fail > j or max(swept) == fail
+        monkeypatch.undo()
+
+
 def test_a_running_thread_keeps_the_sweep_in_one_process():
     # a forked child would hold a copy of the forking thread only
     stop = threading.Event()
@@ -511,6 +568,37 @@ def test_a_running_thread_keeps_the_sweep_in_one_process():
         stop.set()
         thread.join(5)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("files,quota", [
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"cpu.max": "100000 100000\n"}, 1),
+    ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"},
+     None),
+    ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"},
+     1),
+    ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"},
+     3),
+    ({"cpu/cpu.cfs_quota_us": "50000\n"}, None),
+    ({}, None)],
+    ids=["v2-max", "v2-one", "v2-one-and-a-half", "v1-none", "v1-half",
+         "v1-three", "v1-no-period", "unreadable"])
+def test_cpu_quota_is_read_off_the_cgroup(monkeypatch, files, quota):
+    monkeypatch.setattr(harness, "_cgroup", files.get)
+    assert harness._cpu_quota() == quota
+
+
+@forks
+def test_a_quota_of_one_cpu_forks_nothing(monkeypatch):
+    assert harness._cgroup("no/such/file") is None
+    monkeypatch.setattr(harness, "_cgroup", {"cpu.max": "100000 100000"}.get)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(harness, "_ALONE_S", 0)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert harness._workers() == 1
+    assert check_involution_laws("gordon", 3, 3, 14).passed
 
 
 def test_sweep_budget():

@@ -364,12 +364,15 @@ def test_packed_rows_match_list_rows_across_every_widening(family):
 
 @pytest.mark.parametrize("family", ["B", "W", "Wbar"])
 def test_packed_rows_match_list_rows_at_large_k(family):
-    # L = min(k-1, limit) is 127, 255 and 299, so g = (L+1).bit_length()
-    # is 8, 9 and 9: the first headroom check finds no bit free in a
-    # 1-byte slot and widens by 1 or 2 bytes at once
-    for k, a in ((128, 64), (256, 1), (300, 300)):
-        assert (partitions.family_counts(family, k, a, 300)
-                == list_row_counts(family, k, a, 300)), (family, k, a)
+    # L = min(k-1, limit) is 127, 255, 299 and 599, so g =
+    # (L+1).bit_length() is 8, 9, 9 and 10: the first headroom check
+    # finds no bit free in a 1-byte slot and widens by 1 or 2 bytes at
+    # once.  At k = 600 a step at size s builds only the rows f <= 600 //
+    # s, the rest of its 599 rows being zeros
+    for k, a, limit in ((128, 64, 300), (256, 1, 300), (300, 300, 300),
+                        (600, 1, 600)):
+        assert (partitions.family_counts(family, k, a, limit)
+                == list_row_counts(family, k, a, limit)), (family, k, a)
 
 
 def test_slots_are_no_wider_than_the_counts_need(monkeypatch):
